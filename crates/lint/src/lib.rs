@@ -30,7 +30,9 @@
 //! `benches/`, or `examples/` directory are skipped wholesale, and within
 //! a library file every item annotated `#[test]` / `#[cfg(test)]` (plus
 //! everything lexically inside it) is masked out. `third_party/` vendored
-//! stubs and generated `target/` trees are never scanned.
+//! stubs, generated `target/` trees, dot-directories, and any directory
+//! whose `Cargo.toml` declares its own `[workspace]` (a separate
+//! workspace, such as the benchmark package) are never scanned.
 //!
 //! [`parallel_map`]: ../sm_core/fn.parallel_map.html
 //! [`pipeline`]: ../sm_core/fn.pipeline.html
@@ -466,7 +468,9 @@ impl Report {
 }
 
 /// Walks `root` and lints every non-test library file with the default
-/// rule set. `third_party/`, `target/`, and dot-directories are skipped.
+/// rule set. `third_party/`, `target/`, dot-directories, and nested
+/// workspaces (subdirectories whose `Cargo.toml` declares `[workspace]`)
+/// are skipped.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let rules = rules::default_rules();
     let mut files = Vec::new();
@@ -501,7 +505,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name.starts_with('.') || matches!(&*name, "target" | "third_party") {
+            if name.starts_with('.')
+                || matches!(&*name, "target" | "third_party")
+                || declares_own_workspace(&path)
+            {
                 continue;
             }
             walk(&path, out)?;
@@ -510,6 +517,13 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// `true` when `dir/Cargo.toml` declares a `[workspace]` table: the
+/// directory is a workspace of its own, outside this one's rules.
+fn declares_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
 }
 
 #[cfg(test)]
@@ -603,6 +617,39 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.rule == "narrowing-cast" && !f.waived));
+    }
+
+    #[test]
+    fn walk_skips_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("sm-lint-walk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let write = |rel: &str, body: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, body).unwrap();
+        };
+        // The root declares the workspace being linted; `bench/` declares
+        // its own and is skipped, `crates/a/` is a member and is walked.
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/a\"]\n");
+        write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
+        write("crates/a/src/lib.rs", "pub fn f() {}\n");
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
+        );
+        write(
+            "bench/src/main.rs",
+            "fn main() { let x = 1usize as u32; }\n",
+        );
+        let mut files = Vec::new();
+        let walked = walk(&root, &mut files);
+        let _ = std::fs::remove_dir_all(&root);
+        walked.unwrap();
+        let rel: Vec<PathBuf> = files
+            .iter()
+            .map(|p| p.strip_prefix(&root).unwrap().to_path_buf())
+            .collect();
+        assert_eq!(rel, vec![PathBuf::from("crates/a/src/lib.rs")]);
     }
 
     #[test]

@@ -59,6 +59,11 @@ impl DyadicConfig {
     }
 }
 
+/// Deepest geometric sub-interval level the merger resolves: beyond it
+/// the sub-interval is numerically empty, and an arrival sits at its own
+/// point interval.
+const MAX_LEVEL: usize = 60;
+
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     node: usize,
@@ -74,6 +79,10 @@ struct Frame {
 pub struct DyadicMerger {
     cfg: DyadicConfig,
     media_len: f64,
+    /// `ln α`, computed once: every decision divides by it.
+    ln_alpha: f64,
+    /// `α^-i` at index `i - 1`, for every level `i ∈ 1..=MAX_LEVEL`.
+    inv_powers: [f64; MAX_LEVEL],
     stack: Vec<Frame>,
     times: Vec<f64>,
     parents: Vec<Option<usize>>,
@@ -98,6 +107,8 @@ impl DyadicMerger {
         Self {
             cfg,
             media_len,
+            ln_alpha: cfg.alpha.ln(),
+            inv_powers: std::array::from_fn(|k| cfg.alpha.powf(-((k + 1) as f64))),
             stack: Vec::new(),
             times: Vec::new(),
             parents: Vec::new(),
@@ -175,16 +186,15 @@ impl DyadicMerger {
         let i = if frac >= 1.0 {
             f64::INFINITY
         } else {
-            ((1.0 / (1.0 - frac)).ln() / self.cfg.alpha.ln())
-                .ceil()
-                .max(1.0)
+            ((1.0 / (1.0 - frac)).ln() / self.ln_alpha).ceil().max(1.0)
         };
-        // Clamp: beyond ~60 levels the sub-interval is numerically empty;
-        // treat t as sitting at its own point interval.
-        if i > 60.0 {
+        // Clamp: beyond MAX_LEVEL levels the sub-interval is numerically
+        // empty; treat t as sitting at its own point interval.
+        if i > MAX_LEVEL as f64 {
             return t.max(start);
         }
-        let sub_end = start + w * (1.0 - self.cfg.alpha.powf(-i));
+        // `i` is a whole number in 1..=MAX_LEVEL here (`max` maps NaN to 1).
+        let sub_end = start + w * (1.0 - self.inv_powers[i as usize - 1]);
         sub_end.max(t)
     }
 
@@ -352,6 +362,62 @@ mod tests {
         let c_dense = dyadic_total_cost(cfg, 25.0, &dense);
         assert!(c_dense > c_sparse);
         assert!(c_dense / 500.0 < c_sparse / 50.0);
+    }
+
+    /// The sub-interval formula with `ln α` and `α^-i` computed inline —
+    /// the reference the merger's cached tables must reproduce bit for
+    /// bit.
+    fn sub_interval_end_inline(alpha: f64, start: f64, end: f64, t: f64) -> f64 {
+        let w = end - start;
+        let frac = (t - start) / w;
+        let i = if frac >= 1.0 {
+            f64::INFINITY
+        } else {
+            ((1.0 / (1.0 - frac)).ln() / alpha.ln()).ceil().max(1.0)
+        };
+        if i > 60.0 {
+            return t.max(start);
+        }
+        let sub_end = start + w * (1.0 - alpha.powf(-i));
+        sub_end.max(t)
+    }
+
+    #[test]
+    fn cached_sub_interval_ends_match_the_inline_formula() {
+        // Uniform fractions plus fractions 1 − 2^-j that walk every level
+        // up to and past the clamp.
+        let mut fracs: Vec<f64> = (1..=2000).map(|k| f64::from(k) / 2000.0).collect();
+        fracs.extend((1..=64).map(|j| 1.0 - 2f64.powi(-j)));
+        for cfg in [
+            DyadicConfig::golden_poisson(),
+            DyadicConfig::classic(),
+            DyadicConfig {
+                alpha: 2.0,
+                beta: 1.0,
+            },
+            DyadicConfig {
+                alpha: 1.05,
+                beta: 0.5,
+            },
+        ] {
+            let m = DyadicMerger::new(cfg, 100.0);
+            for (start, end) in [(0.0, 50.0), (17.25, 23.5), (1e6, 1e6 + 72.0)] {
+                for &frac in &fracs {
+                    let t = start + frac * (end - start);
+                    if !(t > start && t <= end) {
+                        continue;
+                    }
+                    let got = m.sub_interval_end(start, end, t);
+                    let want = sub_interval_end_inline(cfg.alpha, start, end, t);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "α = {}, window ({start}, {end}], frac = {frac}",
+                        cfg.alpha
+                    );
+                }
+            }
+        }
     }
 
     #[test]

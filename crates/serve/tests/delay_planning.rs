@@ -11,14 +11,26 @@
 //!   all served, with the contention showing up as nonzero delay.
 //! * Starving the shared budget grows delay but never creates a
 //!   rejection — the zero-rejection invariant under pressure.
+//! * Keeping only the open tree's group heads changes nothing: the multi
+//!   loop is pinned against a reference that keeps the whole-run
+//!   group→head table, over catalogs × budgets × mid-tree policy swaps.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
+use sm_core::merge_runs;
 use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
 use sm_serve::{
-    serve, serve_multi, MultiServeConfig, PolicyKind, PolicySwap, ServeConfig, TitleConfig,
+    serve, serve_multi, DelayStats, MultiServeConfig, PolicyKind, PolicySwap, ServeConfig,
+    TitleConfig,
 };
 use sm_sim::{Attach, IncrementalEngine, IncrementalSummary, SimConfig};
 use sm_workload::{ArrivalProcess, PoissonProcess};
+
+/// The serve loop's per-(batch, title) seed mixers.
+const BATCH_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+const TITLE_SALT: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
 /// The PR-6 ingest loop with `max_active: None`, replicated verbatim:
 /// per-batch Poisson seeding, slot flooring, co-slot batching under the
@@ -32,7 +44,7 @@ fn license_gating_reference(config: &ServeConfig) -> IncrementalSummary {
         let span = (config.horizon - offset).min(config.batch_slots);
         let mut proc = PoissonProcess::new(
             config.mean_interarrival,
-            config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            config.seed ^ (i as u64).wrapping_mul(BATCH_SALT),
         );
         arrivals.extend(proc.generate(span).iter().map(|t| offset + t));
     }
@@ -59,6 +71,223 @@ fn license_gating_reference(config: &ServeConfig) -> IncrementalSummary {
         cur = Some((slot, global));
     }
     engine.finish(&mut |_| {}).unwrap()
+}
+
+fn build_policy(kind: PolicyKind, media_len: u64) -> Box<dyn IncrementalPolicy> {
+    match kind {
+        PolicyKind::DelayGuaranteed => Box::new(DelayGuaranteedOnline::new(media_len)),
+        PolicyKind::Dyadic => Box::new(DyadicMerger::new(
+            DyadicConfig::golden_poisson(),
+            media_len as f64,
+        )),
+    }
+}
+
+/// Delay statistics of a raw sample under the serve loop's rank
+/// convention: the value at index `round((n − 1)·q)` of the sorted sample.
+fn delay_stats(mut delays: Vec<u64>) -> DelayStats {
+    if delays.is_empty() {
+        return DelayStats::default();
+    }
+    delays.sort_unstable();
+    let at = |q: f64| delays[((delays.len() - 1) as f64 * q).round() as usize];
+    DelayStats {
+        p50_slots: at(0.50),
+        p99_slots: at(0.99),
+        max_slots: delays[delays.len() - 1],
+        mean_slots: delays.iter().sum::<u64>() as f64 / delays.len() as f64,
+    }
+}
+
+/// One title of [`whole_run_reference`].
+struct RefTitle {
+    media_len: u64,
+    engine: IncrementalEngine,
+    policy: Box<dyn IncrementalPolicy>,
+    dense_grid: bool,
+    swap: Option<PolicySwap>,
+    policy_base: usize,
+    last_engine_time: i64,
+    /// Group index → engine-global head, kept for the whole run.
+    slot_reps: Vec<usize>,
+    /// Pending group: (service slot, engine time, head).
+    cur: Option<(i64, i64, usize)>,
+    delays: Vec<u64>,
+}
+
+/// What the reference computes per title: the engine summary, the group
+/// count, and every arrival's planned delay.
+type RefOutcome = (IncrementalSummary, usize, Vec<u64>);
+
+/// The multi-title ingest loop as it was before it dropped closed trees'
+/// group heads: the producer's traffic and the license-chain planner
+/// replicated, and parents looked up in a group→head table that grows for
+/// the whole run.
+fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
+    let n_batches = (config.horizon / config.batch_slots).ceil() as usize;
+    let mut arrivals = Vec::new();
+    for i in 0..n_batches {
+        let offset = i as f64 * config.batch_slots;
+        let span = (config.horizon - offset).min(config.batch_slots);
+        let runs: Vec<Vec<(f64, u32)>> = config
+            .titles
+            .iter()
+            .enumerate()
+            .map(|(k, title)| {
+                let seed = config.seed
+                    ^ (i as u64).wrapping_mul(BATCH_SALT)
+                    ^ (k as u64).wrapping_mul(TITLE_SALT);
+                PoissonProcess::new(title.mean_interarrival, seed)
+                    .generate(span)
+                    .iter()
+                    .map(|t| (offset + t, k as u32))
+                    .collect()
+            })
+            .collect();
+        arrivals.extend(merge_runs(runs, |a: &(f64, u32), b: &(f64, u32)| a.0 < b.0));
+    }
+
+    let mut titles: Vec<RefTitle> = config
+        .titles
+        .iter()
+        .map(|t| RefTitle {
+            media_len: t.media_len,
+            engine: IncrementalEngine::new(
+                t.media_len,
+                SimConfig {
+                    buffer_bound: t.buffer_bound,
+                    ..SimConfig::events()
+                },
+            )
+            .unwrap(),
+            policy: build_policy(t.policy, t.media_len),
+            dense_grid: t.policy == PolicyKind::DelayGuaranteed,
+            swap: t.swap,
+            policy_base: 0,
+            last_engine_time: -1,
+            slot_reps: Vec::new(),
+            cur: None,
+            delays: Vec::new(),
+        })
+        .collect();
+    let mut chains: BinaryHeap<Reverse<i64>> = BinaryHeap::new();
+    for (t, k) in arrivals {
+        let slot = t.floor() as i64;
+        let st = &mut titles[k as usize];
+        if let Some((service, time, head)) = st.cur {
+            if slot <= service {
+                st.delays.push((service - slot) as u64);
+                st.engine.push(time, Attach::Under(head), |_| {}).unwrap();
+                continue;
+            }
+        }
+        let mut s = slot;
+        if let Some(budget) = config.budget {
+            while chains.peek().is_some_and(|&Reverse(end)| end <= slot) {
+                chains.pop();
+            }
+            while chains.len() >= budget {
+                let Reverse(end) = chains.pop().unwrap();
+                s = s.max(end);
+            }
+        }
+        st.delays.push((s - slot) as u64);
+        if let Some(swap) = st.swap.filter(|sw| sw.after_groups == st.slot_reps.len()) {
+            st.policy = build_policy(swap.to, st.media_len);
+            st.dense_grid = swap.to == PolicyKind::DelayGuaranteed;
+            st.policy_base = st.slot_reps.len();
+            st.swap = None;
+        }
+        let time = if st.dense_grid {
+            st.last_engine_time + 1
+        } else {
+            s
+        };
+        let attach = match st.policy.push(s as f64).parent {
+            None => {
+                if config.budget.is_some() {
+                    chains.push(Reverse(s + st.media_len as i64));
+                }
+                Attach::Root
+            }
+            Some(p) => Attach::Under(st.slot_reps[st.policy_base + p]),
+        };
+        let global = st.engine.arrivals();
+        st.engine.push(time, attach, |_| {}).unwrap();
+        st.last_engine_time = time;
+        st.slot_reps.push(global);
+        st.cur = Some((s, time, global));
+    }
+    titles
+        .into_iter()
+        .map(|st| {
+            let groups = st.slot_reps.len();
+            (st.engine.finish(|_| {}).unwrap(), groups, st.delays)
+        })
+        .collect()
+}
+
+/// A title with an arbitrary starting policy and, two times in three, a
+/// swap at an arbitrary (usually mid-tree) group count — to the other
+/// policy or to a fresh copy of the same one.
+fn arb_title() -> impl Strategy<Value = TitleConfig> {
+    (4u64..80, 0.3f64..4.0, 0u8..2, 0u8..3, 1usize..90).prop_map(
+        |(media_len, mean, from, swap, after_groups)| {
+            let kind = |x: u8| {
+                if x == 0 {
+                    PolicyKind::DelayGuaranteed
+                } else {
+                    PolicyKind::Dyadic
+                }
+            };
+            TitleConfig {
+                policy: kind(from),
+                swap: match swap {
+                    0 => None,
+                    1 => Some(PolicySwap {
+                        after_groups,
+                        to: kind(1 - from),
+                    }),
+                    _ => Some(PolicySwap {
+                        after_groups,
+                        to: kind(from),
+                    }),
+                },
+                ..TitleConfig::new(media_len, mean)
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn open_tree_heads_match_the_whole_run_table(
+        titles in proptest::collection::vec(arb_title(), 1..=3),
+        budget in 0usize..5,
+        horizon in 40.0f64..400.0,
+        seed in 0u64..1000,
+    ) {
+        let config = MultiServeConfig {
+            seed,
+            budget: (budget > 0).then_some(budget),
+            ..MultiServeConfig::new(titles, horizon)
+        };
+        let report = serve_multi(&config).unwrap();
+        let reference = whole_run_reference(&config);
+        prop_assert_eq!(report.titles.len(), reference.len());
+        let mut all = Vec::new();
+        for (title, (summary, groups, delays)) in report.titles.iter().zip(reference) {
+            prop_assert_eq!(&title.summary, &summary);
+            prop_assert_eq!(title.groups, groups);
+            prop_assert_eq!(title.generated, delays.len());
+            prop_assert_eq!(title.delay, delay_stats(delays.clone()));
+            all.extend(delays);
+        }
+        prop_assert_eq!(report.generated, all.len());
+        prop_assert_eq!(report.delay, delay_stats(all));
+    }
 }
 
 proptest! {

@@ -100,8 +100,8 @@ use sm_sim::{BandwidthProfile, ScheduleStream, SimError};
 pub struct DynamicConfig {
     /// Channel depth of the cross-epoch pipeline: the planner may finish up
     /// to this many epochs before materialization consumes them. Must be at
-    /// least 1 ([`simulate_dynamic_with`] panics otherwise). Ignored by the
-    /// sequential spine, which has no pipeline.
+    /// least 1 ([`simulate_dynamic_with`] returns [`DynamicError::Config`]
+    /// otherwise). Ignored by the sequential spine, which has no pipeline.
     pub plan_ahead: usize,
     /// Shared steady-state analysis cache threaded through the planning
     /// stage. `None` (the default) gives every epoch's plan a fresh memo —
@@ -262,6 +262,15 @@ impl DynamicReport {
 /// instead of panicking deep inside a pipeline worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DynamicError {
+    /// An input is malformed: no epochs, a first epoch not at minute 0,
+    /// epochs out of order, a candidate delay that is not a positive whole
+    /// number of minutes, a zero horizon, or a zero plan-ahead depth.
+    Config {
+        /// Which input.
+        field: &'static str,
+        /// What it must satisfy.
+        reason: &'static str,
+    },
     /// Epoch `epoch` has no feasible plan under the budget, even with every
     /// title at the largest candidate delay.
     Infeasible {
@@ -285,6 +294,7 @@ pub enum DynamicError {
 impl fmt::Display for DynamicError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Self::Config { field, reason } => write!(f, "invalid dynamic config {field}: {reason}"),
             Self::Infeasible {
                 epoch,
                 start_minute,
@@ -305,7 +315,7 @@ impl std::error::Error for DynamicError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Schedule { source, .. } => Some(source),
-            Self::Infeasible { .. } => None,
+            Self::Config { .. } | Self::Infeasible { .. } => None,
         }
     }
 }
@@ -318,25 +328,40 @@ struct EpochJob {
     t1: u64,
 }
 
-/// Validates the inputs (panicking on malformed ones, as documented on the
-/// public entry points) and lists the epochs with a non-empty live window.
-fn epoch_jobs(epochs: &[Epoch], candidates_minutes: &[f64], horizon_minutes: u64) -> Vec<EpochJob> {
-    assert!(!epochs.is_empty(), "need at least one epoch");
-    assert_eq!(epochs[0].start_minute, 0, "first epoch must start at 0");
-    assert!(
-        epochs
-            .windows(2)
-            .all(|w| w[0].start_minute < w[1].start_minute),
-        "epochs must be strictly ordered"
-    );
-    assert!(
-        candidates_minutes
-            .iter()
-            .all(|d| *d > 0.0 && d.fract() == 0.0),
-        "candidate delays must be whole minutes"
-    );
-    assert!(horizon_minutes > 0);
-    epochs
+/// Validates the inputs shared by every spine and lists the epochs with a
+/// non-empty live window. Both spines call it first, so a malformed input
+/// fails with the same [`DynamicError::Config`] on either.
+fn epoch_jobs(
+    epochs: &[Epoch],
+    candidates_minutes: &[f64],
+    horizon_minutes: u64,
+) -> Result<Vec<EpochJob>, DynamicError> {
+    let bad = |field, reason| Err(DynamicError::Config { field, reason });
+    let Some(first) = epochs.first() else {
+        return bad("epochs", "need at least one epoch");
+    };
+    if first.start_minute != 0 {
+        return bad("epochs", "the first epoch must start at minute 0");
+    }
+    if !epochs
+        .windows(2)
+        .all(|w| w[0].start_minute < w[1].start_minute)
+    {
+        return bad("epochs", "start minutes must strictly increase");
+    }
+    if !candidates_minutes
+        .iter()
+        .all(|d| *d > 0.0 && d.fract() == 0.0)
+    {
+        return bad(
+            "candidates_minutes",
+            "every candidate delay must be a positive whole number of minutes",
+        );
+    }
+    if horizon_minutes == 0 {
+        return bad("horizon_minutes", "must be at least 1");
+    }
+    Ok(epochs
         .iter()
         .enumerate()
         .filter_map(|(i, epoch)| {
@@ -348,7 +373,7 @@ fn epoch_jobs(epochs: &[Epoch], candidates_minutes: &[f64], horizon_minutes: u64
                 .min(horizon_minutes);
             (t0 < t1).then_some(EpochJob { epoch: i, t0, t1 })
         })
-        .collect()
+        .collect())
 }
 
 /// Materializes the exact stream intervals (in minutes) of one title served
@@ -512,15 +537,14 @@ fn assemble_report(
 /// [`simulate_dynamic_sequential`] up to the latency fields.
 ///
 /// # Errors
-/// [`DynamicError::Infeasible`] if some epoch has no feasible plan;
-/// [`DynamicError::Schedule`] if a title's schedule cannot be materialized.
-/// Errors are reported in the same deterministic order as the sequential
-/// spine (epochs in order; within an epoch, titles in catalog order).
-///
-/// # Panics
-/// Panics if epochs are empty, unsorted, don't start at minute 0, if the
-/// horizon is 0, or if any candidate delay is not a whole number of minutes
-/// (the minute grid needs integral slots).
+/// [`DynamicError::Config`] if epochs are empty, unsorted, or don't start
+/// at minute 0, if the horizon is 0, or if any candidate delay is not a
+/// positive whole number of minutes (the minute grid needs integral
+/// slots); [`DynamicError::Infeasible`] if some epoch has no feasible
+/// plan; [`DynamicError::Schedule`] if a title's schedule cannot be
+/// materialized. Errors are reported in the same deterministic order as
+/// the sequential spine (inputs first; then epochs in order and, within an
+/// epoch, titles in catalog order).
 pub fn simulate_dynamic(
     epochs: &[Epoch],
     budget: u64,
@@ -544,10 +568,7 @@ pub fn simulate_dynamic(
 /// fields.
 ///
 /// # Errors
-/// Same as [`simulate_dynamic`].
-///
-/// # Panics
-/// Same as [`simulate_dynamic`]; additionally panics if
+/// Same as [`simulate_dynamic`]; additionally [`DynamicError::Config`] if
 /// `config.plan_ahead == 0` (a pipeline needs at least one slot of
 /// plan-ahead — use the sequential spine for no overlap at all).
 pub fn simulate_dynamic_with(
@@ -557,11 +578,13 @@ pub fn simulate_dynamic_with(
     horizon_minutes: u64,
     config: &DynamicConfig,
 ) -> Result<DynamicReport, DynamicError> {
-    assert!(
-        config.plan_ahead >= 1,
-        "plan_ahead must be at least 1 (use simulate_dynamic_sequential for no overlap)"
-    );
-    let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes);
+    if config.plan_ahead == 0 {
+        return Err(DynamicError::Config {
+            field: "plan_ahead",
+            reason: "must be at least 1 (use simulate_dynamic_sequential for no overlap)",
+        });
+    }
+    let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes)?;
     // The materialization stage bins each epoch's streams into a
     // difference array as they arrive — O(streams + horizon) with no
     // deferred interval buffer, and count-identical to the sequential
@@ -635,9 +658,6 @@ pub fn simulate_dynamic_with(
 ///
 /// # Errors
 /// Same as [`simulate_dynamic`].
-///
-/// # Panics
-/// Same as [`simulate_dynamic`].
 pub fn simulate_dynamic_sequential(
     epochs: &[Epoch],
     budget: u64,
@@ -660,9 +680,6 @@ pub fn simulate_dynamic_sequential(
 ///
 /// # Errors
 /// Same as [`simulate_dynamic`].
-///
-/// # Panics
-/// Same as [`simulate_dynamic`].
 pub fn simulate_dynamic_sequential_with(
     epochs: &[Epoch],
     budget: u64,
@@ -670,7 +687,7 @@ pub fn simulate_dynamic_sequential_with(
     horizon_minutes: u64,
     config: &DynamicConfig,
 ) -> Result<DynamicReport, DynamicError> {
-    let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes);
+    let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes)?;
     let mut intervals: Vec<(i64, i64)> = Vec::new();
     let mut epoch_plans: Vec<EpochPlan> = Vec::with_capacity(jobs.len());
     let mut latencies: Vec<(f64, f64)> = Vec::with_capacity(jobs.len());
@@ -1016,39 +1033,72 @@ mod tests {
         );
     }
 
+    /// The `Config` field both spines name for these inputs, after
+    /// checking that they agree.
+    fn config_error_field(epochs: &[Epoch], cands: &[f64], horizon: u64) -> &'static str {
+        let piped = simulate_dynamic(epochs, 100, cands, horizon).unwrap_err();
+        let seq = simulate_dynamic_sequential(epochs, 100, cands, horizon).unwrap_err();
+        assert_eq!(piped, seq, "the spines must fail alike");
+        match piped {
+            DynamicError::Config { field, .. } => field,
+            other => panic!("expected a Config error, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "plan_ahead must be at least 1")]
-    fn zero_plan_ahead_panics() {
+    fn zero_plan_ahead_is_a_config_error() {
         let epochs = [Epoch {
             start_minute: 0,
             catalog: catalog(1),
         }];
-        let _ = simulate_dynamic_with(&epochs, 100, &CANDS, 100, &DynamicConfig::depth(0));
+        let err =
+            simulate_dynamic_with(&epochs, 100, &CANDS, 100, &DynamicConfig::depth(0)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DynamicError::Config {
+                    field: "plan_ahead",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err
+            .to_string()
+            .starts_with("invalid dynamic config plan_ahead: must be at least 1"));
     }
 
     #[test]
-    #[should_panic]
-    fn unsorted_epochs_panic() {
-        let epochs = [
-            Epoch {
-                start_minute: 0,
-                catalog: catalog(1),
-            },
-            Epoch {
-                start_minute: 0,
-                catalog: catalog(2),
-            },
-        ];
-        let _ = simulate_dynamic(&epochs, 100, &CANDS, 100);
+    fn malformed_epochs_are_config_errors() {
+        let epoch = |start_minute, n| Epoch {
+            start_minute,
+            catalog: catalog(n),
+        };
+        assert_eq!(config_error_field(&[], &CANDS, 100), "epochs");
+        assert_eq!(config_error_field(&[epoch(5, 1)], &CANDS, 100), "epochs");
+        // Unsorted: two epochs at the same minute.
+        assert_eq!(
+            config_error_field(&[epoch(0, 1), epoch(0, 2)], &CANDS, 100),
+            "epochs"
+        );
+        assert_eq!(
+            config_error_field(&[epoch(0, 1)], &CANDS, 0),
+            "horizon_minutes"
+        );
     }
 
     #[test]
-    #[should_panic]
-    fn fractional_candidate_delays_panic() {
+    fn fractional_candidate_delays_are_config_errors() {
         let epochs = [Epoch {
             start_minute: 0,
             catalog: catalog(1),
         }];
-        let _ = simulate_dynamic(&epochs, 100, &[1.5], 100);
+        for cands in [[1.5], [0.0], [f64::NAN], [f64::INFINITY]] {
+            assert_eq!(
+                config_error_field(&epochs, &cands, 100),
+                "candidates_minutes",
+                "candidates {cands:?}"
+            );
+        }
     }
 }

@@ -15,12 +15,17 @@
 //!   pool and buffer, the remaining pushes are allocation-free up to the
 //!   log-many residual doublings of the bandwidth log
 //!   ([`INCREMENTAL_STEADY_BUDGET`]): `allocations / pushes` floors to 0.
+//! * **serve loop** — the multi-title ingest thread's heap bytes barely
+//!   grow with the run: at most [`SERVE_BYTES_PER_EXTRA_ARRIVAL`] per
+//!   extra arrival when the horizon quadruples (no per-arrival latency
+//!   samples, no whole-run group table).
 //!
 //! The counters are per-thread, so the harness is immune to the test
 //! runner's own threads; each test observes only its own allocations.
 
 use sm_core::{alloc_counter, consecutive_slots};
 use sm_online::DelayGuaranteedOnline;
+use sm_serve::{serve_multi, MultiServeConfig, PolicyKind, TitleConfig};
 use sm_sim::{simulate_streaming_slice, Attach, IncrementalEngine, SimConfig};
 use sm_workload::deep_chain_forest;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,6 +73,11 @@ const EVENTS_GROWTH_SLACK: u64 = 64;
 /// buffer is already grown, leaving only the residual amortized doublings
 /// of the run-length bandwidth log — log-many, not per-push.
 const INCREMENTAL_STEADY_BUDGET: u64 = 64;
+
+/// Ingest-thread heap bytes the serve loop may add per extra arrival: the
+/// engines' amortized bandwidth-log doublings, well under one machine
+/// word — a per-arrival record of any kind would cost at least 8.
+const SERVE_BYTES_PER_EXTRA_ARRIVAL: u64 = 2;
 
 /// One cold Delay Guaranteed streaming run; returns the allocations the
 /// run itself performed (workload construction excluded).
@@ -175,5 +185,37 @@ fn incremental_push_steady_state_is_allocation_free() {
         steady / (TOTAL - WARMUP) as u64,
         0,
         "allocations per push must floor to zero after warm-up"
+    );
+}
+
+/// One three-title Delay Guaranteed `serve_multi` run with no budget;
+/// returns the heap bytes its ingest (calling) thread requested and the
+/// arrivals served. The producer thread's batches are not counted.
+fn serve_ingest_bytes(horizon: f64) -> (u64, usize) {
+    let titles = [(64, 0.5), (100, 1.0), (144, 2.0)]
+        .into_iter()
+        .map(|(media_len, mean)| TitleConfig {
+            policy: PolicyKind::DelayGuaranteed,
+            ..TitleConfig::new(media_len, mean)
+        })
+        .collect();
+    let config = MultiServeConfig::new(titles, horizon);
+    let ckpt = alloc_counter::checkpoint();
+    let report = serve_multi(&config).expect("an unbudgeted DG catalog always serves");
+    let bytes = ckpt.bytes_since();
+    assert_eq!(report.served, report.generated);
+    (bytes, report.served)
+}
+
+#[test]
+fn serve_loop_ingest_bytes_do_not_grow_per_arrival() {
+    let (small_bytes, small_n) = serve_ingest_bytes(5_000.0);
+    let (large_bytes, large_n) = serve_ingest_bytes(20_000.0);
+    assert!(large_n > 3 * small_n, "{small_n} then {large_n} arrivals");
+    let extra = (large_n - small_n) as u64;
+    assert!(
+        large_bytes <= small_bytes + SERVE_BYTES_PER_EXTRA_ARRIVAL * extra,
+        "ingest bytes grew {small_bytes} -> {large_bytes} over {extra} extra arrivals \
+         (budget {SERVE_BYTES_PER_EXTRA_ARRIVAL} B each)"
     );
 }
