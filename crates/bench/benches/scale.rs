@@ -2,11 +2,11 @@
 //! Scale: the event-driven engine at ten million arrivals.
 //!
 //! Three million-client shapes, all streamed through
-//! [`sm_sim::simulate_streaming`] so per-client reports are consumed and
-//! dropped as their part-deadlines fire and the schedule itself is pulled
-//! (and released) tree-by-tree — peak memory tracks the *active* trees and
-//! streams, never a full-schedule vector or a per-slot array over the
-//! horizon:
+//! [`sm_sim::simulate_streaming_slice`] so per-client reports are consumed
+//! and dropped as their part-deadlines fire and each merge tree is released
+//! once its last client is served — peak memory tracks the *open* trees and
+//! active streams, never a full-schedule vector or a per-slot array over
+//! the horizon:
 //!
 //! * the Delay Guaranteed grid (one merged client per slot, the §4.1
 //!   steady-state server shape — balanced trees, logarithmic programs);
@@ -25,7 +25,9 @@
 //! the run must be bit-identical to the events engine, and its amortized
 //! `ns_per_arrival` (recorded in the JSON next to the engine's
 //! `max_open_trees` retention gauge) is CI-gated to within 1.5× of the
-//! batch baseline.
+//! batch baseline. Sorted input to the events engine replays through that
+//! same driver, so the two lines now time one driver, with and without
+//! the batch entry point around it.
 //!
 //! A `serve_multi` case drives the multi-title delay-planning serve loop
 //! (`sm_serve::serve_multi`): a three-title Poisson catalog behind a

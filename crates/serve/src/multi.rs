@@ -14,13 +14,15 @@
 //! timelines of full-length streams. Planning a group at arrival slot
 //! `a` first drops chains that ended by `a`; if the budget is saturated
 //! it pops the chain that frees earliest and schedules the group at
-//! `s = max(a, chain end)`, extending that chain; otherwise `s = a`.
-//! Chains never overlap internally, so live full streams never exceed
-//! the chain count, which never exceeds the budget. The plan happens
-//! *before* the title's policy decides root-or-merge — the same
-//! decision boundary at which the retired license gauge declined — so
-//! a merge verdict simply ends the popped chain early (safe: its end is
-//! at most `s`, below every future arrival slot that opens a group).
+//! `s = max(a, chain end)`; otherwise `s = a`. The plan happens *before*
+//! the title's policy decides root-or-merge — the same decision boundary
+//! at which the retired license gauge declined. A root verdict extends
+//! the popped chain with its full stream (or opens a chain in a free
+//! slot). A merge verdict opens no full stream, so the popped chain goes
+//! back on the heap unchanged: its own full stream is still live until
+//! the chain's end, which lies after `a`, and another title's group may
+//! arrive before then. Chains never overlap internally, so live full
+//! streams never exceed the chain count, which never exceeds the budget.
 //!
 //! # Batching
 //!
@@ -89,8 +91,8 @@ const LATENCY_SAMPLE_EVERY: u64 = 64;
 /// title draws from an RNG that is a pure function of `(seed, i, title)`.
 const BATCH_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Per-title seed mixer (xxhash's odd prime). Title 0's salt is zero, so
-/// a one-title run draws the identical traffic a [`crate::serve`] run
-/// draws — the single-title path is the one-title specialization.
+/// a one-title catalog's traffic is a function of the seed and the batch
+/// index alone.
 const TITLE_SALT: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
 /// Which built-in on-line merge policy a title runs.
@@ -278,6 +280,10 @@ pub struct MultiServeReport {
 struct DelayPlanner {
     chains: BinaryHeap<Reverse<i64>>,
     budget: Option<usize>,
+    /// End of the chain the last [`plan`](Self::plan) popped to make
+    /// room, held until the verdict: a root extends it, a merge hands it
+    /// back.
+    popped: Option<i64>,
 }
 
 impl DelayPlanner {
@@ -285,12 +291,15 @@ impl DelayPlanner {
         Self {
             chains: BinaryHeap::new(),
             budget,
+            popped: None,
         }
     }
 
     /// Plans the service slot for a group arriving at `slot`: the arrival
     /// slot itself while the budget has room, else the end of the chain
-    /// that frees earliest.
+    /// that frees earliest. Every plan is followed by exactly one
+    /// [`commit`](Self::commit) or [`merge`](Self::merge), so the heap
+    /// never holds more than `budget` chains and one pop makes room.
     fn plan(&mut self, slot: i64) -> i64 {
         let Some(b) = self.budget else {
             return slot;
@@ -298,19 +307,27 @@ impl DelayPlanner {
         while self.chains.peek().is_some_and(|&Reverse(end)| end <= slot) {
             self.chains.pop();
         }
-        let mut s = slot;
-        while self.chains.len() >= b {
-            if let Some(Reverse(end)) = self.chains.pop() {
-                s = s.max(end);
-            }
+        self.popped = None;
+        if self.chains.len() >= b {
+            self.popped = self.chains.pop().map(|Reverse(end)| end);
         }
-        s
+        self.popped.map_or(slot, |end| end.max(slot))
     }
 
     /// Commits a planned full-length stream ending at `end` (a root
-    /// decision): opens or extends a license chain.
+    /// verdict): opens a chain, or extends the one `plan` popped.
     fn commit(&mut self, end: i64) {
+        self.popped = None;
         if self.budget.is_some() {
+            self.chains.push(Reverse(end));
+        }
+    }
+
+    /// A merge verdict opens no full stream: the chain `plan` popped (if
+    /// any) still runs to its end, which is after the arrival slot since
+    /// expired chains were dropped first, so it goes back on the heap.
+    fn merge(&mut self) {
+        if let Some(end) = self.popped.take() {
             self.chains.push(Reverse(end));
         }
     }
@@ -542,6 +559,7 @@ where
                         Attach::Root
                     }
                     Some(p) => {
+                        planner.merge();
                         let rebased = state.policy_base + p;
                         let head = rebased
                             .checked_sub(state.tree_base)
@@ -605,6 +623,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_sim::{IngestError, SimError};
 
     fn titles3() -> Vec<TitleConfig> {
         vec![
@@ -668,18 +687,156 @@ mod tests {
         }
     }
 
+    /// A one-title catalog under the default dyadic policy.
+    fn one_title(media_len: u64, horizon: f64, mean: f64) -> MultiServeConfig {
+        MultiServeConfig::new(vec![TitleConfig::new(media_len, mean)], horizon)
+    }
+
     #[test]
-    fn title_zero_draws_the_single_title_traffic() {
-        // The one-title multi run and the single-title facade draw the
-        // same Poisson process and serve the same forest.
-        let single = crate::serve(&crate::ServeConfig::new(64, 500.0, 2.0)).unwrap();
-        let multi = serve_multi(&MultiServeConfig::new(
-            vec![TitleConfig::new(64, 2.0)],
-            500.0,
-        ))
+    fn latency_percentiles_are_ordered() {
+        let report = serve_multi(&one_title(64, 500.0, 2.0)).unwrap();
+        let l = report.latency;
+        assert!(l.p50_ns <= l.p90_ns && l.p90_ns <= l.p99_ns && l.p99_ns <= l.max_ns);
+        assert!(l.max_ns > 0, "pushes take measurable time");
+        assert!(l.mean_ns > 0, "batches take measurable time");
+    }
+
+    #[test]
+    fn seeds_change_the_workload() {
+        let base = one_title(32, 400.0, 1.5);
+        let other = MultiServeConfig {
+            seed: base.seed + 1,
+            ..base.clone()
+        };
+        let a = serve_multi(&base).unwrap();
+        let b = serve_multi(&other).unwrap();
+        assert_ne!(
+            (a.generated, a.titles[0].summary.summary.total_units),
+            (b.generated, b.titles[0].summary.summary.total_units),
+            "different seeds should draw different traffic"
+        );
+    }
+
+    #[test]
+    fn single_channel_delays_overflow_instead_of_declining() {
+        // One channel over dense traffic: the old loop declined most
+        // arrivals here; the delay planner serves all of them, pushing
+        // start-up back by up to about one media length, and keeps at
+        // most the draining tree plus the live one retained.
+        let config = MultiServeConfig {
+            budget: Some(1),
+            ..one_title(40, 600.0, 1.0)
+        };
+        let report = serve_multi(&config).unwrap();
+        assert_eq!(report.rejected, 0, "delay replaces rejection");
+        assert_eq!(report.served, report.generated);
+        let title = &report.titles[0];
+        assert_eq!(title.summary.summary.clients, report.generated);
+        assert!(
+            report.delay.max_slots > 0,
+            "dense traffic over one channel must queue"
+        );
+        assert!(
+            report.delay.max_slots <= 2 * 40,
+            "one-channel queueing is bounded by chain spacing, got {}",
+            report.delay.max_slots
+        );
+        assert!(report.delay.mean_slots > 0.0);
+        assert!(
+            title.summary.max_open_trees <= 2,
+            "one channel keeps at most a draining tree plus the live one, got {}",
+            title.summary.max_open_trees
+        );
+    }
+
+    #[test]
+    fn reports_stream_out_in_service_order() {
+        let mut clients = Vec::new();
+        let report = serve_multi_with(&one_title(24, 250.0, 1.0), &PlannerMemo::new(), |_, r| {
+            clients.push(r.client);
+        })
         .unwrap();
-        assert_eq!(multi.generated, single.generated);
-        assert_eq!(multi.titles[0].summary, single.summary);
+        assert_eq!(clients.len(), report.served);
+        let in_order: Vec<usize> = (0..report.served).collect();
+        assert_eq!(
+            clients, in_order,
+            "service slots are sorted, so emission order is service order"
+        );
+    }
+
+    #[test]
+    fn pipeline_depth_does_not_change_the_traffic() {
+        // Depth only moves the backpressure point between generator and
+        // ingest; the drawn process and the served forest are identical.
+        let shallow = MultiServeConfig {
+            pipeline_depth: 1,
+            ..one_title(32, 400.0, 2.0)
+        };
+        let deep = MultiServeConfig {
+            pipeline_depth: 8,
+            ..shallow.clone()
+        };
+        let a = serve_multi(&shallow).unwrap();
+        let b = serve_multi(&deep).unwrap();
+        assert_eq!(a.generated, b.generated);
+        assert_eq!(a.titles[0].summary, b.titles[0].summary);
+    }
+
+    #[test]
+    fn config_validation_names_the_offending_field() {
+        let base = || one_title(8, 100.0, 1.0);
+        let cases: [(MultiServeConfig, &str); 7] = [
+            (one_title(0, 100.0, 1.0), "media_len"),
+            (one_title(8, 0.0, 1.0), "horizon"),
+            (one_title(8, f64::INFINITY, 1.0), "horizon"),
+            (one_title(8, 100.0, 0.0), "mean_interarrival"),
+            (
+                MultiServeConfig {
+                    budget: Some(0),
+                    ..base()
+                },
+                "budget",
+            ),
+            (
+                MultiServeConfig {
+                    batch_slots: 0.5,
+                    ..base()
+                },
+                "batch_slots",
+            ),
+            (
+                MultiServeConfig {
+                    pipeline_depth: 0,
+                    ..base()
+                },
+                "pipeline_depth",
+            ),
+        ];
+        for (config, want) in cases {
+            match serve_multi(&config) {
+                Err(ServeError::Config { field, .. }) => assert_eq!(field, want),
+                other => panic!("expected Config error for {want}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn buffer_bound_is_forwarded_to_the_engine() {
+        // A zero client buffer makes any actual merge infeasible; dense
+        // traffic guarantees merges, so the run must fail with the
+        // engine's own typed error.
+        let config = MultiServeConfig::new(
+            vec![TitleConfig {
+                buffer_bound: Some(0),
+                ..TitleConfig::new(32, 1.0)
+            }],
+            300.0,
+        );
+        match serve_multi(&config) {
+            Err(ServeError::Ingest(IngestError::Sim(SimError::BufferOverflow { .. })))
+            | Err(ServeError::Sim(SimError::BufferOverflow { .. })) => {}
+            other => panic!("expected BufferOverflow, got {other:?}"),
+        }
     }
 
     #[test]
@@ -739,6 +896,19 @@ mod tests {
         free.commit(9);
         assert_eq!(free.plan(3), 3);
         assert!(free.chains.is_empty());
+    }
+
+    #[test]
+    fn merge_verdict_hands_the_popped_chain_back() {
+        let mut p = DelayPlanner::new(Some(1));
+        assert_eq!(p.plan(0), 0);
+        p.commit(10);
+        // Saturated: the group waits for the chain ending 10, then merges.
+        assert_eq!(p.plan(2), 10);
+        p.merge();
+        // That chain's full stream still runs until 10, so a group at 5
+        // (another title's, say) must wait for it too.
+        assert_eq!(p.plan(5), 10);
     }
 
     #[test]

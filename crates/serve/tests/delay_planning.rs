@@ -1,7 +1,7 @@
 //! Delay re-planning acceptance tests.
 //!
-//! * The single-title path at an unbounded budget is **bit-identical** to
-//!   the retired PR-6 license-gating loop with its gauge disabled — the
+//! * A one-title run at an unbounded budget is **bit-identical** to the
+//!   retired PR-6 license-gating loop with its gauge disabled — the
 //!   reference loop is replicated inline here (same per-batch Poisson
 //!   seeding, same co-slot batching, same dyadic policy, no planning) and
 //!   the property test pins the two summaries against each other.
@@ -14,6 +14,10 @@
 //! * Keeping only the open tree's group heads changes nothing: the multi
 //!   loop is pinned against a reference that keeps the whole-run
 //!   group→head table, over catalogs × budgets × mid-tree policy swaps.
+//! * The shared budget holds across titles: at every root decision the
+//!   same reference audits that at most `budget` root windows `[s, s+L)`
+//!   are live, so the pinned real loop never runs more full-length
+//!   streams than the budget allows.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,10 +25,7 @@ use std::collections::BinaryHeap;
 use proptest::prelude::*;
 use sm_core::merge_runs;
 use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
-use sm_serve::{
-    serve, serve_multi, DelayStats, MultiServeConfig, PolicyKind, PolicySwap, ServeConfig,
-    TitleConfig,
-};
+use sm_serve::{serve_multi, DelayStats, MultiServeConfig, PolicyKind, PolicySwap, TitleConfig};
 use sm_sim::{Attach, IncrementalEngine, IncrementalSummary, SimConfig};
 use sm_workload::{ArrivalProcess, PoissonProcess};
 
@@ -34,22 +35,23 @@ const TITLE_SALT: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
 /// The PR-6 ingest loop with `max_active: None`, replicated verbatim:
 /// per-batch Poisson seeding, slot flooring, co-slot batching under the
-/// slot head, dyadic policy, no delay planner. What `serve` must still
-/// compute at an unbounded budget.
-fn license_gating_reference(config: &ServeConfig) -> IncrementalSummary {
+/// slot head, dyadic policy, no delay planner. What a one-title
+/// `serve_multi` run must still compute at an unbounded budget.
+fn license_gating_reference(config: &MultiServeConfig) -> IncrementalSummary {
+    let title = &config.titles[0];
     let n_batches = (config.horizon / config.batch_slots).ceil() as usize;
     let mut arrivals: Vec<f64> = Vec::new();
     for i in 0..n_batches {
         let offset = i as f64 * config.batch_slots;
         let span = (config.horizon - offset).min(config.batch_slots);
         let mut proc = PoissonProcess::new(
-            config.mean_interarrival,
+            title.mean_interarrival,
             config.seed ^ (i as u64).wrapping_mul(BATCH_SALT),
         );
         arrivals.extend(proc.generate(span).iter().map(|t| offset + t));
     }
-    let mut engine = IncrementalEngine::new(config.media_len, SimConfig::events()).unwrap();
-    let mut policy = DyadicMerger::new(DyadicConfig::golden_poisson(), config.media_len as f64);
+    let mut engine = IncrementalEngine::new(title.media_len, SimConfig::events()).unwrap();
+    let mut policy = DyadicMerger::new(DyadicConfig::golden_poisson(), title.media_len as f64);
     let mut slot_reps: Vec<usize> = Vec::new();
     let mut cur: Option<(i64, usize)> = None;
     for t in arrivals {
@@ -122,7 +124,8 @@ type RefOutcome = (IncrementalSummary, usize, Vec<u64>);
 /// The multi-title ingest loop as it was before it dropped closed trees'
 /// group heads: the producer's traffic and the license-chain planner
 /// replicated, and parents looked up in a group→head table that grows for
-/// the whole run.
+/// the whole run. Under a budget it also audits, at every root decision,
+/// that no more than `budget` root windows `[s, s+L)` overlap.
 fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
     let n_batches = (config.horizon / config.batch_slots).ceil() as usize;
     let mut arrivals = Vec::new();
@@ -171,6 +174,9 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
         })
         .collect();
     let mut chains: BinaryHeap<Reverse<i64>> = BinaryHeap::new();
+    // Root windows `[s, s + L)` across all titles that may still overlap a
+    // future one (every later root starts at or after the current slot).
+    let mut windows: Vec<(i64, i64)> = Vec::new();
     for (t, k) in arrivals {
         let slot = t.floor() as i64;
         let st = &mut titles[k as usize];
@@ -182,13 +188,15 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
             }
         }
         let mut s = slot;
+        let mut popped = None;
         if let Some(budget) = config.budget {
             while chains.peek().is_some_and(|&Reverse(end)| end <= slot) {
                 chains.pop();
             }
-            while chains.len() >= budget {
+            if chains.len() >= budget {
                 let Reverse(end) = chains.pop().unwrap();
                 s = s.max(end);
+                popped = Some(end);
             }
         }
         st.delays.push((s - slot) as u64);
@@ -205,12 +213,27 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
         };
         let attach = match st.policy.push(s as f64).parent {
             None => {
-                if config.budget.is_some() {
-                    chains.push(Reverse(s + st.media_len as i64));
+                if let Some(budget) = config.budget {
+                    let end = s + st.media_len as i64;
+                    chains.push(Reverse(end));
+                    windows.retain(|&(_, e)| e > slot);
+                    windows.push((s, end));
+                    // The live count only rises at a window start.
+                    for &(at, _) in &windows {
+                        let live = windows.iter().filter(|&&(a, e)| a <= at && at < e).count();
+                        assert!(
+                            live <= budget,
+                            "{live} full streams live at slot {at} over a budget of {budget}"
+                        );
+                    }
                 }
                 Attach::Root
             }
-            Some(p) => Attach::Under(st.slot_reps[st.policy_base + p]),
+            Some(p) => {
+                // No full stream opens: the popped chain is still live.
+                chains.extend(popped.map(Reverse));
+                Attach::Under(st.slot_reps[st.policy_base + p])
+            }
         };
         let global = st.engine.arrivals();
         st.engine.push(time, attach, |_| {}).unwrap();
@@ -300,15 +323,15 @@ proptest! {
         mean in 0.5f64..4.0,
         seed in 0u64..1000,
     ) {
-        let config = ServeConfig {
+        let config = MultiServeConfig {
             seed,
-            ..ServeConfig::new(media_len, horizon, mean)
+            ..MultiServeConfig::new(vec![TitleConfig::new(media_len, mean)], horizon)
         };
-        let report = serve(&config).unwrap();
+        let report = serve_multi(&config).unwrap();
         prop_assert_eq!(report.rejected, 0);
         prop_assert_eq!(report.served, report.generated);
         prop_assert_eq!(report.delay.max_slots, 0);
-        prop_assert_eq!(report.summary, license_gating_reference(&config));
+        prop_assert_eq!(&report.titles[0].summary, &license_gating_reference(&config));
     }
 
     #[test]

@@ -1,42 +1,31 @@
-//! The discrete-event engine.
+//! The discrete-event engine's entry points, its per-client evaluator, and
+//! the fallback for unsorted arrivals.
 //!
 //! Where the [`dense`](super::dense) engine sweeps every slot of every
 //! client's playback window, this engine advances time only at *events*:
+//! stream starts, stream ends, and per-client part-deadlines (each
+//! client's program ends with part `L` playing during `[t_c+L−1, t_c+L)`;
+//! the final deadline `t_c + L` is the event at which the client's whole
+//! program is checked and its report emitted).
 //!
-//! * **stream starts** — pulled lazily, tree by tree, from a
-//!   [`ScheduleStream`]: arrival times are nondecreasing in every real
-//!   workload, so the next start is a cursor into the most recently pulled
-//!   tree, not a heap entry;
-//! * **stream ends** — pushed into a binary min-heap when their stream
-//!   starts, so the heap never holds more than the currently *active*
-//!   streams;
-//! * **per-client part-deadlines** — each client's program ends with part
-//!   `L` playing during `[t_c+L−1, t_c+L)`; the final deadline `t_c + L` is
-//!   the event at which the client's whole program is checked and its
-//!   report emitted. Deadlines are a cursor over the arrival sequence — no
-//!   per-client allocation — and are batched per tree: with sorted times
-//!   the client at the deadline cursor always lives in the *front* retained
-//!   tree, so serving it is O(1) with no per-client forest search.
+//! * **Sorted arrivals** — every real workload, and the only form the
+//!   paper's algorithms produce — replay through the push-based
+//!   [`incremental`](super::incremental) engine, the one driver for
+//!   slot-ordered input: trees are retained only while their clients'
+//!   playback windows are open, stream ends live in a min-heap, and each
+//!   closing tree's starts merge in as a sorted run.
+//! * **Unsorted arrivals** (sibling order need not follow time order) take
+//!   an eager fallback here that materializes the schedule and every
+//!   tree's [`TreeArena`] and sorts the start and deadline sources; results
+//!   are identical either way.
 //!
-//! A pulled tree is retained only until its last client's deadline fires,
-//! so schedule memory is proportional to the trees whose playback windows
-//! are *open*, not to the whole arrival sequence. (Exotic inputs with
-//! globally unsorted arrival times fall back to an eager path that
-//! materializes and sorts the schedule; results are identical either way.)
-//!
-//! The hot path is arena-backed and allocation-free in steady state:
-//!
-//! * each retained tree is a [`TreeArena`] (five flat `u32` columns) plus
-//!   one contiguous spec buffer, both recycled through a storage pool when
-//!   the tree is fully served — after warm-up, pulling a tree allocates
-//!   nothing;
-//! * all per-client evaluation state — the receiving program in
-//!   struct-of-arrays form and the sweep buffers — lives in a single
-//!   `EngineScratch` reused across every client of the run.
-//!
-//! The pointer-based `MergeTree`/`ReceivingProgram` stay the validated
-//! constructors; the [`dense`](super::dense) oracle keeps using them
-//! directly so the arena lowering itself is cross-checked by equivalence.
+//! Both drivers evaluate clients with the same allocation-free code path:
+//! all per-client state — the receiving program in struct-of-arrays form
+//! and the sweep buffers — lives in a single `EngineScratch` reused across
+//! every client of the run. The pointer-based `MergeTree`/`ReceivingProgram`
+//! stay the validated constructors; the [`dense`](super::dense) oracle keeps
+//! using them directly so the arena lowering itself is cross-checked by
+//! equivalence.
 //!
 //! Bandwidth is metered sparsely: the active-stream count is recorded only
 //! when it changes, yielding the change-point [`BandwidthProfile`] directly
@@ -64,12 +53,13 @@
 //! suite pins that, for the collected and the streaming API both.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
+use super::incremental::{simulate_incremental, IngestError};
 use super::{ClientReport, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::metrics::{BandwidthProfile, ProfileBuilder};
-use crate::schedule::{stream_schedule, ScheduleStream, StreamSpec};
+use crate::schedule::{stream_schedule, StreamSpec};
 use sm_core::{MergeForest, ModelError, TreeArena};
 
 /// Whole-run aggregates of a streaming simulation (everything a
@@ -135,35 +125,17 @@ pub(super) fn run(
     }
 }
 
-/// One client arrival — the unit the streaming API ingests.
-///
-/// Thin today (a slot time), but a named type so arrival sources (slices,
-/// generators, sockets) and the engine agree on a vocabulary that can grow
-/// fields without breaking every `IntoIterator` in between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Arrival {
-    /// Arrival slot.
-    pub time: i64,
-}
-
-impl From<i64> for Arrival {
-    fn from(time: i64) -> Self {
-        Self { time }
-    }
-}
-
-/// Event-driven simulation with streaming per-client reports, fed by any
-/// arrival source (`Vec`, generator adaptors, a live ingest queue — no
-/// pre-materialized slice required; `(0..n).map(Arrival::from)` works).
+/// Event-driven simulation with streaming per-client reports over an
+/// arrival-times slice.
 ///
 /// `emit` is called once per client, in part-deadline order (`t_c + L`,
 /// ties by arrival index), as soon as the client's program completes —
-/// nothing per-client is retained afterwards. For nondecreasing arrival
-/// times (the model's canonical form) the schedule itself is pulled lazily
-/// tree-by-tree and each tree is dropped once its last client is served, so
-/// peak memory tracks the *active* trees and streams rather than the whole
-/// arrival sequence. `config.buffer_bound` is honored; `config.engine` is
-/// ignored (this *is* the event engine).
+/// nothing per-client is retained afterwards. Nondecreasing arrival times
+/// (the model's canonical form) replay through the incremental engine, so
+/// peak memory tracks the trees whose playback windows are open and the
+/// active streams rather than the whole arrival sequence.
+/// `config.buffer_bound` is honored; `config.engine` is ignored (this *is*
+/// the event engine).
 ///
 /// Returns the whole-run aggregates; fails at the first violating
 /// *part-deadline*. That is the same first error [`super::simulate_with`]
@@ -171,32 +143,6 @@ impl From<i64> for Arrival {
 /// inputs (which take an eager, sort-based path) `simulate_with`
 /// additionally replays the checks in arrival order to keep its error
 /// identical to the dense engine's.
-pub fn simulate_streaming<I, F>(
-    forest: &MergeForest,
-    arrivals: I,
-    media_len: u64,
-    config: SimConfig,
-    mut emit: F,
-) -> Result<StreamingSummary, SimError>
-where
-    I: IntoIterator<Item = Arrival>,
-    F: FnMut(ClientReport),
-{
-    // The schedule needs random access to root-path times, so the source
-    // is drained once into a times vector, checking sortedness on the fly
-    // (no second pass, no caller-side materialization contract).
-    let iter = arrivals.into_iter();
-    let mut times = Vec::with_capacity(iter.size_hint().0);
-    let mut sorted = true;
-    for arrival in iter {
-        sorted &= times.last().is_none_or(|&last| last <= arrival.time);
-        times.push(arrival.time);
-    }
-    dispatch(forest, &times, sorted, media_len, config, &mut emit)
-}
-
-/// The batch-slice form of [`simulate_streaming`]: zero-copy over an
-/// already-materialized times slice. Semantics are identical.
 pub fn simulate_streaming_slice<F: FnMut(ClientReport)>(
     forest: &MergeForest,
     times: &[i64],
@@ -204,272 +150,29 @@ pub fn simulate_streaming_slice<F: FnMut(ClientReport)>(
     config: SimConfig,
     mut emit: F,
 ) -> Result<StreamingSummary, SimError> {
-    let sorted = times.windows(2).all(|w| w[0] <= w[1]);
-    dispatch(forest, times, sorted, media_len, config, &mut emit)
-}
-
-/// Shared tail of the two streaming entry points.
-fn dispatch<F: FnMut(ClientReport)>(
-    forest: &MergeForest,
-    times: &[i64],
-    sorted: bool,
-    media_len: u64,
-    config: SimConfig,
-    emit: &mut F,
-) -> Result<StreamingSummary, SimError> {
     if times.len() != forest.total_arrivals() {
-        return Err(SimError::Model(sm_core::ModelError::TimesLengthMismatch {
+        return Err(SimError::Model(ModelError::TimesLengthMismatch {
             nodes: forest.total_arrivals(),
             times: times.len(),
         }));
     }
-    if sorted {
-        streaming_lazy(forest, times, media_len, config, emit)
-    } else {
-        streaming_eager(forest, times, media_len, config, emit)
+    if !times.is_sorted() {
+        return streaming_eager(forest, times, media_len, config, &mut emit);
     }
-}
-
-/// One pulled tree, retained while any of its clients' deadlines are
-/// pending: the arena form of the tree plus its contiguous spec buffer,
-/// both recycled through [`LazySchedule::pool`] once fully served.
-struct RetainedTree {
-    base: usize,
-    arena: TreeArena,
-    specs: Vec<StreamSpec>,
-    remaining: usize,
-}
-
-/// Lazily pulled schedule state for the sorted-arrivals streaming path.
-///
-/// Trees enter at the back when the start cursor (or a part-deadline)
-/// reaches them and leave at the front when fully served; with sorted
-/// times, starts are nondecreasing in global index order, so the cursor
-/// `(cur_tree, cur_local)` never has to look behind the back tree, and the
-/// deadline cursor always points into the *front* retained tree.
-struct LazySchedule<'a> {
-    trees: ScheduleStream<'a>,
-    retained: VecDeque<RetainedTree>,
-    /// Reclaimed arena + spec storage of fully-served trees; pulling a new
-    /// tree reuses it, so steady-state pulls allocate nothing.
-    pool: Vec<(TreeArena, Vec<StreamSpec>)>,
-    /// Trees already dropped from the front of `retained`.
-    popped: usize,
-    /// Global arrival index one past the last pulled tree.
-    covered: usize,
-    /// Start cursor: next spec to start, as (tree index, local index).
-    cur_tree: usize,
-    cur_local: usize,
-    /// Memoized [`Self::peek_start`] answer for the current cursor position
-    /// (outer `None` = not computed). Only [`Self::take_start`] moves the
-    /// cursor, so that is the only invalidation point: pulls append behind
-    /// the cursor and front releases renumber without changing which spec
-    /// the cursor denotes.
-    peeked: Option<Option<(i64, i64)>>,
-    total_units: i64,
-}
-
-impl<'a> LazySchedule<'a> {
-    fn new(trees: ScheduleStream<'a>) -> Self {
-        Self {
-            trees,
-            retained: VecDeque::new(),
-            pool: Vec::new(),
-            popped: 0,
-            covered: 0,
-            cur_tree: 0,
-            cur_local: 0,
-            peeked: None,
-            total_units: 0,
+    match simulate_incremental(forest, times, media_len, config, emit) {
+        Ok(run) => Ok(run.summary),
+        Err(IngestError::Sim(e)) => Err(e),
+        // A validated forest over sorted times replays in clock order with
+        // every parent inside its own (open) tree; these are unreachable
+        // and surface as model errors rather than panics.
+        Err(IngestError::OutOfOrder { .. }) => Err(SimError::Model(ModelError::TimesNotSorted)),
+        Err(IngestError::ParentNotOpen { node, parent }) => {
+            Err(SimError::Model(ModelError::ParentNotEarlier {
+                node,
+                parent,
+            }))
         }
     }
-
-    fn pulled(&self) -> usize {
-        self.popped + self.retained.len()
-    }
-
-    /// Pulls one more tree into retention (storage from the pool when
-    /// available); `Ok(false)` when the forest is exhausted.
-    fn pull(&mut self) -> Result<bool, SimError> {
-        let (mut arena, mut specs) = self.pool.pop().unwrap_or_default();
-        let Some(base) = self.trees.next_into_arena(&mut arena, &mut specs)? else {
-            self.pool.push((arena, specs));
-            return Ok(false);
-        };
-        self.total_units += specs.iter().map(|s| s.length).sum::<i64>();
-        self.covered = base + specs.len();
-        self.retained.push_back(RetainedTree {
-            base,
-            arena,
-            remaining: specs.len(),
-            specs,
-        });
-        Ok(true)
-    }
-
-    /// Advances the start cursor to the next positive-length stream and
-    /// returns its `(start, end)`, pulling trees as the cursor reaches
-    /// them.
-    fn peek_start(&mut self) -> Result<Option<(i64, i64)>, SimError> {
-        if let Some(peeked) = self.peeked {
-            return Ok(peeked);
-        }
-        let peeked = loop {
-            if self.cur_tree >= self.pulled() {
-                if !self.pull()? {
-                    break None;
-                }
-                continue;
-            }
-            let t = &self.retained[self.cur_tree - self.popped];
-            match t.specs.get(self.cur_local) {
-                None => {
-                    self.cur_tree += 1;
-                    self.cur_local = 0;
-                }
-                Some(s) if s.length == 0 => self.cur_local += 1,
-                Some(s) => break Some((s.start, s.end())),
-            }
-        };
-        self.peeked = Some(peeked);
-        Ok(peeked)
-    }
-
-    /// Consumes the spec the last `peek_start` returned.
-    fn take_start(&mut self) {
-        self.cur_local += 1;
-        self.peeked = None;
-    }
-
-    /// Guarantees the tree serving global arrival `g` has been pulled
-    /// (needed only when a part-deadline fires before any stream of its
-    /// tree starts, e.g. `media_len = 0`).
-    fn ensure_pulled(&mut self, g: usize) -> Result<(), SimError> {
-        while self.covered <= g {
-            if !self.pull()? {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// The front retained tree — with sorted times, always the tree of the
-    /// client at the deadline cursor (deadlines fire in arrival order and
-    /// trees tile the arrival sequence).
-    fn front(&self) -> &RetainedTree {
-        &self.retained[0]
-    }
-
-    /// Records that one client of the front tree was served; a fully-served
-    /// tree is dropped and its storage recycled into the pool.
-    fn release_front(&mut self) {
-        self.retained[0].remaining -= 1;
-        if self.retained[0].remaining > 0 {
-            return;
-        }
-        // The cursor can never lag behind a fully-served tree: every
-        // start of the tree precedes its last part-deadline. (Non-front
-        // trees always have unserved clients, so no cascade is possible.)
-        debug_assert!(
-            self.cur_tree > self.popped || self.cur_local >= self.retained[0].specs.len()
-        );
-        if self.cur_tree == self.popped {
-            self.cur_tree += 1;
-            self.cur_local = 0;
-        }
-        if let Some(done) = self.retained.pop_front() {
-            self.pool.push((done.arena, done.specs));
-        }
-        self.popped += 1;
-    }
-}
-
-/// The lazy streaming path for nondecreasing arrival times: starts and
-/// deadlines are plain cursors (both orders coincide with global index
-/// order), the schedule is pulled and dropped tree-by-tree.
-fn streaming_lazy<F: FnMut(ClientReport)>(
-    forest: &MergeForest,
-    times: &[i64],
-    media_len: u64,
-    config: SimConfig,
-    emit: &mut F,
-) -> Result<StreamingSummary, SimError> {
-    let mut sched = LazySchedule::new(ScheduleStream::new(forest, times, media_len)?);
-    let media = media_len as i64; // validated by ScheduleStream::new
-
-    let mut ends: BinaryHeap<Reverse<i64>> = BinaryHeap::new();
-    let mut active: u32 = 0;
-    let mut profile = ProfileBuilder::new();
-    let mut ci = 0usize; // deadline cursor: next client (deadlines sorted)
-    let mut scratch = EngineScratch::default();
-
-    loop {
-        // Next event instant over the three sources.
-        let mut next: Option<i64> = ends.peek().map(|&Reverse(t)| t);
-        if let Some((start, _)) = sched.peek_start()? {
-            next = Some(next.map_or(start, |t| t.min(start)));
-        }
-        if let Some(&t_c) = times.get(ci) {
-            let d = t_c + media;
-            next = Some(next.map_or(d, |t| t.min(d)));
-        }
-        let Some(now) = next else { break };
-
-        // Stream ends, then starts: the net count change at `now` is what
-        // the sparse profile records (a back-to-back handoff is no change).
-        let mut bandwidth_event = false;
-        while ends.peek().is_some_and(|&Reverse(t)| t == now) {
-            ends.pop();
-            active -= 1;
-            bandwidth_event = true;
-        }
-        while let Some((start, end)) = sched.peek_start()? {
-            if start != now {
-                break;
-            }
-            ends.push(Reverse(end));
-            active += 1;
-            sched.take_start();
-            bandwidth_event = true;
-        }
-        if bandwidth_event {
-            profile.record(now, active);
-        }
-
-        // Client part-deadlines: the client's last part has played, so its
-        // whole program is checkable; verify, emit, release the tree. The
-        // client always lives in the front retained tree (see
-        // [`LazySchedule::front`]), so no per-client forest search happens.
-        while times.get(ci).is_some_and(|&t_c| t_c + media == now) {
-            sched.ensure_pulled(ci)?;
-            let rt = sched.front();
-            let local = ci - rt.base;
-            let local_times = &times[rt.base..rt.base + rt.specs.len()];
-            emit(eval_client(
-                &rt.arena,
-                local_times,
-                &rt.specs,
-                media_len,
-                rt.base,
-                local,
-                config,
-                &mut scratch,
-            )?);
-            sched.release_front();
-            ci += 1;
-        }
-    }
-
-    // Every tree serves at least one client, so by the last part-deadline
-    // every tree has been pulled; drain defensively anyway so
-    // `total_units` is complete on degenerate inputs.
-    while sched.pull()? {}
-
-    Ok(StreamingSummary {
-        bandwidth: profile.finish(),
-        total_units: sched.total_units,
-        clients: times.len(),
-    })
 }
 
 /// The eager fallback for exotic inputs with globally unsorted arrival
@@ -1014,10 +717,10 @@ mod tests {
     }
 
     #[test]
-    fn lazy_streaming_retains_only_open_trees() {
-        // Singleton trees at widely spaced times: while tree k plays, trees
-        // k+2.. have not been pulled and trees ..k−1 have been dropped, so
-        // retention stays at the one-open-tree + one-lookahead bound.
+    fn spaced_singleton_trees_emit_in_arrival_order() {
+        // Singleton trees at widely spaced times: each client's deadline
+        // fires before the next arrival, so reports come out in arrival
+        // order and at most one full stream is ever live.
         let n = 64usize;
         let media = 5u64;
         let trees = vec![MergeTree::singleton(); n];
@@ -1043,14 +746,9 @@ mod tests {
         let forest = MergeForest::single(MergeTree::chain(c));
         let times = consecutive_slots(c);
         let mut reports = Vec::new();
-        // The iterator entry point, exercised over a generator source.
-        let summary = simulate_streaming(
-            &forest,
-            times.iter().copied().map(Arrival::from),
-            media,
-            SimConfig::events(),
-            |r| reports.push(r),
-        )
+        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::events(), |r| {
+            reports.push(r)
+        })
         .unwrap();
         assert_eq!(reports.len(), c);
         assert_eq!(

@@ -1,11 +1,12 @@
 //! The push-based serving engine: arrivals are *ingested* one at a time.
 //!
-//! The batch engines ([`dense`](super::dense), [`events`](super::events))
-//! need the whole `(forest, times)` pair up front. A serving loop has
-//! neither: clients show up one by one, the merge policy commits each one
-//! at traffic time, and reports must flow out while the horizon is still
-//! growing. [`IncrementalEngine`] is the event engine refactored around
-//! that ingest direction:
+//! A serving loop has no `(forest, times)` pair up front: clients show up
+//! one by one, the merge policy commits each one at traffic time, and
+//! reports must flow out while the horizon is still growing.
+//! [`IncrementalEngine`] is the event engine built around that ingest
+//! direction, and it is also the one driver for sorted batch input: the
+//! [`events`](super::events) entry points replay nondecreasing arrival
+//! times through it via [`simulate_incremental`].
 //!
 //! * **one open tree** — arrivals attach to the most recently opened tree
 //!   (the model's invariant: merging across closed trees is impossible
@@ -23,27 +24,30 @@
 //!   descendant), so each report is final the moment the client's last
 //!   part-deadline `t_c + L` falls strictly before the ingest clock.
 //!   Reports stream out through `emit` in deadline order (ties by arrival
-//!   index) — exactly the order and values of
-//!   [`simulate_streaming`](super::events::simulate_streaming), including
-//!   which error fires first;
+//!   index), and the first violating deadline is the error;
 //! * **bandwidth change-points finalize at tree closure** — a stream's end
 //!   moves later while descendants can still attach (a tied co-arrival
-//!   even gains its start retroactively), so a tree contributes its
-//!   `(start, ±1)` events to a global min-heap only when a new root
-//!   closes it. All future events then lie at or past the closing root's
-//!   arrival, so the heap drains strictly below it into the same sparse
-//!   `ProfileBuilder` sweep the event engine uses. Heap and retention
-//!   are `O(open trees + active streams)`, never `O(arrivals)`;
+//!   even gains its start retroactively), so a tree's streams enter the
+//!   bandwidth sweep only when a new root closes it. All future events
+//!   then lie at or past the closing root's arrival, so every instant
+//!   strictly below it is final: the closing tree's starts (already in
+//!   time order) merge as a sorted run with a min-heap that holds only the
+//!   active streams' ends, and each instant is netted into one sparse
+//!   `ProfileBuilder` record. Starts tied with the closing root are only
+//!   counted, and join that root's instant when it closes in turn. Heap
+//!   and retention are `O(open trees + active streams)`, never
+//!   `O(arrivals)`;
 //! * **time travel is rejected, interleaving is not** — `push` accepts any
 //!   nondecreasing time sequence (ties included) and fails fast with
 //!   [`IngestError::OutOfOrder`] otherwise, leaving the engine untouched.
 //!
 //! The `engine_equivalence` proptest suite pins this engine bit-identical
-//! (reports, emission order, summary, first error) to the event engine on
+//! (reports, emission order, summary, first error) to the dense oracle on
 //! every sorted input.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::iter::Peekable;
 
 use super::events::{eval_client, EngineScratch, StreamingSummary};
 use super::{ClientReport, SimConfig};
@@ -113,8 +117,8 @@ impl From<SimError> for IngestError {
 /// [`StreamingSummary`] plus the ingest loop's own memory gauge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncrementalSummary {
-    /// Bit-identical to what [`super::events::simulate_streaming`] returns
-    /// for the same arrivals.
+    /// What [`super::events::simulate_streaming_slice`] returns for the
+    /// same arrivals.
     pub summary: StreamingSummary,
     /// High-water mark of simultaneously retained trees (the open tree
     /// plus closed trees with clients still inside their playback
@@ -224,9 +228,15 @@ pub struct IncrementalEngine {
     /// Reclaimed storage of fully-served trees; opening a new tree pops
     /// from here, so steady-state ingest allocates nothing.
     pool: Vec<TreeStorage>,
-    /// Bandwidth change events `(slot, ±1)` of *closed* trees, drained
-    /// strictly below the latest closing root's arrival time.
-    events: BinaryHeap<Reverse<(i64, i32)>>,
+    /// End slots of the started streams of *closed* trees; every instant
+    /// below the latest closing root's arrival time is already drained.
+    ends: BinaryHeap<Reverse<i64>>,
+    /// Streams of closed trees that start at `tied_at` — the latest
+    /// closing root's arrival — and so wait for that root's own closure
+    /// to share its instant. Their ends are already in `ends`.
+    tied: u32,
+    /// Start slot of the `tied` streams (read only while `tied > 0`).
+    tied_at: i64,
     active: u32,
     profile: ProfileBuilder,
     total_units: i64,
@@ -250,7 +260,9 @@ impl IncrementalEngine {
             open: None,
             closed: VecDeque::new(),
             pool: Vec::new(),
-            events: BinaryHeap::new(),
+            ends: BinaryHeap::new(),
+            tied: 0,
+            tied_at: 0,
             active: 0,
             profile: ProfileBuilder::new(),
             total_units: 0,
@@ -408,67 +420,100 @@ impl IncrementalEngine {
     }
 
     /// Closes the open tree (if any): its specs are now final, so its
-    /// bandwidth events enter the heap and its units the total; it is
-    /// retained only if unserved clients remain. Then drains every heap
-    /// event strictly below `horizon` (all of them for `None`) — sound
-    /// because every event a future push can add lies at or past the
-    /// closing root's arrival time.
+    /// units enter the total and its streams the bandwidth sweep; it is
+    /// retained only if unserved clients remain. Then settles every instant
+    /// strictly below `horizon` (all of them for `None`), merging the tree's
+    /// starts in as a sorted run — sound because every undrained event and
+    /// every event a future push can add lies at or past the closing root's
+    /// arrival time.
     fn close_open(&mut self, horizon: Option<i64>) {
-        if let Some(open) = self.open.take() {
-            for s in &open.specs {
-                if s.length > 0 {
-                    self.events.push(Reverse((s.start, 1)));
-                    self.events.push(Reverse((s.end(), -1)));
-                }
-                self.total_units += s.length;
-            }
-            let len = open.times.len();
-            let remaining = (open.base + len) - self.ci.max(open.base);
-            if remaining > 0 {
-                self.closed.push_back(ClosedTree {
-                    base: open.base,
-                    arena: open.arena,
-                    times: open.times,
-                    specs: open.specs,
-                    remaining,
-                });
-            } else {
-                self.pool.push(TreeStorage {
-                    arena: open.arena,
-                    times: open.times,
-                    specs: open.specs,
-                });
-            }
+        let Some(open) = self.open.take() else {
+            return;
+        };
+        self.total_units += open.specs.iter().map(|s| s.length).sum::<i64>();
+        // Local order is arrival order, so the starts are already sorted.
+        // A stream's end enters the heap when its start is applied, so the
+        // heap holds only the active streams' ends.
+        let mut streams = open.specs.iter().filter(|s| s.length > 0).peekable();
+        // Streams the previous closure left tied with this tree's root open
+        // the first instant: nothing pending lies below them.
+        if self.tied > 0 && horizon.is_none_or(|h| self.tied_at < h) {
+            self.active += std::mem::take(&mut self.tied);
+            self.settle(self.tied_at, &mut streams);
         }
-        while let Some(&Reverse((t, _))) = self.events.peek() {
-            if horizon.is_some_and(|h| t >= h) {
+        while let Some(first) = streams.next_if(|s| horizon.is_none_or(|h| s.start < h)) {
+            self.drain_below(Some(first.start));
+            self.ends.push(Reverse(first.end()));
+            self.active += 1;
+            self.settle(first.start, &mut streams);
+        }
+        self.drain_below(horizon);
+        // What is left starts at the horizon, tied with the next root.
+        for s in streams {
+            self.ends.push(Reverse(s.end()));
+            self.tied += 1;
+            self.tied_at = s.start;
+        }
+        let len = open.times.len();
+        let remaining = (open.base + len) - self.ci.max(open.base);
+        if remaining > 0 {
+            self.closed.push_back(ClosedTree {
+                base: open.base,
+                arena: open.arena,
+                times: open.times,
+                specs: open.specs,
+                remaining,
+            });
+        } else {
+            self.pool.push(TreeStorage {
+                arena: open.arena,
+                times: open.times,
+                specs: open.specs,
+            });
+        }
+    }
+
+    /// Settles instant `t` once its first starts are counted: the run's
+    /// other streams starting at `t` go live, the streams ending at `t`
+    /// retire, and the net count is recorded once, so a back-to-back
+    /// handoff records no change.
+    fn settle<'a>(&mut self, t: i64, streams: &mut Peekable<impl Iterator<Item = &'a StreamSpec>>) {
+        while let Some(s) = streams.next_if(|s| s.start == t) {
+            self.ends.push(Reverse(s.end()));
+            self.active += 1;
+        }
+        self.pop_ends_at(t);
+        self.profile.record(t, self.active);
+    }
+
+    /// Settles every pending end strictly below `limit` (all of them for
+    /// `None`), one profile record per instant.
+    fn drain_below(&mut self, limit: Option<i64>) {
+        while let Some(&Reverse(t)) = self.ends.peek() {
+            if limit.is_some_and(|h| t >= h) {
                 break;
             }
-            // Net the whole instant, then record once: ends and starts at
-            // the same slot coalesce exactly as in the event engine.
-            while let Some(&Reverse((t2, delta))) = self.events.peek() {
-                if t2 != t {
-                    break;
-                }
-                self.events.pop();
-                if delta > 0 {
-                    self.active += 1;
-                } else {
-                    self.active -= 1;
-                }
-            }
+            self.pop_ends_at(t);
             self.profile.record(t, self.active);
+        }
+    }
+
+    /// Retires every stream ending at exactly `t`.
+    fn pop_ends_at(&mut self, t: i64) {
+        while self.ends.peek().is_some_and(|&Reverse(end)| end == t) {
+            self.ends.pop();
+            self.active -= 1;
         }
     }
 }
 
 /// Replays a batch `(forest, times)` pair through the push interface, in
-/// global arrival order — the bridge the equivalence suite and the scale
-/// benchmark use to hold the ingest path against the batch engines.
+/// global arrival order — the sorted-input driver behind
+/// [`simulate_streaming_slice`](super::events::simulate_streaming_slice)
+/// and [`super::simulate_with`]. Its summary adds the retention gauge.
 ///
 /// `times` must be nondecreasing (the push interface's clock contract);
-/// results are then bit-identical to
-/// [`simulate_streaming`](super::events::simulate_streaming).
+/// a backwards step fails with [`IngestError::OutOfOrder`].
 pub fn simulate_incremental<F: FnMut(ClientReport)>(
     forest: &MergeForest,
     times: &[i64],
@@ -500,7 +545,7 @@ pub fn simulate_incremental<F: FnMut(ClientReport)>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::events::simulate_streaming_slice;
+    use super::super::simulate_with;
     use super::*;
     use sm_core::{consecutive_slots, MergeTree};
 
@@ -520,18 +565,21 @@ mod tests {
         )
     }
 
-    /// Both engines over the same input; pins summary, reports, and
-    /// emission order.
-    fn assert_matches_events(forest: &MergeForest, times: &[i64], media_len: u64) {
-        let cfg = SimConfig::default();
-        let mut batch = Vec::new();
-        let expected = simulate_streaming_slice(forest, times, media_len, cfg, |r| batch.push(r));
+    /// The replay against the slot-stepped dense oracle over the same
+    /// sorted input; pins summary, reports, emission order (arrival order
+    /// for sorted times), and the first error.
+    fn assert_matches_dense(forest: &MergeForest, times: &[i64], media_len: u64) {
+        let expected = simulate_with(forest, times, media_len, SimConfig::dense());
         let mut inc = Vec::new();
-        let got = simulate_incremental(forest, times, media_len, cfg, |r| inc.push(r));
+        let got = simulate_incremental(forest, times, media_len, SimConfig::default(), |r| {
+            inc.push(r)
+        });
         match (expected, got) {
-            (Ok(summary), Ok(isummary)) => {
-                assert_eq!(isummary.summary, summary);
-                assert_eq!(inc, batch, "reports and emission order must pin");
+            (Ok(report), Ok(isummary)) => {
+                assert_eq!(isummary.summary.bandwidth, report.bandwidth);
+                assert_eq!(isummary.summary.total_units, report.total_units);
+                assert_eq!(isummary.summary.clients, report.clients.len());
+                assert_eq!(inc, report.clients, "reports and emission order must pin");
             }
             (Err(e), Err(IngestError::Sim(ie))) => assert_eq!(ie, e),
             (e, g) => panic!("engines disagree on outcome: {e:?} vs {g:?}"),
@@ -539,9 +587,9 @@ mod tests {
     }
 
     #[test]
-    fn fig4_pins_against_the_event_engine() {
+    fn fig4_pins_against_the_dense_oracle() {
         let forest = fig4_forest();
-        assert_matches_events(&forest, &consecutive_slots(8), 15);
+        assert_matches_dense(&forest, &consecutive_slots(8), 15);
     }
 
     #[test]
@@ -550,7 +598,7 @@ mod tests {
         let forest = MergeForest::from_trees(vec![t.clone(), t, MergeTree::singleton()]).unwrap();
         // Ties within a tree, a tie across the tree boundary, and a gap.
         let times = vec![0, 0, 2, 2, 2, 3, 3, 5, 40];
-        assert_matches_events(&forest, &times, 12);
+        assert_matches_dense(&forest, &times, 12);
     }
 
     #[test]
@@ -561,7 +609,7 @@ mod tests {
         // events to wait for tree closure.
         let tree = MergeTree::from_parents(&[None, Some(0), Some(1)]).unwrap();
         let forest = MergeForest::single(tree);
-        assert_matches_events(&forest, &[5, 5, 7], 20);
+        assert_matches_dense(&forest, &[5, 5, 7], 20);
     }
 
     #[test]
@@ -569,7 +617,7 @@ mod tests {
         let media = 40u64;
         let c = (media / 2 + 1) as usize;
         let forest = MergeForest::single(MergeTree::chain(c));
-        assert_matches_events(&forest, &consecutive_slots(c), media);
+        assert_matches_dense(&forest, &consecutive_slots(c), media);
     }
 
     #[test]
@@ -578,11 +626,11 @@ mod tests {
         let times = consecutive_slots(8);
         let cfg = SimConfig {
             buffer_bound: Some(1),
-            ..SimConfig::default()
+            ..SimConfig::dense()
         };
-        let batch = simulate_streaming_slice(&forest, &times, 15, cfg, |_| {}).unwrap_err();
+        let dense = simulate_with(&forest, &times, 15, cfg).unwrap_err();
         let got = simulate_incremental(&forest, &times, 15, cfg, |_| {}).unwrap_err();
-        assert_eq!(got, IngestError::Sim(batch));
+        assert_eq!(got, IngestError::Sim(dense));
     }
 
     #[test]

@@ -8,22 +8,26 @@
 //! * [`dense`] — the original slot-stepped oracle: every client is swept
 //!   over every slot of its playback window (`O(clients · L²)` time,
 //!   `O(L)` scratch per client). Simple, and kept as the reference.
-//! * [`events`] — the discrete-event engine: the schedule is pulled lazily
-//!   tree-by-tree (a [`crate::ScheduleStream`]) and dropped as trees finish,
-//!   stream ends live in a binary min-heap, and per-client metrics are
-//!   derived from the program's segments by a single sorted-endpoint sweep —
-//!   `O(segments log segments)` per client (never candidates × segments),
-//!   memory proportional to the *active* trees and streams — the
-//!   production batch path.
-//! * [`incremental`] — the event engine turned inside out for *serving*:
-//!   arrivals push in one at a time ([`IncrementalEngine::push`]), the
-//!   open merge tree and its tentative Lemma-1 specs grow in place, and
-//!   reports stream out as deadlines fire during ingest — no forest, no
-//!   horizon, no times slice up front.
+//! * [`events`] — the discrete-event engine's batch entry points and its
+//!   per-client evaluator: per-client metrics are derived from the
+//!   program's segments by a single sorted-endpoint sweep —
+//!   `O(segments log segments)` per client (never candidates × segments) —
+//!   the production batch path. Sorted arrivals replay through the
+//!   incremental driver below; unsorted ones take an eager, sort-based
+//!   fallback.
+//! * [`incremental`] — the one driver for slot-ordered arrivals: they push
+//!   in one at a time ([`IncrementalEngine::push`]), the open merge tree
+//!   and its tentative Lemma-1 specs grow in place, stream ends live in a
+//!   binary min-heap, and reports stream out as deadlines fire during
+//!   ingest — no forest, no horizon, no times slice up front, and memory
+//!   proportional to the *open* trees and active streams. The serving
+//!   loop drives it directly; [`simulate_incremental`] replays a batch
+//!   through it.
 //!
 //! All produce bit-identical reports (pinned by the `engine_equivalence`
-//! proptest suite); [`SimConfig::engine`] selects a batch engine, while
-//! the incremental engine is driven through its own push interface.
+//! proptest suite); [`SimConfig::engine`] selects the dense oracle or the
+//! event engine, while the incremental engine is also driven through its
+//! own push interface.
 
 pub mod dense;
 pub mod events;
@@ -34,7 +38,7 @@ use crate::metrics::BandwidthProfile;
 use crate::schedule::checked_media_len;
 use sm_core::MergeForest;
 
-pub use events::{simulate_streaming, simulate_streaming_slice, Arrival, StreamingSummary};
+pub use events::{simulate_streaming_slice, StreamingSummary};
 pub use incremental::{
     simulate_incremental, Attach, IncrementalEngine, IncrementalSummary, IngestError,
 };

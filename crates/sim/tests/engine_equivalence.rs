@@ -3,16 +3,16 @@
 //! change-points, same per-client `max_buffer`/`max_concurrent`/`min_slack`,
 //! and the same first error on infeasible inputs — across randomized
 //! forests, arrival sequences, media lengths, and buffer bounds. The
-//! streaming API (`simulate_streaming`, fed through its `IntoIterator`
-//! entry point) is pinned against the collected `simulate_with` path on
-//! every case, and on every *sorted* case the push-based incremental
-//! engine (`simulate_incremental`) is pinned bit-identical as well:
+//! streaming API (`simulate_streaming_slice`) is pinned against the
+//! collected `simulate_with` path on every case, and on every *sorted*
+//! case the push-based incremental engine (`simulate_incremental`, the
+//! driver behind both for sorted input) is pinned bit-identical as well:
 //! summary, reports, emission order, and first error.
 
 use proptest::prelude::*;
 use sm_core::{consecutive_slots, MergeForest, MergeTree};
 use sm_sim::{
-    simulate_incremental, simulate_streaming, simulate_with, Arrival, ClientReport, IngestError,
+    simulate_incremental, simulate_streaming_slice, simulate_with, ClientReport, IngestError,
     SimConfig, SimError, SimReport,
 };
 
@@ -57,11 +57,9 @@ fn run_streaming(
     Vec<ClientReport>,
 ) {
     let mut emitted = Vec::new();
-    // Through the iterator entry point, so every equivalence case also
-    // exercises the `impl IntoIterator<Item = Arrival>` API surface.
-    let summary = simulate_streaming(
+    let summary = simulate_streaming_slice(
         forest,
-        times.iter().copied().map(Arrival::from),
+        times,
         media_len,
         SimConfig {
             buffer_bound,
@@ -72,7 +70,7 @@ fn run_streaming(
     (summary, emitted)
 }
 
-/// The lazy streaming path must agree with the collected event-engine
+/// The streaming path must agree with the collected event-engine
 /// report: same bandwidth change-points, same totals, same per-client
 /// measurements, and the same first error — with emissions arriving in
 /// part-deadline order.
@@ -366,8 +364,8 @@ proptest! {
 #[test]
 fn unsorted_times_take_the_eager_fallback_and_still_agree() {
     // Sibling order need not follow time order; globally unsorted times
-    // route `simulate_streaming` through the eager sort-based path, which
-    // must still reproduce the collected report bit for bit.
+    // route `simulate_streaming_slice` through the eager sort-based path,
+    // which must still reproduce the collected report bit for bit.
     let tree = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
     let forest = MergeForest::single(tree);
     let times = [0i64, 5, 2];

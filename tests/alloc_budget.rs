@@ -7,10 +7,10 @@
 //!
 //! * **events** — one cold streaming run allocates only the engine's
 //!   reusable storage (the `EngineScratch` program/sweep buffers, the
-//!   pooled tree arenas and spec vectors, and the bandwidth profile's
-//!   change-point log), each growing by amortized doubling. The total is
-//!   `O(log n)`, so it fits a fixed [`EVENTS_SETUP_BUDGET`] and — the
-//!   sharper claim — barely moves when `n` quadruples.
+//!   pooled tree arenas, times and spec vectors, and the bandwidth
+//!   profile's change-point log), each growing by amortized doubling.
+//!   The total is `O(log n)`, so it fits a fixed [`EVENTS_SETUP_BUDGET`]
+//!   and — the sharper claim — barely moves when `n` quadruples.
 //! * **incremental** — after a warm-up prefix of pushes has grown every
 //!   pool and buffer, the remaining pushes are allocation-free up to the
 //!   log-many residual doublings of the bandwidth log
@@ -57,9 +57,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const MEDIA: u64 = 100;
 
-/// Setup budget for one cold `simulate_streaming_slice` run: the schedule
-/// stream, scratch buffers, tree-storage pool, sweep heap, and bandwidth
-/// log together allocate a few dozen times (amortized doublings included).
+/// Setup budget for one cold `simulate_streaming_slice` run: the scratch
+/// buffers, tree-storage pool, event heap, and bandwidth log together
+/// allocate a few dozen times (amortized doublings included).
 /// The budget leaves generous headroom; the scaling assertion below is the
 /// load-bearing one.
 const EVENTS_SETUP_BUDGET: u64 = 512;

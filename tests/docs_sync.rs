@@ -104,13 +104,10 @@ fn architecture_documents_the_runtime_pieces() {
         "engine::dense",
         "engine::incremental",
         "ScheduleStream",
-        "simulate_streaming",
+        "simulate_streaming_slice",
         "simulate_incremental",
         "IncrementalEngine",
         "sm-serve",
-        "ServeConfig",
-        "ServeReport",
-        "serve_with",
         "serve_multi",
         "MultiServeConfig",
         "TitleConfig",
