@@ -1,31 +1,31 @@
 //! Deterministic parallelism shared across the workspace: fork-join sharding
-//! and a two-stage pipeline.
+//! and a two-stage pipeline, both on `std` alone.
 //!
 //! Experiment sweeps are embarrassingly parallel across their points, and the
 //! §5 multi-object server simulates its titles independently — both shard
 //! through [`parallel_map`]: `std::thread::scope` workers pull indices off a
-//! shared atomic counter and write results through a `parking_lot` mutex — no
-//! `unsafe`, no cloning of inputs, and results are always returned in input
-//! order, so parallel callers are bit-identical to sequential ones.
+//! shared atomic counter and write each result into its own
+//! `std::sync::Mutex` slot — no `unsafe`, no cloning of inputs, and results
+//! are always returned in input order, so parallel callers are bit-identical
+//! to sequential ones.
 //!
 //! [`pipeline`] covers the orthogonal shape: a *sequence* of stages where
 //! stage `k + 1`'s first half can start before stage `k`'s second half has
 //! finished. A dedicated scoped producer thread runs `produce(i)` for every
-//! index in order and feeds a bounded depth-`K` SPSC channel; the calling
-//! thread pops items in order and runs `consume(i, item)` — so the producer
-//! runs up to `K` finished items (plus one in flight) ahead of the consumer
-//! while order, results, and the first error are exactly those of the plain
-//! sequential interleaving, at any depth. The `sm-server` dynamic simulator
-//! uses it to plan up to `K` epochs ahead of materialization
-//! (`DynamicConfig::plan_ahead`); each stage may freely call
-//! [`parallel_map`] internally (stage threads are *not* marked as workers),
-//! while a `pipeline` call from inside a `parallel_map` worker runs inline
-//! so nesting never oversubscribes the machine.
+//! index in order and sends into a `std::sync::mpsc::sync_channel` of depth
+//! `K`; the calling thread receives items in order and runs
+//! `consume(i, item)` — so the producer runs up to `K` finished items (plus
+//! one in flight) ahead of the consumer while order, results, and the first
+//! error are exactly those of the plain sequential interleaving, at any
+//! depth. The `sm-server` dynamic simulator uses it to plan up to `K` epochs
+//! ahead of materialization (`DynamicConfig::plan_ahead`); each stage may
+//! freely call [`parallel_map`] internally (stage threads are *not* marked as
+//! workers), while a `pipeline` call from inside a `parallel_map` worker runs
+//! inline so nesting never oversubscribes the machine.
 
-use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{mpsc, Mutex, PoisonError};
 
 std::thread_local! {
     /// `true` while the current thread is a `parallel_map` worker: nested
@@ -39,6 +39,9 @@ std::thread_local! {
 /// Results are returned in input order. Falls back to sequential execution
 /// for tiny inputs and when called from inside another `parallel_map`
 /// (the outer call already saturates the cores).
+///
+/// # Panics
+/// Re-raises a worker's panic with its original payload.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -53,115 +56,37 @@ where
         return items.iter().map(&f).collect();
     }
     let next = AtomicUsize::new(0);
+    // A slot's critical section is one store that cannot panic, so a
+    // poisoned slot still holds a consistent value.
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                IN_WORKER.set(true);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = f(&items[i]);
-                    *slots[i].lock() = Some(r);
-                }
-            });
+        let work = || {
+            IN_WORKER.set(true);
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let r = f(item);
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+            }
+        };
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+        // Joined explicitly so a worker's panic surfaces with its own
+        // payload rather than `scope`'s generic one.
+        for worker in workers {
+            worker.join().unwrap_or_else(|panic| resume_unwind(panic));
         }
     });
-    slots
+    let results = slots
         .into_iter()
-        // sm-lint: allow(no-panic-surface) — scope() joined every worker, and each worker fills its claimed slots before exiting
-        .map(|m| m.into_inner().expect("every slot filled"))
-        .collect()
-}
-
-/// Shared state of the bounded SPSC channel connecting the two pipeline
-/// stages. One mutex + one condvar serve both directions: with a single
-/// producer and a single consumer there is never a thundering herd to
-/// distinguish.
-struct ChannelState<T> {
-    buf: VecDeque<T>,
-    /// Producer finished (exhausted or errored); no more items will arrive.
-    closed: bool,
-    /// Consumer bailed out; the producer should stop instead of blocking.
-    aborted: bool,
-}
-
-struct Channel<T> {
-    state: StdMutex<ChannelState<T>>,
-    cv: Condvar,
-    depth: usize,
-}
-
-/// Recovers the guard from a poisoned `std` lock. Every critical section
-/// below is a handful of field reads/writes with no user code, so a poisoned
-/// mutex still holds consistent state — recovering beats propagating a panic
-/// out of the channel plumbing.
-fn recover<G>(r: Result<G, std::sync::PoisonError<G>>) -> G {
-    r.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl<T> Channel<T> {
-    fn new(depth: usize) -> Self {
-        Self {
-            state: StdMutex::new(ChannelState {
-                buf: VecDeque::with_capacity(depth),
-                closed: false,
-                aborted: false,
-            }),
-            cv: Condvar::new(),
-            depth,
-        }
-    }
-
-    /// Blocks until there is room (or the consumer aborted). Returns `false`
-    /// when the item was not accepted because of an abort.
-    fn push(&self, item: T) -> bool {
-        let mut state = recover(self.state.lock());
-        while state.buf.len() >= self.depth && !state.aborted {
-            state = recover(self.cv.wait(state));
-        }
-        if state.aborted {
-            return false;
-        }
-        state.buf.push_back(item);
-        self.cv.notify_all();
-        true
-    }
-
-    /// Blocks until an item is available; `None` once the channel is closed
-    /// *and* drained (buffered items produced before a close still come out,
-    /// preserving the sequential consumption order).
-    fn pop(&self) -> Option<T> {
-        let mut state = recover(self.state.lock());
-        while state.buf.is_empty() && !state.closed {
-            state = recover(self.cv.wait(state));
-        }
-        let item = state.buf.pop_front();
-        if item.is_some() {
-            self.cv.notify_all();
-        }
-        item
-    }
-
-    fn close(&self) {
-        let mut state = recover(self.state.lock());
-        state.closed = true;
-        self.cv.notify_all();
-    }
-
-    fn abort(&self) {
-        let mut state = recover(self.state.lock());
-        state.aborted = true;
-        self.cv.notify_all();
-    }
+        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner));
+    // sm-lint: allow(no-panic-surface) — every worker was joined, and each worker fills its claimed slots before exiting
+    results.map(|r| r.expect("every slot filled")).collect()
 }
 
 /// Runs a two-stage pipeline over the indices `0..n`: `produce(i)` executes
 /// on a dedicated scoped thread, `consume(i, item)` on the calling thread, a
-/// bounded channel holding at most `depth` finished-but-unconsumed items
-/// between them. With `depth == 1` the classic overlap is realized —
+/// `sync_channel(depth)` holding at most `depth` finished-but-unconsumed
+/// items between them. With `depth == 1` the classic overlap is realized —
 /// `produce(k + 1)` runs while `consume(k)` does; a larger depth lets a
 /// bursty producer run up to `depth` items (plus one in flight) ahead of a
 /// slow consumer before backpressure blocks it, never further.
@@ -176,6 +101,11 @@ impl<T> Channel<T> {
 ///   error wins over any concurrent later `produce` error;
 /// * after an error, no later `consume` runs (the producer may have run
 ///   ahead by up to `depth + 1` items whose results are discarded).
+///
+/// Each stage owns one end of the channel, so either stage returning or
+/// unwinding hangs up on the other: the consumer's receive loop ends after
+/// the last item the producer sent, and a blocked `send` fails once the
+/// consumer is gone.
 ///
 /// The stage threads are deliberately **not** marked as `parallel_map`
 /// workers: each stage may shard its own inner work across threads (the
@@ -209,78 +139,30 @@ where
         return Ok(out);
     }
 
-    // Unwind-safety guards: a panic in either stage must release the *other*
-    // stage's blocking channel wait before the scope joins, or the process
-    // would deadlock instead of propagating the panic.
-    struct CloseOnDrop<'a, T>(&'a Channel<T>);
-    impl<T> Drop for CloseOnDrop<'_, T> {
-        fn drop(&mut self) {
-            self.0.close();
-        }
-    }
-    struct AbortOnDrop<'a, T>(&'a Channel<T>);
-    impl<T> Drop for AbortOnDrop<'_, T> {
-        fn drop(&mut self) {
-            self.0.abort();
-        }
-    }
-
-    let channel: Channel<U> = Channel::new(depth);
-    let mut out = Vec::with_capacity(n);
-    let mut first_err: Option<E> = None;
     std::thread::scope(|scope| {
-        let channel = &channel;
-        let producer = scope.spawn(move || -> Option<E> {
-            // Closes the channel on every exit — exhaustion, error, or a
-            // panic inside `produce` — so the consumer's `pop` never waits
-            // on a producer that will not deliver.
-            let _close = CloseOnDrop(channel);
+        // The buffer is allocated up front and never holds more than `n`.
+        let (tx, rx) = mpsc::sync_channel(depth.min(n));
+        let producer = scope.spawn(move || {
             for i in 0..n {
-                match produce(i) {
-                    Ok(item) => {
-                        if !channel.push(item) {
-                            return None; // consumer aborted; its error wins
-                        }
-                    }
-                    Err(e) => return Some(e),
+                if tx.send(produce(i)?).is_err() {
+                    break; // the consumer hung up; its error wins
                 }
             }
-            None
+            Ok(())
         });
-        // If `consume` panics below, this unblocks a producer waiting in
-        // `push` before the scope joins it (harmless on normal exits: by
-        // then the producer has already finished).
-        let _abort = AbortOnDrop(channel);
-        for i in 0..n {
-            match channel.pop() {
-                Some(item) => match consume(i, item) {
-                    Ok(r) => out.push(r),
-                    Err(e) => {
-                        first_err = Some(e);
-                        channel.abort();
-                        break;
-                    }
-                },
-                // Closed and drained early: the producer errored (or
-                // panicked) after every item it did produce was consumed —
-                // sequential error order.
-                None => break,
-            }
-        }
-        match producer.join() {
-            Ok(producer_err) => {
-                if first_err.is_none() {
-                    first_err = producer_err;
-                }
-            }
-            // Re-raise the producer's panic with its original payload.
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    });
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
+        let mut out = Vec::with_capacity(n);
+        // Stops at the first `consume` error, or once the producer hung
+        // up: after all `n` items, or after every item it sent before its
+        // own error or panic — sequential error order.
+        let consumed = rx
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, item)| consume(i, item).map(|r| out.push(r)));
+        // Hang up before joining, so a producer blocked in `send` stops.
+        drop(rx);
+        let produced = producer.join().unwrap_or_else(|panic| resume_unwind(panic));
+        consumed.and(produced).map(|()| out)
+    })
 }
 
 #[cfg(test)]
@@ -310,6 +192,23 @@ mod tests {
     }
 
     #[test]
+    fn worker_panic_propagates_with_its_payload() {
+        // A worker's panic must reach the caller as itself, not as the
+        // generic payload `thread::scope` raises for an unjoined panic.
+        let items: Vec<u32> = (0..64).collect();
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map(&items, |&x| {
+                if x == 17 {
+                    panic!("worker boom");
+                }
+                x
+            })
+        })
+        .unwrap_err();
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"worker boom"));
+    }
+
+    #[test]
     fn pipeline_matches_sequential_interleaving() {
         let produced = Mutex::new(Vec::new());
         let consumed = Mutex::new(Vec::new());
@@ -317,11 +216,11 @@ mod tests {
             10,
             1,
             |i| {
-                produced.lock().push(i);
+                produced.lock().unwrap().push(i);
                 Ok(i * 10)
             },
             |i, item| {
-                consumed.lock().push((i, item));
+                consumed.lock().unwrap().push((i, item));
                 Ok(item + 1)
             },
         );
@@ -329,9 +228,9 @@ mod tests {
             out.unwrap(),
             (0..10).map(|i| i * 10 + 1).collect::<Vec<_>>()
         );
-        assert_eq!(*produced.lock(), (0..10).collect::<Vec<_>>());
+        assert_eq!(*produced.lock().unwrap(), (0..10).collect::<Vec<_>>());
         assert_eq!(
-            *consumed.lock(),
+            *consumed.lock().unwrap(),
             (0..10).map(|i| (i, i * 10)).collect::<Vec<_>>()
         );
     }
@@ -358,13 +257,13 @@ mod tests {
                 }
             },
             |i, item| {
-                consumed.lock().push(i);
+                consumed.lock().unwrap().push(i);
                 Ok(item)
             },
         );
         assert_eq!(out.unwrap_err(), "produce 3 failed");
         // Everything produced before the failure was consumed, in order.
-        assert_eq!(*consumed.lock(), vec![0, 1, 2]);
+        assert_eq!(*consumed.lock().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -87,6 +87,10 @@ use crate::{DelayHistogram, DelayStats, LatencyHistogram, LatencyStats, ServeErr
 /// The loop times one engine push in this many, push 0 included.
 const LATENCY_SAMPLE_EVERY: u64 = 64;
 
+/// Backpressure depth of the generator→ingest channel: the producer
+/// runs at most this many batches (plus one in flight) ahead of ingest.
+const PIPELINE_DEPTH: usize = 4;
+
 /// Per-batch seed mixer (splitmix64's odd constant): batch `i` of every
 /// title draws from an RNG that is a pure function of `(seed, i, title)`.
 const BATCH_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -182,13 +186,11 @@ pub struct MultiServeConfig {
     pub seed: u64,
     /// Producer batch granularity in slots.
     pub batch_slots: f64,
-    /// Backpressure depth of the generator→ingest channel (must be ≥ 1).
-    pub pipeline_depth: usize,
 }
 
 impl MultiServeConfig {
-    /// A run over `(0, horizon]` with an unbounded budget and default
-    /// pipeline granularity (256-slot batches, depth 4).
+    /// A run over `(0, horizon]` with an unbounded budget and 256-slot
+    /// producer batches.
     pub fn new(titles: Vec<TitleConfig>, horizon: f64) -> Self {
         Self {
             titles,
@@ -196,7 +198,6 @@ impl MultiServeConfig {
             budget: None,
             seed: 7,
             batch_slots: 256.0,
-            pipeline_depth: 4,
         }
     }
 
@@ -221,9 +222,6 @@ impl MultiServeConfig {
         }
         if !(self.batch_slots >= 1.0 && self.batch_slots.is_finite()) {
             return bad("batch_slots", "must be finite and at least 1");
-        }
-        if self.pipeline_depth == 0 {
-            return bad("pipeline_depth", "must be at least 1");
         }
         Ok(())
     }
@@ -277,6 +275,7 @@ pub struct MultiServeReport {
 
 /// The shared-budget scheduler: a min-heap of license-chain end slots.
 /// See the module docs for the safety argument.
+#[derive(Clone)]
 struct DelayPlanner {
     chains: BinaryHeap<Reverse<i64>>,
     budget: Option<usize>,
@@ -483,14 +482,14 @@ where
     let means: Vec<f64> = config.titles.iter().map(|t| t.mean_interarrival).collect();
 
     // Workload generation runs on the pipeline's producer thread, at most
-    // `pipeline_depth` batches ahead of ingest. Each (title, batch) run is
+    // `PIPELINE_DEPTH` batches ahead of ingest. Each (title, batch) run is
     // an independent Poisson segment over its sub-horizon; memoryless
     // increments make the concatenation exactly one Poisson process per
     // title, and per-(title, batch) seeding keeps every run a pure
     // function of (seed, batch index, title index).
     pipeline(
         n_batches,
-        config.pipeline_depth,
+        PIPELINE_DEPTH,
         move |i| -> Result<Vec<(f64, u32)>, ServeError> {
             let offset = i as f64 * batch;
             let span = (horizon - offset).min(batch);
@@ -765,27 +764,9 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_depth_does_not_change_the_traffic() {
-        // Depth only moves the backpressure point between generator and
-        // ingest; the drawn process and the served forest are identical.
-        let shallow = MultiServeConfig {
-            pipeline_depth: 1,
-            ..one_title(32, 400.0, 2.0)
-        };
-        let deep = MultiServeConfig {
-            pipeline_depth: 8,
-            ..shallow.clone()
-        };
-        let a = serve_multi(&shallow).unwrap();
-        let b = serve_multi(&deep).unwrap();
-        assert_eq!(a.generated, b.generated);
-        assert_eq!(a.titles[0].summary, b.titles[0].summary);
-    }
-
-    #[test]
     fn config_validation_names_the_offending_field() {
         let base = || one_title(8, 100.0, 1.0);
-        let cases: [(MultiServeConfig, &str); 7] = [
+        let cases: [(MultiServeConfig, &str); 6] = [
             (one_title(0, 100.0, 1.0), "media_len"),
             (one_title(8, 0.0, 1.0), "horizon"),
             (one_title(8, f64::INFINITY, 1.0), "horizon"),
@@ -803,13 +784,6 @@ mod tests {
                     ..base()
                 },
                 "batch_slots",
-            ),
-            (
-                MultiServeConfig {
-                    pipeline_depth: 0,
-                    ..base()
-                },
-                "pipeline_depth",
             ),
         ];
         for (config, want) in cases {
@@ -909,6 +883,95 @@ mod tests {
         // That chain's full stream still runs until 10, so a group at 5
         // (another title's, say) must wait for it too.
         assert_eq!(p.plan(5), 10);
+    }
+
+    /// Media lengths of the two titles the exhaustive walk interleaves.
+    const WALK_MEDIA: [i64; 2] = [2, 3];
+    /// Last arrival slot a walked group may take.
+    const WALK_LAST_SLOT: i64 = 5;
+    /// Group decisions per walked sequence, at most.
+    const WALK_GROUPS: usize = 7;
+
+    /// The planner and the per-title state after a prefix of decisions.
+    #[derive(Clone)]
+    struct Walk {
+        planner: DelayPlanner,
+        /// Arrival slot of the latest group: arrivals are nondecreasing.
+        last_arrival: i64,
+        /// Each title's pending service slot; `Some` once the title has
+        /// an open tree (its first group is always a root).
+        pending: [Option<i64>; 2],
+        /// Every committed root window `[s, s + L)`, in commit order.
+        windows: Vec<(i64, i64)>,
+    }
+
+    /// Depth-first over every next group decision from `walk`: either
+    /// title, every arrival slot the order and the join rule allow, and
+    /// each verdict (merge only into an open tree). Returns the number
+    /// of decisions explored.
+    fn walk_decisions(walk: &Walk, budget: usize, groups_left: usize) -> usize {
+        if groups_left == 0 {
+            return 0;
+        }
+        let mut explored = 0;
+        for (title, &media) in WALK_MEDIA.iter().enumerate() {
+            // The join rule: an arrival at or before the pending service
+            // slot would ride that group, so a new group arrives after it.
+            let first =
+                walk.pending[title].map_or(walk.last_arrival, |p| walk.last_arrival.max(p + 1));
+            for arrival in first..=WALK_LAST_SLOT {
+                let mut planned = walk.clone();
+                let s = planned.planner.plan(arrival);
+                assert!(s >= arrival, "planned slot {s} before arrival {arrival}");
+                planned.last_arrival = arrival;
+                planned.pending[title] = Some(s);
+                for root in [true, false] {
+                    if !root && walk.pending[title].is_none() {
+                        continue;
+                    }
+                    let mut next = planned.clone();
+                    if root {
+                        next.planner.commit(s + media);
+                        next.windows.push((s, s + media));
+                        for t in s..s + media {
+                            let live = next
+                                .windows
+                                .iter()
+                                .filter(|&&(a, b)| a <= t && t < b)
+                                .count();
+                            assert!(
+                                live <= budget,
+                                "{live} full streams live at {t} over budget {budget}: {:?}",
+                                next.windows
+                            );
+                        }
+                    } else {
+                        next.planner.merge();
+                    }
+                    explored += 1 + walk_decisions(&next, budget, groups_left - 1);
+                }
+            }
+        }
+        explored
+    }
+
+    #[test]
+    fn every_short_two_title_interleaving_keeps_the_budget() {
+        // Exhaustive over short runs: no interleaving of the two titles'
+        // group arrivals and verdicts puts more than `budget` root
+        // windows on any slot, and no plan precedes its arrival.
+        let explored: usize = (1..=3)
+            .map(|budget| {
+                let start = Walk {
+                    planner: DelayPlanner::new(Some(budget)),
+                    last_arrival: 0,
+                    pending: [None; 2],
+                    windows: Vec::new(),
+                };
+                walk_decisions(&start, budget, WALK_GROUPS)
+            })
+            .sum();
+        assert_eq!(explored, 227_272, "the walk's extent is pinned");
     }
 
     #[test]

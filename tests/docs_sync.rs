@@ -3,6 +3,7 @@
 //! test suite and as an explicit CI step, so the front-door pages cannot
 //! silently rot.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -57,11 +58,26 @@ fn readme_exists_and_cross_links_the_doc_set() {
     );
 }
 
+/// The vendored stubs README.md lists: the backticked names between the
+/// em-dashes of its "Offline builds" section.
+fn readme_stub_list(readme: &str) -> BTreeSet<&str> {
+    let section = readme
+        .split("## Offline builds")
+        .nth(1)
+        .expect("README.md needs an \"Offline builds\" section");
+    let list = section
+        .split('—')
+        .nth(1)
+        .expect("the Offline builds section lists its stubs between em-dashes");
+    list.split('`').skip(1).step_by(2).collect()
+}
+
 #[test]
 fn readme_workspace_map_matches_cargo_members() {
     let readme = read("README.md");
     let manifest = read("Cargo.toml");
     let mut crates_seen = 0;
+    let mut stubs = BTreeSet::new();
     for line in manifest.lines() {
         let line = line.trim().trim_matches(|c| c == '"' || c == ',');
         if let Some(dir) = line.strip_prefix("crates/") {
@@ -71,9 +87,16 @@ fn readme_workspace_map_matches_cargo_members() {
                 "README.md workspace map is missing workspace member `{krate}`"
             );
             crates_seen += 1;
+        } else if let Some(dir) = line.strip_prefix("third_party/") {
+            stubs.insert(dir);
         }
     }
     assert_eq!(crates_seen, 13, "expected the 13 sm-* workspace members");
+    assert_eq!(
+        readme_stub_list(&readme),
+        stubs,
+        "README.md's stub list must name exactly the third_party/ workspace members"
+    );
 }
 
 #[test]
