@@ -2,7 +2,7 @@
 //! and a two-stage pipeline, both on `std` alone.
 //!
 //! Experiment sweeps are embarrassingly parallel across their points, and the
-//! §5 multi-object server simulates its titles independently — both shard
+//! §5 multi-object server analyzes its titles independently — both shard
 //! through [`parallel_map`]: `std::thread::scope` workers pull indices off a
 //! shared atomic counter and write each result into its own
 //! `std::sync::Mutex` slot — no `unsafe`, no cloning of inputs, and results
@@ -109,7 +109,7 @@ where
 ///
 /// The stage threads are deliberately **not** marked as `parallel_map`
 /// workers: each stage may shard its own inner work across threads (the
-/// dynamic server's per-title materialization does). Conversely, calling
+/// dynamic server's planning stage seeds its memo that way). Conversely, calling
 /// `pipeline` from *inside* a `parallel_map` worker runs both stages inline
 /// on the worker — same results, no thread explosion. `n <= 1` also runs
 /// inline: there is nothing to overlap.

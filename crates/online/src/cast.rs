@@ -13,13 +13,6 @@ pub(crate) fn index_to_usize(x: u64) -> usize {
     usize::try_from(x).expect("index exceeds the platform word size")
 }
 
-/// The one sanctioned `i64 → u64` conversion for costs: merge costs over
-/// integer slot axes are sums of nonnegative stream lengths, so a negative
-/// total is a logic error, not a sign to reinterpret.
-pub(crate) fn nonneg_cost(cost: i64) -> u64 {
-    u64::try_from(cost).expect("merge cost must be nonnegative")
-}
-
 /// The one sanctioned `u64 → i64` conversion for slot positions: all slot
 /// arithmetic downstream is signed, so a horizon beyond `i64::MAX` must be
 /// rejected rather than wrapped to a negative slot.
@@ -34,7 +27,6 @@ mod tests {
     #[test]
     fn conversions_roundtrip_in_range() {
         assert_eq!(index_to_usize(55), 55usize);
-        assert_eq!(nonneg_cost(21), 21u64);
         assert_eq!(slots_i64(100), 100i64);
     }
 

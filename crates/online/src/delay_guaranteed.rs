@@ -10,11 +10,11 @@
 //! one truncated tree over the remaining arrivals; Theorem 22 shows
 //! `A(L,n)/F(L,n) ≤ 1 + 2L/n` for `L ≥ 7`, `n > L² + 2`.
 
-use sm_core::{consecutive_slots, merge_cost, MergeForest, MergeTree, ReceivingProgram};
+use sm_core::{consecutive_slots, MergeForest, MergeTree, ReceivingProgram};
 use sm_offline::closed_form::ClosedForm;
 use sm_offline::tree_builder::optimal_merge_tree_with;
 
-use crate::cast::{index_to_usize, nonneg_cost};
+use crate::cast::index_to_usize;
 use crate::incremental::{ForestBuilder, MergeDecision};
 
 /// The on-line delay-guaranteed server.
@@ -29,10 +29,9 @@ pub struct DelayGuaranteedOnline {
     tree_size: u64,
     /// The precomputed optimal merge tree on `F_h` arrivals.
     template: MergeTree,
-    /// `Mcost` of the template.
-    template_cost: u64,
     /// `Mcost` of the template truncated to its first `i` arrivals, for
-    /// `i = 0..=F_h` — so the cost of the trailing partial tree is O(1).
+    /// `i = 0..=F_h` — so the cost of the trailing partial tree is O(1);
+    /// `prefix_costs[F_h]` is the template's own `Mcost`.
     prefix_costs: Vec<u64>,
     /// Precomputed receiving programs for each position in the template.
     programs: Vec<ReceivingProgram>,
@@ -75,14 +74,18 @@ impl DelayGuaranteedOnline {
         let size = index_to_usize(tree_size);
         let template = optimal_merge_tree_with(&cf, size);
         let times = consecutive_slots(size);
-        let template_cost = nonneg_cost(merge_cost(&template, &times));
-        let mut prefix_costs = Vec::with_capacity(size + 1);
-        prefix_costs.push(0);
-        let parents = template.to_parents();
-        for i in 1..=size {
-            let truncated = MergeTree::from_parents(&parents[..i])
-                .expect("prefix of a merge tree is a merge tree");
-            prefix_costs.push(nonneg_cost(merge_cost(&truncated, &consecutive_slots(i))));
+        // Appending arrival `i` (the last node in preorder) gives it the
+        // stream `i − p(i)` and lengthens each non-root proper ancestor's
+        // stream by 2 (its last descendant moves from `i − 1` to `i`), so
+        // every prefix cost follows from the previous one in O(1).
+        let mut prefix_costs = vec![0u64; size + 1];
+        let mut depth = vec![0u64; size];
+        for i in 1..size {
+            let p = template
+                .parent(i)
+                .expect("every non-root node has a parent");
+            depth[i] = depth[p] + 1;
+            prefix_costs[i + 1] = prefix_costs[i] + (i - p) as u64 + 2 * (depth[i] - 1);
         }
         let programs = (0..size)
             .map(|c| ReceivingProgram::build(&template, &times, media_len, c))
@@ -91,7 +94,6 @@ impl DelayGuaranteedOnline {
             media_len,
             tree_size,
             template,
-            template_cost,
             prefix_costs,
             programs,
             slots: 0,
@@ -158,7 +160,8 @@ impl DelayGuaranteedOnline {
     pub fn total_cost_after(&self, n: u64) -> u64 {
         let full = n / self.tree_size;
         let rem = index_to_usize(n % self.tree_size);
-        let mut cost = full * (self.media_len + self.template_cost);
+        let template_cost = self.prefix_costs[index_to_usize(self.tree_size)];
+        let mut cost = full * (self.media_len + template_cost);
         if rem > 0 {
             cost += self.media_len + self.prefix_costs[rem];
         }
@@ -184,6 +187,30 @@ impl DelayGuaranteedOnline {
         }
         builder.finish().expect("n >= 1 opens a tree")
     }
+
+    /// The Lemma-1 schedule of the first `n` slots, stamped straight from
+    /// the template with no forest: one `(start, length)` pair per slot,
+    /// in slot order, where slot `t`'s stream starts at `t` and runs
+    /// `length` slots. A template root runs the whole media `L`; any other
+    /// node `x` runs `2·z − x − p(x)`, where `p` is its template parent and
+    /// `z` its last descendant, clipped to the last slot the trailing
+    /// (truncated) instance holds. The pairs are exactly what
+    /// [`sm_sim::ScheduleStream`] yields over [`Self::forest_after`]`(n)`
+    /// on consecutive slots.
+    pub fn schedule_after(&self, n: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let size = self.tree_size;
+        (0..n.div_ceil(size)).flat_map(move |k| {
+            let base = k * size;
+            let held = index_to_usize((n - base).min(size));
+            (0..held).map(move |x| {
+                let length = match self.template.parent(x) {
+                    None => self.media_len,
+                    Some(p) => (2 * self.template.last_descendant(x).min(held - 1) - x - p) as u64,
+                };
+                (base + x as u64, length)
+            })
+        })
+    }
 }
 
 /// Where a slot's clients land in the on-line algorithm's static structure.
@@ -207,8 +234,9 @@ pub fn online_full_cost(media_len: u64, n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_core::{full_cost, validate_forest, ValidationOptions};
+    use sm_core::{full_cost, merge_cost, validate_forest, ValidationOptions};
     use sm_offline::forest::optimal_full_cost;
+    use sm_sim::ScheduleStream;
 
     #[test]
     fn tree_size_is_fh() {
@@ -320,7 +348,59 @@ mod tests {
         for w in alg.prefix_costs.windows(2) {
             assert!(w[0] <= w[1]);
         }
-        assert_eq!(*alg.prefix_costs.last().unwrap(), alg.template_cost);
+        let times = consecutive_slots(alg.template().len());
+        assert_eq!(
+            *alg.prefix_costs.last().unwrap(),
+            u64::try_from(merge_cost(alg.template(), &times)).unwrap()
+        );
+    }
+
+    /// The one-pass prefix costs equal the direct construction: cost each
+    /// truncated template `from_parents(&parents[..i])` on its own.
+    #[test]
+    fn one_pass_prefix_costs_match_costing_every_truncated_template() {
+        for l in 1..=400u64 {
+            let alg = DelayGuaranteedOnline::new(l);
+            let parents = alg.template().to_parents();
+            let mut direct = vec![0u64];
+            for i in 1..=parents.len() {
+                let truncated = MergeTree::from_parents(&parents[..i]).unwrap();
+                let cost = merge_cost(&truncated, &consecutive_slots(i));
+                direct.push(u64::try_from(cost).unwrap());
+            }
+            assert_eq!(alg.prefix_costs, direct, "L = {l}");
+        }
+    }
+
+    /// The stamped schedule equals `ScheduleStream` over the materialized
+    /// forest, node for node, for every media length up to 200 and every
+    /// truncation of the trailing tree behind 0, 1 and 2 full trees.
+    #[test]
+    fn stamped_schedule_matches_schedule_stream_over_the_forest() {
+        for l in 1..=200u64 {
+            let alg = DelayGuaranteedOnline::new(l);
+            let fh = alg.tree_size();
+            for full in 0..=2u64 {
+                for r in 0..fh {
+                    let n = full * fh + r;
+                    if n == 0 {
+                        continue;
+                    }
+                    let forest = alg.forest_after(index_to_usize(n));
+                    let times = consecutive_slots(index_to_usize(n));
+                    let expected: Vec<(u64, u64)> = ScheduleStream::new(&forest, &times, l)
+                        .unwrap()
+                        .flat_map(|tree| tree.specs)
+                        .map(|s| (s.start as u64, s.length as u64))
+                        .collect();
+                    let stamped: Vec<(u64, u64)> = alg.schedule_after(n).collect();
+                    assert_eq!(
+                        stamped, expected,
+                        "L = {l}, n = {n} ({full} full trees + {r})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

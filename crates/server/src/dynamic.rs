@@ -7,24 +7,28 @@
 //! same bandwidth budget. Nothing is torn down: streams committed under the
 //! old plan simply run to completion while the new plan's slot grids start
 //! — exactly what dynamic channel allocation means. The simulation here is
-//! *stream-exact*: every stream of every epoch is materialized from the
-//! Delay Guaranteed template (its Lemma-1 truncated length included) and
-//! binned on the minute grid, so the transition overlap is measured, not
-//! modeled.
+//! *stream-exact*: every stream of every epoch is stamped from the Delay
+//! Guaranteed template (its Lemma-1 truncated length included) and binned
+//! on the minute grid, so the transition overlap is measured, not modeled.
+//!
+//! The Delay Guaranteed algorithm makes no on-line decision, so no forest
+//! is built: [`DelayGuaranteedOnline::schedule_after`] reads each
+//! `(title, epoch)`'s streams straight off the template, and each run keeps
+//! one template per media length. A step of the server therefore costs
+//! about as much as the streams it emits.
 //!
 //! # The depth-K cross-epoch pipeline
 //!
 //! Epochs are processed by a two-stage pipeline built on
 //! [`sm_core::pipeline`]: a *planning* stage runs the weighted planner
-//! (including its parallel memo seeding) on its own thread while the
-//! *materialization* stage turns finished plans into exact stream
-//! intervals and bins them — per-title work inside each stage still shards
-//! across threads with [`sm_core::parallel_map`]. The bounded channel
-//! between the stages holds up to [`DynamicConfig::plan_ahead`] finished
-//! plans, so planning runs at most `K` epochs ahead of materialization —
-//! `K = 1` is the classic one-epoch overlap, larger `K` lets short
-//! planning stages batch ahead of a slow materialization without ever
-//! growing the backlog unboundedly.
+//! (whose memo seeding shards unseen media lengths across threads with
+//! [`sm_core::parallel_map`]) on its own thread while the
+//! *materialization* stage stamps finished plans into exact stream
+//! intervals and bins them. The bounded channel between the stages holds
+//! up to [`DynamicConfig::plan_ahead`] finished plans, so planning runs at
+//! most `K` epochs ahead of materialization — `K = 1` is the classic
+//! one-epoch overlap, larger `K` lets short planning stages batch ahead of
+//! a slow materialization without ever growing the backlog unboundedly.
 //!
 //! [`DynamicConfig::memo`] optionally threads a shared [`PlannerMemo`]
 //! through the planning stage: overlapping catalogs then pay for each
@@ -63,15 +67,16 @@
 //! assert_eq!(report.peak, seq.peak);
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
 use crate::catalog::Catalog;
 use crate::memo::PlannerMemo;
 use crate::planner::{plan_weighted, plan_weighted_with, DelayPlan};
-use sm_core::{consecutive_slots, parallel_map, pipeline};
+use sm_core::pipeline;
 use sm_online::delay_guaranteed::DelayGuaranteedOnline;
-use sm_sim::{BandwidthProfile, ScheduleStream, SimError};
+use sm_sim::{BandwidthProfile, SimError};
 
 /// Knobs of the dynamic simulation: how far the planning stage may run
 /// ahead of materialization, and whether the steady-state analyses are
@@ -176,8 +181,8 @@ pub struct EpochBreakdown {
     pub transition_peak: u64,
     /// Wall-clock milliseconds the planning stage spent on this epoch.
     pub plan_ms: f64,
-    /// Wall-clock milliseconds the materialization stage spent (stream
-    /// materialization and minute-grid binning).
+    /// Wall-clock milliseconds the materialization stage spent (stamping
+    /// the streams and binning them on the minute grid).
     pub materialize_ms: f64,
 }
 
@@ -279,8 +284,9 @@ pub enum DynamicError {
         /// First minute of the infeasible epoch.
         start_minute: u64,
     },
-    /// Materializing a title's schedule failed (in practice only reachable
-    /// through a media length overflowing the signed slot arithmetic).
+    /// Materializing a title's schedule failed: its media length does not
+    /// fit the signed slot arithmetic ([`SimError::MediaLenOverflow`]),
+    /// checked before any template is built.
     Schedule {
         /// Index into the `epochs` slice.
         epoch: usize,
@@ -376,45 +382,6 @@ fn epoch_jobs(
         .collect())
 }
 
-/// Materializes the exact stream intervals (in minutes) of one title served
-/// with delay `delay_minutes` over `[t0, t1)`. Streams started before `t1`
-/// run to their natural end (possibly past `t1`). The per-tree specs are
-/// pulled through [`ScheduleStream::next_into`] with one reused scratch
-/// buffer, so no flat whole-schedule vector is ever built.
-fn title_streams(
-    duration_minutes: f64,
-    delay_minutes: u64,
-    t0: u64,
-    t1: u64,
-) -> Result<Vec<(u64, u64)>, SimError> {
-    let d = delay_minutes;
-    let media_len = ((duration_minutes / d as f64).ceil() as u64).max(1);
-    let slots = ((t1 - t0) / d) as usize;
-    if slots == 0 {
-        // The epoch window is shorter than one delay slot: no stream of
-        // this title's grid starts inside it.
-        return Ok(Vec::new());
-    }
-    let alg = DelayGuaranteedOnline::new(media_len);
-    let forest = alg.forest_after(slots);
-    let times = consecutive_slots(slots);
-    let mut schedule = ScheduleStream::new(&forest, &times, media_len)?;
-    let mut specs = Vec::new();
-    // Size the sink from the stream's own contract (`remaining_arrivals`
-    // is exact — one spec per arrival) rather than from this call site's
-    // knowledge that `forest_after(slots)` covers `slots` arrivals: the
-    // pull loop stays allocation-exact even if the forest shape changes.
-    let mut out = Vec::with_capacity(schedule.remaining_arrivals());
-    while schedule.next_into(&mut specs).is_some() {
-        for s in &specs {
-            let start = t0 + s.start as u64 * d;
-            let end = start + s.length as u64 * d;
-            out.push((start, end));
-        }
-    }
-    Ok(out)
-}
-
 /// Plans one epoch: the pipeline's producer stage. With a memo the
 /// steady-state analyses are shared across epochs (and runs); without one
 /// each epoch plans against a fresh cache — either way the chosen plan is
@@ -439,76 +406,96 @@ fn plan_stage(
     Ok((plan, t.elapsed().as_secs_f64() * 1e3))
 }
 
-/// Materializes one planned epoch's streams: the pipeline's consumer stage.
-/// Titles are independent objects, so each title's exact intervals are
-/// computed on their own thread (`parallel_map` returns results in input
-/// order, and the first failing title in catalog order wins, so the outcome
-/// is bit-identical to a sequential run).
-fn materialize_stage(
+/// Run-local Delay Guaranteed templates keyed by media length: each spine
+/// builds a length's template once per run and stamps every
+/// `(title, epoch)` that needs it.
+type Templates = HashMap<u64, DelayGuaranteedOnline>;
+
+/// Stamps one planned epoch's streams: the pipeline's consumer stage. Each
+/// title's Delay Guaranteed schedule over the epoch's slots is read
+/// straight from its template and handed to `emit` as `(start, end)`
+/// minutes, titles in catalog order. Streams started before `job.t1` run
+/// to their natural end (possibly past it). The first title whose media
+/// length overflows the signed slot axis fails the epoch.
+fn stamp_epoch(
     catalog: &Catalog,
     plan: &DelayPlan,
     job: EpochJob,
-) -> Result<Vec<Vec<(u64, u64)>>, DynamicError> {
-    let jobs: Vec<(f64, u64)> = catalog
-        .titles()
-        .iter()
-        .zip(&plan.delays_minutes)
-        .map(|(title, &delay)| (title.duration_minutes, delay as u64))
-        .collect();
-    let per_title = parallel_map(&jobs, |&(duration, delay)| {
-        title_streams(duration, delay, job.t0, job.t1)
-    });
-    catalog
-        .titles()
-        .iter()
-        .zip(per_title)
-        .map(|(title, streams)| {
-            streams.map_err(|source| DynamicError::Schedule {
+    templates: &mut Templates,
+    mut emit: impl FnMut(u64, u64),
+) -> Result<(), DynamicError> {
+    for (title, &delay) in catalog.titles().iter().zip(&plan.delays_minutes) {
+        let d = delay as u64;
+        let slots = (job.t1 - job.t0) / d;
+        if slots == 0 {
+            // The epoch window is shorter than one delay slot: no stream of
+            // this title's grid starts inside it.
+            continue;
+        }
+        let media_len = title.media_len(delay);
+        if i64::try_from(media_len).is_err() {
+            return Err(DynamicError::Schedule {
                 epoch: job.epoch,
                 title: title.name.clone(),
-                source,
-            })
-        })
-        .collect()
+                source: SimError::MediaLenOverflow { media_len },
+            });
+        }
+        let template = templates
+            .entry(media_len)
+            .or_insert_with(|| DelayGuaranteedOnline::new(media_len));
+        // `for_each` drives the nested per-tree walk as plain loops.
+        template.schedule_after(slots).for_each(|(slot, length)| {
+            let start = job.t0 + slot * d;
+            emit(start, start + length * d);
+        });
+    }
+    Ok(())
 }
 
 /// Folds the binned horizon into the report: global and per-epoch
 /// steady/transition peaks. Transition windows last one longest-media
-/// length after each epoch switch (the first epoch has no predecessor,
-/// hence no transition of its own — but a short epoch can end inside the
-/// window its own switch opened, which then reaches into its successor).
+/// length (over every live epoch's catalog) after each epoch switch; the
+/// first epoch has no predecessor, hence no transition of its own. A short
+/// epoch can end inside the window its own switch opened, but that
+/// window's reach into the successor lies inside the successor's own,
+/// equally long window. So an epoch's transition minutes are exactly the
+/// first `longest_media` after its own start, and each epoch splits its
+/// window once: O(horizon + epochs).
 fn assemble_report(
     epochs: &[Epoch],
+    jobs: &[EpochJob],
     per_minute: Vec<u64>,
     epoch_plans: Vec<EpochPlan>,
     latencies: Vec<(f64, f64)>,
-    longest_media: u64,
 ) -> DynamicReport {
-    let in_transition = |m: u64| {
-        epochs[1..]
+    let longest_media = jobs
+        .iter()
+        .flat_map(|job| epochs[job.epoch].catalog.titles())
+        .map(|title| title.duration_minutes.ceil() as u64)
+        .max()
+        .unwrap_or(0);
+    let max_over = |lo: u64, hi: u64| {
+        per_minute[lo as usize..hi as usize]
             .iter()
-            .any(|e| m >= e.start_minute && m < e.start_minute + longest_media)
+            .copied()
+            .max()
+            .unwrap_or(0)
     };
     let per_epoch: Vec<EpochBreakdown> = epoch_plans
         .iter()
         .zip(latencies)
         .map(|(ep, (plan_ms, materialize_ms))| {
-            let mut peak = 0u64;
-            let mut steady = 0u64;
-            let mut transition = 0u64;
-            for m in ep.start_minute..ep.end_minute {
-                let c = per_minute[m as usize];
-                peak = peak.max(c);
-                if in_transition(m) {
-                    transition = transition.max(c);
-                } else {
-                    steady = steady.max(c);
-                }
-            }
+            // Only the first epoch starts at minute 0.
+            let split = match ep.start_minute {
+                0 => 0,
+                start => start.saturating_add(longest_media).min(ep.end_minute),
+            };
+            let transition = max_over(ep.start_minute, split);
+            let steady = max_over(split, ep.end_minute);
             EpochBreakdown {
                 start_minute: ep.start_minute,
                 end_minute: ep.end_minute,
-                peak,
+                peak: transition.max(steady),
                 steady_peak: steady,
                 transition_peak: transition,
                 plan_ms,
@@ -585,14 +572,14 @@ pub fn simulate_dynamic_with(
         });
     }
     let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes)?;
-    // The materialization stage bins each epoch's streams into a
-    // difference array as they arrive — O(streams + horizon) with no
-    // deferred interval buffer, and count-identical to the sequential
-    // spine's sort-based sparse profile.
+    // The materialization stage bins each stamped stream into a difference
+    // array as it is emitted — O(streams + horizon) with no interval
+    // buffer, and count-identical to the sequential spine's sort-based
+    // sparse profile.
     let mut diff = vec![0i64; horizon_minutes as usize + 1];
+    let mut templates = Templates::new();
     let mut epoch_plans: Vec<EpochPlan> = Vec::with_capacity(jobs.len());
     let mut latencies: Vec<(f64, f64)> = Vec::with_capacity(jobs.len());
-    let mut longest_media = 0u64;
 
     pipeline(
         jobs.len(),
@@ -610,18 +597,14 @@ pub fn simulate_dynamic_with(
             let job = jobs[k];
             let t = Instant::now();
             let catalog = &epochs[job.epoch].catalog;
-            let per_title = materialize_stage(catalog, &plan, job)?;
-            for (title, streams) in catalog.titles().iter().zip(per_title) {
-                longest_media = longest_media.max(title.duration_minutes.ceil() as u64);
-                for (s, e) in streams {
-                    let lo = s.min(horizon_minutes) as usize;
-                    let hi = e.min(horizon_minutes) as usize;
-                    if lo < hi {
-                        diff[lo] += 1;
-                        diff[hi] -= 1;
-                    }
+            stamp_epoch(catalog, &plan, job, &mut templates, |s, e| {
+                let lo = s.min(horizon_minutes) as usize;
+                let hi = e.min(horizon_minutes) as usize;
+                if lo < hi {
+                    diff[lo] += 1;
+                    diff[hi] -= 1;
                 }
-            }
+            })?;
             epoch_plans.push(EpochPlan {
                 start_minute: job.t0,
                 end_minute: job.t1,
@@ -642,10 +625,10 @@ pub fn simulate_dynamic_with(
         .collect();
     Ok(assemble_report(
         epochs,
+        &jobs,
         per_minute,
         epoch_plans,
         latencies,
-        longest_media,
     ))
 }
 
@@ -689,9 +672,9 @@ pub fn simulate_dynamic_sequential_with(
 ) -> Result<DynamicReport, DynamicError> {
     let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes)?;
     let mut intervals: Vec<(i64, i64)> = Vec::new();
+    let mut templates = Templates::new();
     let mut epoch_plans: Vec<EpochPlan> = Vec::with_capacity(jobs.len());
     let mut latencies: Vec<(f64, f64)> = Vec::with_capacity(jobs.len());
-    let mut longest_media = 0u64;
 
     for &job in &jobs {
         let (plan, plan_ms) = plan_stage(
@@ -703,13 +686,9 @@ pub fn simulate_dynamic_sequential_with(
         )?;
         let t = Instant::now();
         let catalog = &epochs[job.epoch].catalog;
-        let per_title = materialize_stage(catalog, &plan, job)?;
-        for (title, streams) in catalog.titles().iter().zip(per_title) {
-            longest_media = longest_media.max(title.duration_minutes.ceil() as u64);
-            for (s, e) in streams {
-                intervals.push((s.min(horizon_minutes) as i64, e.min(horizon_minutes) as i64));
-            }
-        }
+        stamp_epoch(catalog, &plan, job, &mut templates, |s, e| {
+            intervals.push((s.min(horizon_minutes) as i64, e.min(horizon_minutes) as i64));
+        })?;
         epoch_plans.push(EpochPlan {
             start_minute: job.t0,
             end_minute: job.t1,
@@ -726,10 +705,10 @@ pub fn simulate_dynamic_sequential_with(
         .collect();
     Ok(assemble_report(
         epochs,
+        &jobs,
         per_minute,
         epoch_plans,
         latencies,
-        longest_media,
     ))
 }
 

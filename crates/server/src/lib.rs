@@ -31,16 +31,19 @@
 //!
 //! Titles are independent objects, so the expensive per-title work —
 //! steady-state capacity analyses in [`planner`], periodic profiles in
-//! [`admission`], exact stream materialization in [`dynamic`] — is sharded
-//! across threads with [`sm_core::parallel_map`]. Results are collected in
-//! input order, so every report is bit-identical to a sequential run. On
-//! top of that sharding, [`dynamic`] pipelines *across* epochs with
+//! [`admission`] — is sharded across threads with
+//! [`sm_core::parallel_map`]. Results are collected in input order, so
+//! every report is bit-identical to a sequential run. The analyses
+//! themselves are cached in a [`memo::PlannerMemo`] — a shared cross-epoch
+//! (and cross-run) handle that pays for each distinct media length once —
+//! and the greedy planner reads them into a peak table instead of
+//! rebuilding its plan per step. [`dynamic`] pipelines *across* epochs with
 //! [`sm_core::pipeline`]: planning runs up to
 //! [`DynamicConfig::plan_ahead`](dynamic::DynamicConfig) epochs ahead of
-//! materialization, with [`dynamic::simulate_dynamic_sequential`] kept as
-//! the bit-identical reference spine. The analyses themselves are cached
-//! in a [`memo::PlannerMemo`] — a shared cross-epoch (and cross-run)
-//! handle that pays for each distinct media length once.
+//! materialization, which stamps each title's streams straight from a
+//! run-local Delay Guaranteed template (no forest, no threads), with
+//! [`dynamic::simulate_dynamic_sequential`] kept as the bit-identical
+//! reference spine.
 //!
 //! # Example
 //!

@@ -18,7 +18,10 @@
 //! [`PlannerMemo`]: the bulk seeding stage shards the *unseen* lengths
 //! across threads with [`sm_core::parallel_map`] before the (cheap,
 //! sequential) greedy runs, so large catalogs plan in parallel with
-//! bit-identical results. [`plan_weighted`] uses a fresh memo per call;
+//! bit-identical results. The greedy then reads the seeded peaks once into
+//! a titles × candidates table and keeps a running total, so a relaxation
+//! step is one scan of the titles and the plan is built once, at the end.
+//! [`plan_weighted`] uses a fresh memo per call;
 //! [`plan_weighted_with`] threads a caller-owned memo through, so repeated
 //! plans — the dynamic server re-planning overlapping catalogs every epoch
 //! — pay for each distinct media length once per memo lifetime. In the
@@ -61,9 +64,9 @@ fn build_plan(
     catalog: &Catalog,
     candidates: &[f64],
     choice: &[usize],
+    probs: &[f64],
     memo: &PlannerMemo,
 ) -> DelayPlan {
-    let probs = catalog.probabilities();
     let mut delays = Vec::with_capacity(choice.len());
     let mut peaks = Vec::with_capacity(choice.len());
     let mut expected_delay = 0.0;
@@ -119,6 +122,8 @@ pub fn plan_weighted_with(
         "candidate delays must be strictly ascending"
     );
     let probs = catalog.probabilities();
+    let titles = catalog.titles();
+    let smallest = candidates_minutes[0];
     // The per-length steady-state analyses are independent, so the memo's
     // seeding stage shards the distinct *unseen* ones across threads
     // (order-preserving — the chosen plan is identical to a sequential
@@ -126,47 +131,50 @@ pub fn plan_weighted_with(
     // the smallest-delay lengths are analyzed up front; the full
     // |titles| × |candidates| cross product is precomputed just before the
     // greedy starts relaxing, when most of it will be queried anyway.
-    memo.seed_peaks(
-        catalog
-            .titles()
+    memo.seed_peaks(titles.iter().map(|t| t.media_len(smallest)).collect());
+    let mut choice = vec![0usize; titles.len()];
+    let mut total: u64 = titles
+        .iter()
+        .map(|t| u64::from(memo.peak(t.media_len(smallest))))
+        .sum();
+    if total > budget_streams {
+        let lens: Vec<u64> = titles
             .iter()
-            .map(|t| t.media_len(candidates_minutes[0]))
-            .collect(),
-    );
-    let mut choice = vec![0usize; catalog.len()];
-    let mut plan = build_plan(catalog, candidates_minutes, &choice, memo);
-    if plan.total_peak > budget_streams {
-        memo.seed_peaks(
-            catalog
-                .titles()
-                .iter()
-                .flat_map(|t| candidates_minutes.iter().map(|&d| t.media_len(d)))
-                .collect(),
-        );
-    }
-    while plan.total_peak > budget_streams {
-        // Candidate moves: advance one title to its next larger delay.
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..choice.len() {
-            if choice[i] + 1 >= candidates_minutes.len() {
-                continue;
+            .flat_map(|t| candidates_minutes.iter().map(|&d| t.media_len(d)))
+            .collect();
+        memo.seed_peaks(lens.clone());
+        // The greedy reads this titles × candidates peak table (title-major)
+        // and keeps a running total, so a relaxation step is one scan of
+        // the titles; the plan itself is built once, at the end.
+        let table: Vec<u32> = lens.iter().map(|&l| memo.peak(l)).collect();
+        let c = candidates_minutes.len();
+        while total > budget_streams {
+            // Candidate moves: advance one title to its next larger delay.
+            let mut best: Option<(usize, f64)> = None;
+            for (i, &k) in choice.iter().enumerate() {
+                if k + 1 >= c {
+                    continue;
+                }
+                let saved = table[i * c + k].saturating_sub(table[i * c + k + 1]) as f64;
+                let pain = probs[i] * (candidates_minutes[k + 1] - candidates_minutes[k]);
+                let ratio = saved / pain;
+                if best.map(|(_, r)| ratio > r).unwrap_or(true) {
+                    best = Some((i, ratio));
+                }
             }
-            let cur_peak = memo.peak(catalog.titles()[i].media_len(candidates_minutes[choice[i]]));
-            let next_peak =
-                memo.peak(catalog.titles()[i].media_len(candidates_minutes[choice[i] + 1]));
-            let saved = cur_peak.saturating_sub(next_peak) as f64;
-            let pain =
-                probs[i] * (candidates_minutes[choice[i] + 1] - candidates_minutes[choice[i]]);
-            let ratio = saved / pain;
-            if best.map(|(_, r)| ratio > r).unwrap_or(true) {
-                best = Some((i, ratio));
-            }
+            let (i, _) = best?; // no move left: budget unreachable
+            let k = choice[i];
+            total = total - u64::from(table[i * c + k]) + u64::from(table[i * c + k + 1]);
+            choice[i] = k + 1;
         }
-        let (i, _) = best?; // no move left: budget unreachable
-        choice[i] += 1;
-        plan = build_plan(catalog, candidates_minutes, &choice, memo);
     }
-    Some(plan)
+    Some(build_plan(
+        catalog,
+        candidates_minutes,
+        &choice,
+        &probs,
+        memo,
+    ))
 }
 
 /// Exhaustive optimal planner for small instances (`candidates^titles`
@@ -184,10 +192,11 @@ pub fn brute_force_plan(
     let space = (c as u128).checked_pow(k as u32).expect("space overflow");
     assert!(space <= 1_000_000, "brute force space too large: {space}");
     let memo = PlannerMemo::new();
+    let probs = catalog.probabilities();
     let mut best: Option<DelayPlan> = None;
     let mut choice = vec![0usize; k];
     loop {
-        let plan = build_plan(catalog, candidates_minutes, &choice, &memo);
+        let plan = build_plan(catalog, candidates_minutes, &choice, &probs, &memo);
         if plan.total_peak <= budget_streams
             && best
                 .as_ref()
@@ -216,7 +225,133 @@ pub fn brute_force_plan(
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, Title};
+    use proptest::prelude::*;
     use sm_online::capacity::steady_state_bandwidth;
+
+    /// The greedy without a peak table: it rebuilds the whole plan,
+    /// reading every title's peak from the memo, after each relaxation
+    /// step. The table-driven planner is pinned against it.
+    fn rebuilding_greedy(
+        catalog: &Catalog,
+        budget_streams: u64,
+        candidates_minutes: &[f64],
+        memo: &PlannerMemo,
+    ) -> Option<DelayPlan> {
+        let probs = catalog.probabilities();
+        memo.seed_peaks(
+            catalog
+                .titles()
+                .iter()
+                .map(|t| t.media_len(candidates_minutes[0]))
+                .collect(),
+        );
+        let mut choice = vec![0usize; catalog.len()];
+        let mut plan = build_plan(catalog, candidates_minutes, &choice, &probs, memo);
+        if plan.total_peak > budget_streams {
+            memo.seed_peaks(
+                catalog
+                    .titles()
+                    .iter()
+                    .flat_map(|t| candidates_minutes.iter().map(|&d| t.media_len(d)))
+                    .collect(),
+            );
+        }
+        while plan.total_peak > budget_streams {
+            let mut best: Option<(usize, f64)> = None;
+            for i in 0..choice.len() {
+                if choice[i] + 1 >= candidates_minutes.len() {
+                    continue;
+                }
+                let title = &catalog.titles()[i];
+                let cur_peak = memo.peak(title.media_len(candidates_minutes[choice[i]]));
+                let next_peak = memo.peak(title.media_len(candidates_minutes[choice[i] + 1]));
+                let saved = cur_peak.saturating_sub(next_peak) as f64;
+                let pain =
+                    probs[i] * (candidates_minutes[choice[i] + 1] - candidates_minutes[choice[i]]);
+                let ratio = saved / pain;
+                if best.map(|(_, r)| ratio > r).unwrap_or(true) {
+                    best = Some((i, ratio));
+                }
+            }
+            let (i, _) = best?;
+            choice[i] += 1;
+            plan = build_plan(catalog, candidates_minutes, &choice, &probs, memo);
+        }
+        Some(plan)
+    }
+
+    /// The catalogs of `tests/proptests.rs`: 1–4 titles of 30–180 minutes.
+    fn arb_catalog() -> impl Strategy<Value = Catalog> {
+        proptest::collection::vec((30.0f64..=180.0, 0.1f64..=10.0), 1..=4).prop_map(|specs| {
+            Catalog::new(
+                specs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (dur, w))| Title {
+                        name: format!("t{i}"),
+                        duration_minutes: dur,
+                        weight: w,
+                    })
+                    .collect(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The table-driven greedy chooses the rebuilding greedy's plan,
+        /// floats included, and analyzes exactly as many media lengths:
+        /// for budgets from 1 (infeasible) to `u64::MAX`, each with fresh
+        /// memos and with one memo per planner shared across all cases.
+        /// Half the cases flatten the weights and round the durations to
+        /// half hours, so equal ratios tie and the tie-break is pinned too.
+        #[test]
+        fn peak_table_greedy_matches_the_rebuilding_greedy(
+            catalog in arb_catalog(),
+            cut in 0.0f64..=1.0,
+            tied in 0u8..2,
+        ) {
+            static SHARED: std::sync::OnceLock<(PlannerMemo, PlannerMemo)> =
+                std::sync::OnceLock::new();
+            let (table_memo, rebuild_memo) = SHARED.get_or_init(Default::default);
+            let catalog = if tied == 1 {
+                Catalog::new(
+                    catalog
+                        .titles()
+                        .iter()
+                        .map(|t| Title {
+                            name: t.name.clone(),
+                            duration_minutes: (t.duration_minutes / 30.0).round() * 30.0,
+                            weight: 1.0,
+                        })
+                        .collect(),
+                )
+            } else {
+                catalog
+            };
+            let cands = [1.0, 2.0, 4.0, 8.0, 16.0];
+            let full = plan_weighted(&catalog, u64::MAX, &cands).unwrap().total_peak;
+            let budgets = [
+                1,
+                full / 4,
+                full / 2,
+                (full as f64 * cut) as u64,
+                full - 1,
+                full,
+                u64::MAX,
+            ];
+            for budget in budgets {
+                let fresh = (PlannerMemo::new(), PlannerMemo::new());
+                for (ours, theirs) in [(&fresh.0, &fresh.1), (table_memo, rebuild_memo)] {
+                    let got = plan_weighted_with(&catalog, budget, &cands, ours);
+                    let want = rebuilding_greedy(&catalog, budget, &cands, theirs);
+                    prop_assert_eq!(got, want, "budget {}", budget);
+                    prop_assert_eq!(ours.misses(), theirs.misses(), "budget {}", budget);
+                }
+            }
+        }
+    }
 
     fn small_catalog() -> Catalog {
         Catalog::new(vec![

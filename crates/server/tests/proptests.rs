@@ -3,11 +3,14 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sm_core::consecutive_slots;
+use sm_online::DelayGuaranteedOnline;
 use sm_server::{
     plan_weighted, simulate_dynamic, simulate_dynamic_sequential, simulate_dynamic_sequential_with,
     simulate_dynamic_with, simulate_requests, Catalog, DynamicConfig, DynamicError, DynamicReport,
-    Epoch, PlannerMemo, Title, Zipf,
+    Epoch, EpochBreakdown, EpochPlan, PlannerMemo, Title, Zipf,
 };
+use sm_sim::ScheduleStream;
 
 fn arb_catalog() -> impl Strategy<Value = Catalog> {
     proptest::collection::vec((30.0f64..=180.0, 0.1f64..=10.0), 1..=4).prop_map(|specs| {
@@ -88,8 +91,130 @@ fn assert_outcomes_identical(
     }
 }
 
+/// Test-side reference for the dynamic server that shares no schedule or
+/// peak code with it: each live epoch plans with `plan_weighted`; each
+/// `(title, epoch)` materializes its Delay Guaranteed forest with
+/// `forest_after` and walks it with `ScheduleStream`; every stream adds one
+/// to each minute it covers; and each minute asks every switch whether its
+/// transition window covers it.
+fn forest_materializing_reference(
+    epochs: &[Epoch],
+    budget: u64,
+    cands: &[f64],
+    horizon: u64,
+) -> Result<DynamicReport, DynamicError> {
+    let mut per_minute = vec![0u64; horizon as usize];
+    let mut epoch_plans = Vec::new();
+    let mut longest_media = 0u64;
+    for (i, epoch) in epochs.iter().enumerate() {
+        let t0 = epoch.start_minute;
+        let t1 = epochs
+            .get(i + 1)
+            .map_or(horizon, |e| e.start_minute)
+            .min(horizon);
+        if t0 >= t1 {
+            continue;
+        }
+        let plan =
+            plan_weighted(&epoch.catalog, budget, cands).ok_or(DynamicError::Infeasible {
+                epoch: i,
+                start_minute: t0,
+            })?;
+        for (title, &delay) in epoch.catalog.titles().iter().zip(&plan.delays_minutes) {
+            longest_media = longest_media.max(title.duration_minutes.ceil() as u64);
+            let d = delay as u64;
+            let slots = ((t1 - t0) / d) as usize;
+            if slots == 0 {
+                continue;
+            }
+            let media_len = title.media_len(delay);
+            let forest = DelayGuaranteedOnline::new(media_len).forest_after(slots);
+            let times = consecutive_slots(slots);
+            for tree in ScheduleStream::new(&forest, &times, media_len).unwrap() {
+                for spec in tree.specs {
+                    let start = t0 + spec.start as u64 * d;
+                    let end = start + spec.length as u64 * d;
+                    for m in start..end.min(horizon) {
+                        per_minute[m as usize] += 1;
+                    }
+                }
+            }
+        }
+        epoch_plans.push(EpochPlan {
+            start_minute: t0,
+            end_minute: t1,
+            plan,
+        });
+    }
+    let in_transition = |m: u64| {
+        epochs[1..]
+            .iter()
+            .any(|e| m >= e.start_minute && m < e.start_minute + longest_media)
+    };
+    // (peak, steady, transition) over the minutes `range`.
+    let peaks = |range: std::ops::Range<u64>| {
+        range.fold((0, 0, 0), |(peak, steady, transition), m| {
+            let c = per_minute[m as usize];
+            if in_transition(m) {
+                (peak.max(c), steady, transition.max(c))
+            } else {
+                (peak.max(c), steady.max(c), transition)
+            }
+        })
+    };
+    let per_epoch = epoch_plans
+        .iter()
+        .map(|ep| {
+            let (peak, steady_peak, transition_peak) = peaks(ep.start_minute..ep.end_minute);
+            EpochBreakdown {
+                start_minute: ep.start_minute,
+                end_minute: ep.end_minute,
+                peak,
+                steady_peak,
+                transition_peak,
+                plan_ms: 0.0,
+                materialize_ms: 0.0,
+            }
+        })
+        .collect();
+    let (peak, steady_peak, transition_peak) = peaks(0..horizon);
+    Ok(DynamicReport {
+        per_minute,
+        peak,
+        steady_peak,
+        transition_peak,
+        epoch_plans,
+        per_epoch,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The stamped server is pinned against the forest-materializing
+    /// reference, which shares no schedule or peak code with it: every
+    /// deterministic report field and every typed error, at plan-ahead
+    /// depths 1 and 2, with and without a memo shared across cases.
+    #[test]
+    fn stamped_dynamic_matches_forest_materializing_reference(
+        (epochs, budget, horizon) in arb_dynamic_scenario(),
+    ) {
+        static SHARED: std::sync::OnceLock<PlannerMemo> = std::sync::OnceLock::new();
+        let cands = [1.0, 2.0, 4.0, 8.0, 16.0];
+        let reference = forest_materializing_reference(&epochs, budget, &cands, horizon);
+        let shared = SHARED.get_or_init(PlannerMemo::new).clone();
+        for plan_ahead in [1usize, 2] {
+            for memo in [None, Some(shared.clone())] {
+                let label = format!(
+                    "pipelined K = {plan_ahead}, memo = {}",
+                    if memo.is_some() { "shared" } else { "none" }
+                );
+                let config = DynamicConfig { plan_ahead, memo };
+                let got = simulate_dynamic_with(&epochs, budget, &cands, horizon, &config);
+                assert_outcomes_identical(&label, &got, &reference);
+            }
+        }
+    }
 
     /// The pipelined dynamic spine is bit-identical to the sequential
     /// reference on arbitrary multi-epoch catalogs — growing, shrinking,

@@ -63,10 +63,8 @@ impl TreeSchedule {
 ///
 /// Yields one [`TreeSchedule`] per tree, in forest order, deriving each
 /// tree's Lemma-1 stream lengths only when the tree is pulled — the whole
-/// forest is never materialized at once, so a consumer that walks many
-/// schedules back to back (the dynamic server materializing one schedule
-/// per `(title, epoch)` through [`next_into`](Self::next_into)) holds one
-/// tree's specs at a time instead of `O(arrivals)`.
+/// forest is never materialized at once, so a consumer holds one tree's
+/// specs at a time instead of `O(arrivals)`.
 ///
 /// Construction fails with [`SimError::MediaLenOverflow`] when `media_len`
 /// does not fit the signed slot arithmetic; iteration itself is infallible.
@@ -107,24 +105,10 @@ impl<'a> ScheduleStream<'a> {
         self.forest.num_trees() - self.next_tree
     }
 
-    /// Number of arrivals (equivalently, stream specs) the remaining walk
-    /// will yield — exact, since every arrival carries exactly one stream.
-    /// The sibling of [`remaining_trees`](Self::remaining_trees) at arrival
-    /// granularity: consumers that flatten many schedules back to back (the
-    /// dynamic server's materializer draining a depth-K backlog of planned
-    /// epochs) use it to pre-size their spec sinks from the stream's own
-    /// contract instead of re-deriving the count from the forest they built.
-    pub fn remaining_arrivals(&self) -> usize {
-        self.forest.total_arrivals() - self.base
-    }
-
-    /// Allocation-reusing form of `next`: writes the next tree's specs into
-    /// `specs` (cleared first, capacity kept) and returns the tree's base
-    /// arrival index, or `None` when the stream is exhausted. Consumers that
-    /// walk many schedules back to back — the dynamic server materializes
-    /// one schedule per `(title, epoch)` — reuse one scratch buffer across
-    /// all trees instead of allocating a `Vec` per tree.
-    pub fn next_into(&mut self, specs: &mut Vec<StreamSpec>) -> Option<usize> {
+    /// Writes the next tree's specs into `specs` (cleared first, capacity
+    /// kept) and returns the tree's base arrival index, or `None` when the
+    /// stream is exhausted.
+    fn next_into(&mut self, specs: &mut Vec<StreamSpec>) -> Option<usize> {
         let tree = self.forest.trees().get(self.next_tree)?;
         let base = self.base;
         let local_times = &self.times[base..base + tree.len()];
@@ -257,15 +241,9 @@ mod tests {
         let times = consecutive_slots(6);
         let mut stream = ScheduleStream::new(&forest, &times, 10).unwrap();
         assert_eq!(stream.remaining_trees(), 2);
-        assert_eq!(stream.remaining_arrivals(), 6);
         let first = stream.next().unwrap();
         assert_eq!((first.tree, first.base, first.len()), (0, 0, 3));
         assert_eq!(stream.remaining_trees(), 1);
-        assert_eq!(
-            stream.remaining_arrivals(),
-            3,
-            "one pulled tree's arrivals leave the remaining count"
-        );
         let second = stream.next().unwrap();
         assert_eq!((second.tree, second.base, second.len()), (1, 3, 3));
         assert!(stream.next().is_none());
@@ -316,7 +294,6 @@ mod tests {
         let forest = MergeForest::empty();
         let mut stream = ScheduleStream::new(&forest, &[], 10).unwrap();
         assert_eq!(stream.remaining_trees(), 0);
-        assert_eq!(stream.remaining_arrivals(), 0);
         let mut scratch = vec![StreamSpec {
             node: 9,
             start: 9,
@@ -325,13 +302,12 @@ mod tests {
         assert!(stream.next_into(&mut scratch).is_none());
         assert_eq!(scratch.len(), 1, "an exhausted stream must not clear");
         assert!(stream.next().is_none());
-        assert_eq!(stream.remaining_arrivals(), 0);
     }
 
     #[test]
     fn single_client_trees_count_down_one_arrival_at_a_time() {
-        // A forest of singletons: every tree is one full stream; the two
-        // remaining-counters stay in lockstep at every pull.
+        // A forest of singletons: every tree is one full stream, and each
+        // pull takes one tree off the remaining count.
         let n = 5usize;
         let forest = MergeForest::from_trees(vec![MergeTree::singleton(); n]).unwrap();
         let times: Vec<i64> = (0..n as i64).map(|i| i * 7).collect();
@@ -339,7 +315,6 @@ mod tests {
         let mut specs = Vec::new();
         for (k, &time) in times.iter().enumerate() {
             assert_eq!(stream.remaining_trees(), n - k);
-            assert_eq!(stream.remaining_arrivals(), n - k);
             assert_eq!(stream.next_into(&mut specs), Some(k));
             assert_eq!(
                 specs,
@@ -351,7 +326,7 @@ mod tests {
                 "a singleton tree is exactly its root's full stream"
             );
         }
-        assert_eq!(stream.remaining_arrivals(), 0);
+        assert_eq!(stream.remaining_trees(), 0);
         assert!(stream.next_into(&mut specs).is_none());
     }
 
@@ -364,12 +339,10 @@ mod tests {
         let tree = MergeTree::from_parents(&[None, Some(0)]).unwrap();
         let forest = MergeForest::single(tree);
         let mut stream = ScheduleStream::new(&forest, &[3, 3], 1).unwrap();
-        assert_eq!(stream.remaining_arrivals(), 2);
         let t = stream.next().unwrap();
         assert_eq!(t.specs[0].length, 1);
         assert_eq!(t.specs[1].length, 0);
         assert_eq!(t.total_units(), 1);
-        assert_eq!(stream.remaining_arrivals(), 0);
         assert_eq!(stream.remaining_trees(), 0);
     }
 
