@@ -43,8 +43,8 @@ pub enum ModelError {
     TooManyConcurrentStreams { time: i64, count: usize },
     /// Forests must tile the arrival sequence left to right.
     ForestNotContiguous { tree: usize },
-    /// A tree outgrew the `u32` index space of the arena representation
-    /// (one label is reserved as the "no node" sentinel).
+    /// A tree outgrew the `u32` node labels of the engines' parent columns
+    /// (at most `u32::MAX` nodes per tree).
     NodeLimitExceeded { nodes: usize },
 }
 
@@ -106,10 +106,9 @@ impl fmt::Display for ModelError {
                 f,
                 "forest tree {tree} does not start where the previous tree ended"
             ),
-            Self::NodeLimitExceeded { nodes } => write!(
-                f,
-                "tree of {nodes} arrivals exceeds the arena's u32 index space"
-            ),
+            Self::NodeLimitExceeded { nodes } => {
+                write!(f, "tree of {nodes} arrivals exceeds the u32 node labels")
+            }
         }
     }
 }

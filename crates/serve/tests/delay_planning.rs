@@ -18,15 +18,28 @@
 //!   same reference audits that at most `budget` root windows `[s, s+L)`
 //!   are live, so the pinned real loop never runs more full-length
 //!   streams than the budget allows.
+//! * Every served client's report is the dense oracle's: the same
+//!   reference records each title's engine pushes, folds them into a
+//!   forest, and replays it through the slot-stepped engine, which shares
+//!   no code with the incremental one — so the joiners batched under a
+//!   group head (co-arrivals that copy its report) are pinned on served
+//!   traffic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use proptest::prelude::*;
-use sm_core::merge_runs;
+use sm_core::{merge_runs, MergeForest, MergeTree};
 use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
-use sm_serve::{serve_multi, DelayStats, MultiServeConfig, PolicyKind, PolicySwap, TitleConfig};
-use sm_sim::{Attach, IncrementalEngine, IncrementalSummary, SimConfig};
+use sm_serve::{
+    serve_multi, serve_multi_with, DelayStats, MultiServeConfig, PolicyKind, PolicySwap,
+    TitleConfig,
+};
+use sm_server::PlannerMemo;
+use sm_sim::{
+    simulate_with, Attach, ClientReport, IncrementalEngine, IncrementalSummary, SimConfig,
+};
 use sm_workload::{ArrivalProcess, PoissonProcess};
 
 /// The serve loop's per-(batch, title) seed mixers.
@@ -115,11 +128,13 @@ struct RefTitle {
     /// Pending group: (service slot, engine time, head).
     cur: Option<(i64, i64, usize)>,
     delays: Vec<u64>,
+    /// Every engine push, in order.
+    pushes: Vec<(i64, Attach)>,
 }
 
 /// What the reference computes per title: the engine summary, the group
-/// count, and every arrival's planned delay.
-type RefOutcome = (IncrementalSummary, usize, Vec<u64>);
+/// count, every arrival's planned delay, and every engine push.
+type RefOutcome = (IncrementalSummary, usize, Vec<u64>, Vec<(i64, Attach)>);
 
 /// The multi-title ingest loop as it was before it dropped closed trees'
 /// group heads: the producer's traffic and the license-chain planner
@@ -171,6 +186,7 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
             slot_reps: Vec::new(),
             cur: None,
             delays: Vec::new(),
+            pushes: Vec::new(),
         })
         .collect();
     let mut chains: BinaryHeap<Reverse<i64>> = BinaryHeap::new();
@@ -184,6 +200,7 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
             if slot <= service {
                 st.delays.push((service - slot) as u64);
                 st.engine.push(time, Attach::Under(head), |_| {}).unwrap();
+                st.pushes.push((time, Attach::Under(head)));
                 continue;
             }
         }
@@ -237,6 +254,7 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
         };
         let global = st.engine.arrivals();
         st.engine.push(time, attach, |_| {}).unwrap();
+        st.pushes.push((time, attach));
         st.last_engine_time = time;
         st.slot_reps.push(global);
         st.cur = Some((s, time, global));
@@ -245,16 +263,54 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
         .into_iter()
         .map(|st| {
             let groups = st.slot_reps.len();
-            (st.engine.finish(|_| {}).unwrap(), groups, st.delays)
+            (
+                st.engine.finish(|_| {}).unwrap(),
+                groups,
+                st.delays,
+                st.pushes,
+            )
         })
         .collect()
 }
 
-/// A title with an arbitrary starting policy and, two times in three, a
-/// swap at an arbitrary (usually mid-tree) group count — to the other
-/// policy or to a fresh copy of the same one.
-fn arb_title() -> impl Strategy<Value = TitleConfig> {
-    (4u64..80, 0.3f64..4.0, 0u8..2, 0u8..3, 1usize..90).prop_map(
+/// Replays one title's engine pushes through the dense oracle: each
+/// `Root` opens a tree, each `Under` adds a node under a node of the tree
+/// last opened.
+fn dense_replay(title: &TitleConfig, pushes: &[(i64, Attach)]) -> Vec<ClientReport> {
+    let mut trees: Vec<Vec<Option<usize>>> = Vec::new();
+    let mut base = 0;
+    for (global, &(_, attach)) in pushes.iter().enumerate() {
+        match attach {
+            Attach::Root => {
+                base = global;
+                trees.push(vec![None]);
+            }
+            Attach::Under(parent) => trees.last_mut().unwrap().push(Some(parent - base)),
+        }
+    }
+    if trees.is_empty() {
+        return Vec::new();
+    }
+    let trees = trees
+        .iter()
+        .map(|parents| MergeTree::from_parents(parents).unwrap())
+        .collect();
+    let forest = MergeForest::from_trees(trees).unwrap();
+    let times: Vec<i64> = pushes.iter().map(|&(time, _)| time).collect();
+    let config = SimConfig {
+        buffer_bound: title.buffer_bound,
+        ..SimConfig::dense()
+    };
+    simulate_with(&forest, &times, title.media_len, config)
+        .unwrap()
+        .clients
+}
+
+/// A title of media length in `media`, with an arbitrary starting policy
+/// and, two times in three, a swap at an arbitrary (usually mid-tree)
+/// group count — to the other policy or to a fresh copy of the same one.
+fn arb_title(media: Range<u64>) -> impl Strategy<Value = TitleConfig> {
+    (media, 0.3f64..4.0, 0u8..2, 0u8..3, 1usize..90).prop_map(
         |(media_len, mean, from, swap, after_groups)| {
             let kind = |x: u8| {
                 if x == 0 {
@@ -287,7 +343,7 @@ proptest! {
 
     #[test]
     fn open_tree_heads_match_the_whole_run_table(
-        titles in proptest::collection::vec(arb_title(), 1..=3),
+        titles in proptest::collection::vec(arb_title(4..80), 1..=3),
         budget in 0usize..5,
         horizon in 40.0f64..400.0,
         seed in 0u64..1000,
@@ -301,7 +357,7 @@ proptest! {
         let reference = whole_run_reference(&config);
         prop_assert_eq!(report.titles.len(), reference.len());
         let mut all = Vec::new();
-        for (title, (summary, groups, delays)) in report.titles.iter().zip(reference) {
+        for (title, (summary, groups, delays, _)) in report.titles.iter().zip(reference) {
             prop_assert_eq!(&title.summary, &summary);
             prop_assert_eq!(title.groups, groups);
             prop_assert_eq!(title.generated, delays.len());
@@ -310,6 +366,26 @@ proptest! {
         }
         prop_assert_eq!(report.generated, all.len());
         prop_assert_eq!(report.delay, delay_stats(all));
+    }
+
+    #[test]
+    fn served_reports_match_the_dense_replay_of_the_engine_pushes(
+        titles in proptest::collection::vec(arb_title(4..40), 1..=3),
+        budget in 0usize..5,
+        horizon in 40.0f64..150.0,
+        seed in 0u64..1000,
+    ) {
+        let config = MultiServeConfig {
+            seed,
+            budget: (budget > 0).then_some(budget),
+            ..MultiServeConfig::new(titles, horizon)
+        };
+        let mut served = vec![Vec::new(); config.titles.len()];
+        serve_multi_with(&config, &PlannerMemo::new(), |title, r| served[title].push(r)).unwrap();
+        let reference = whole_run_reference(&config);
+        for ((title, got), (_, _, _, pushes)) in config.titles.iter().zip(served).zip(reference) {
+            prop_assert_eq!(got, dense_replay(title, &pushes));
+        }
     }
 }
 

@@ -16,16 +16,17 @@
 //!   closing tree's starts merge in as a sorted run.
 //! * **Unsorted arrivals** (sibling order need not follow time order) take
 //!   an eager fallback here that materializes the schedule and every
-//!   tree's [`TreeArena`] and sorts the start and deadline sources; results
-//!   are identical either way.
+//!   tree's `u32` parent column and sorts the start and deadline sources;
+//!   results are identical either way.
 //!
 //! Both drivers evaluate clients with the same allocation-free code path:
-//! all per-client state — the receiving program in struct-of-arrays form
-//! and the sweep buffers — lives in a single `EngineScratch` reused across
-//! every client of the run. The pointer-based `MergeTree`/`ReceivingProgram`
-//! stay the validated constructors; the [`dense`](super::dense) oracle keeps
-//! using them directly so the arena lowering itself is cross-checked by
-//! equivalence.
+//! one walk from the client up its tree's parent column derives, verifies
+//! and checks every segment of its receiving program, pushing the receive
+//! intervals into the sweep buffers of a single `EngineScratch` reused
+//! across every client of the run. The pointer-based
+//! `MergeTree`/`ReceivingProgram` stay the validated constructors; the
+//! [`dense`](super::dense) oracle keeps using them directly, so the walk
+//! is cross-checked against them by equivalence.
 //!
 //! Bandwidth is metered sparsely: the active-stream count is recorded only
 //! when it changes, yielding the change-point [`BandwidthProfile`] directly
@@ -60,7 +61,7 @@ use super::{ClientReport, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::metrics::{BandwidthProfile, ProfileBuilder};
 use crate::schedule::{stream_schedule, StreamSpec};
-use sm_core::{MergeForest, ModelError, TreeArena};
+use sm_core::{MergeForest, MergeTree, ModelError};
 
 /// Whole-run aggregates of a streaming simulation (everything a
 /// [`SimReport`] holds except the per-client vector).
@@ -101,15 +102,14 @@ pub(super) fn run(
             // identical either way. Error path only: no cost on success.
             let specs = stream_schedule(forest, times, media_len)?;
             let mut scratch = EngineScratch::default();
-            let mut arena = TreeArena::new();
             for (range, tree) in forest.iter_with_ranges() {
-                arena.lower_into(tree).map_err(SimError::Model)?;
+                let parents = parent_column(tree)?;
                 let base = range.start;
                 let local_times = &times[range.clone()];
                 let local_specs = &specs[range];
-                for local in 0..arena.len() {
+                for local in 0..tree.len() {
                     eval_client(
-                        &arena,
+                        &parents,
                         local_times,
                         local_specs,
                         media_len,
@@ -176,8 +176,8 @@ pub fn simulate_streaming_slice<F: FnMut(ClientReport)>(
 }
 
 /// The eager fallback for exotic inputs with globally unsorted arrival
-/// times: materialize the whole schedule (and every tree's arena) and sort
-/// the event sources.
+/// times: materialize the whole schedule (and every tree's parent column)
+/// and sort the event sources.
 fn streaming_eager<F: FnMut(ClientReport)>(
     forest: &MergeForest,
     times: &[i64],
@@ -188,10 +188,11 @@ fn streaming_eager<F: FnMut(ClientReport)>(
     let specs = stream_schedule(forest, times, media_len)?;
     let media = media_len as i64; // validated by stream_schedule
     let total_units: i64 = specs.iter().map(|s| s.length).sum();
-    let mut arenas: Vec<TreeArena> = Vec::with_capacity(forest.num_trees());
-    for tree in forest.trees() {
-        arenas.push(TreeArena::lower(tree).map_err(SimError::Model)?);
-    }
+    let columns = forest
+        .trees()
+        .iter()
+        .map(parent_column)
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut starts: Vec<usize> = (0..specs.len()).filter(|&i| specs[i].length > 0).collect();
     starts.sort_by_key(|&i| specs[i].start);
@@ -242,11 +243,11 @@ fn streaming_eager<F: FnMut(ClientReport)>(
             ci += 1;
             let (ti, local) = forest.locate(c);
             let base = forest.tree_start(ti);
-            let arena = &arenas[ti];
-            let local_times = &times[base..base + arena.len()];
-            let local_specs = &specs[base..base + arena.len()];
+            let parents = &columns[ti];
+            let local_times = &times[base..base + parents.len()];
+            let local_specs = &specs[base..base + parents.len()];
             emit(eval_client(
-                arena,
+                parents,
                 local_times,
                 local_specs,
                 media_len,
@@ -265,22 +266,33 @@ fn streaming_eager<F: FnMut(ClientReport)>(
     })
 }
 
-/// Reusable per-client evaluation buffers: one allocation set for a whole
-/// run instead of one per client. The receiving program is held in
-/// struct-of-arrays form (`seg_stream`/`seg_first`/`seg_last` parallel
-/// columns) — the arena counterpart of `ReceivingProgram`, rebuilt in
-/// place with identical output and identical `verify` semantics. Shared
-/// with the push-based [`super::incremental`] engine so both evaluate
-/// clients with the very same code path.
+/// Node `node`'s label in a `u32` parent column. The largest `u32` stays
+/// unused, so a tree holds at most `u32::MAX` nodes; past that the typed
+/// [`ModelError::NodeLimitExceeded`] names the size the tree would reach.
+pub(super) fn label(node: usize) -> Result<u32, ModelError> {
+    u32::try_from(node)
+        .ok()
+        .filter(|&l| l != u32::MAX)
+        .ok_or(ModelError::NodeLimitExceeded {
+            nodes: node.saturating_add(1),
+        })
+}
+
+/// `tree`'s parent column: each node's local parent, 0 for the root.
+fn parent_column(tree: &MergeTree) -> Result<Vec<u32>, SimError> {
+    label(tree.len().saturating_sub(1))?;
+    (0..tree.len())
+        .map(|x| label(tree.parent(x).unwrap_or(0)))
+        .collect::<Result<_, _>>()
+        .map_err(SimError::Model)
+}
+
+/// Reusable per-client sweep buffers: one allocation set for a whole run
+/// instead of one per client. Shared with the push-based
+/// [`super::incremental`] engine so both evaluate clients with the very
+/// same code path.
 #[derive(Debug, Default)]
 pub(super) struct EngineScratch {
-    /// Root path of the client under evaluation (local indices).
-    path: Vec<usize>,
-    /// Receiving-program segments in part order, struct-of-arrays: source
-    /// stream (local index), first and last part (1-based, inclusive).
-    seg_stream: Vec<usize>,
-    seg_first: Vec<i64>,
-    seg_last: Vec<i64>,
     /// Inclusive receive-slot interval of each non-empty segment
     /// (test-only staging: the hot path feeds `starts`/`ends` directly).
     #[cfg(test)]
@@ -292,80 +304,6 @@ pub(super) struct EngineScratch {
 }
 
 impl EngineScratch {
-    /// Rebuilds `client`'s receiving program into the segment columns and
-    /// verifies it in the same pass — the struct-of-arrays fusion of
-    /// `ReceivingProgram::rebuild` + `verify`: bit-identical segments and
-    /// errors (rebuild is infallible and verify rejects at the first
-    /// offending segment in part order — exactly the order segments are
-    /// generated here, so checking each segment as it is built reports the
-    /// identical first error), no per-client allocation once the columns
-    /// have capacity.
-    fn rebuild_and_verify_program(
-        &mut self,
-        arena: &TreeArena,
-        times: &[i64],
-        media: i64,
-        client: usize,
-    ) -> Result<(), ModelError> {
-        debug_assert_eq!(times.len(), arena.len());
-        arena.path_from_root_into(client, &mut self.path);
-        let path = &self.path;
-        let k = path.len() - 1;
-        let tk = times[path[k]];
-        let client_time = times[client];
-        self.seg_stream.clear();
-        self.seg_first.clear();
-        self.seg_last.clear();
-        let mut expected = 1i64;
-        // j runs from the client's own stream (j = k) down to the root;
-        // the three path times each closed form reads (`t_{j+1}`, `t_j`,
-        // `t_{j−1}`) shift through registers so each level costs a single
-        // `times` load.
-        let mut t_above = tk;
-        let mut tj = tk;
-        for j in (0..=k).rev() {
-            let t_below = if j == 0 { 0 } else { times[path[j - 1]] };
-            let first = 2 * tk - t_above - tj + 1;
-            let last = if j == 0 { media } else { 2 * tk - tj - t_below };
-            self.seg_stream.push(path[j]);
-            self.seg_first.push(first);
-            self.seg_last.push(last);
-            if last >= first {
-                if first < 1 || last > media {
-                    let part = if first < 1 { first } else { last };
-                    return Err(ModelError::PartOutOfRange { part });
-                }
-                if first != expected {
-                    return Err(ModelError::CoverageGap {
-                        expected_part: expected,
-                        found_part: first,
-                    });
-                }
-                // Timeliness: part q is received during slot
-                // [t_stream + q − 1, t_stream + q) and played during
-                // [t_client + q − 1, t_client + q); the source must not be
-                // later than the client (guaranteed by parent < child,
-                // re-checked here against the actual times).
-                if tj > client_time {
-                    return Err(ModelError::ParentNotEarlier {
-                        node: client,
-                        parent: path[j],
-                    });
-                }
-                expected = last + 1;
-            }
-            t_above = tj;
-            tj = t_below;
-        }
-        if expected != media + 1 {
-            return Err(ModelError::CoverageGap {
-                expected_part: expected,
-                found_part: media + 1,
-            });
-        }
-        Ok(())
-    }
-
     /// Sorts the endpoint views if needed. The hot path pushes endpoints in
     /// part order, which the closed forms keep sorted for every program the
     /// verify pass admits on sorted arrivals, so the common case is a single
@@ -464,14 +402,64 @@ fn endpoint_sweep(scratch: &EngineScratch, t_c: i64, media: i64) -> SweepOutcome
     out
 }
 
+/// The spec check of one non-empty segment `[first, last]` of client
+/// `client` (at `t_c`) against its source stream, in the dense per-part
+/// loop's precedence: for each part in order, "stream too short" is
+/// checked before "stall", so the first failing part decides the variant.
+fn spec_error(
+    spec: &StreamSpec,
+    first: i64,
+    last: i64,
+    t_c: i64,
+    client: usize,
+    stream: usize,
+) -> Option<SimError> {
+    if first > spec.length {
+        return Some(SimError::StreamTooShort {
+            client,
+            stream,
+            part: first,
+            length: spec.length,
+        });
+    }
+    if spec.start > t_c {
+        return Some(SimError::Stall {
+            client,
+            part: first,
+            received: spec.start + first - 1,
+            deadline: t_c + first - 1,
+        });
+    }
+    if last > spec.length {
+        return Some(SimError::StreamTooShort {
+            client,
+            stream,
+            part: spec.length + 1,
+            length: spec.length,
+        });
+    }
+    None
+}
+
 /// Checks one client's program against its tree's schedule and measures it,
 /// in `O(segments log segments)` arithmetic — no per-slot state, no
 /// allocation (everything lives in `scratch`). Also the evaluator of the
 /// push-based [`super::incremental`] engine (same code path, so the two
 /// engines cannot drift apart on per-client semantics).
+///
+/// One walk from the client up `parents` visits the program's segments in
+/// part order (its own stream first, the root last). At each level it
+/// derives the segment in closed form (see `sm_core::ReceivingProgram`),
+/// runs `ReceivingProgram::verify`'s structural checks, checks the segment
+/// against its stream's spec, and pushes its receive interval. Structural
+/// errors return at once — the first in part order, as `verify` reports
+/// it. The first spec error (`StreamTooShort`, `Stall`) is held until the
+/// walk and the final coverage check finish, so a structural error
+/// anywhere on the path still wins, as it does in the dense oracle, which
+/// verifies the whole program before it reads a single spec.
 #[allow(clippy::too_many_arguments)] // tree-local slices + scratch, all hot
 pub(super) fn eval_client(
-    arena: &TreeArena,
+    parents: &[u32],
     local_times: &[i64],
     local_specs: &[StreamSpec],
     media_len: u64,
@@ -484,54 +472,74 @@ pub(super) fn eval_client(
     let t_c = local_times[local];
     let global = base + local;
 
-    scratch
-        .rebuild_and_verify_program(arena, local_times, media, local)
-        .map_err(SimError::Model)?;
-
-    // Per-segment closed forms, pushing each non-empty segment's inclusive
-    // receive-slot interval straight into the endpoint views.
-    let mut min_slack = i64::MAX;
     scratch.starts.clear();
     scratch.ends.clear();
-    for s in 0..scratch.seg_stream.len() {
-        let (first, last) = (scratch.seg_first[s], scratch.seg_last[s]);
-        if last < first {
-            continue;
+    let mut min_slack = i64::MAX;
+    let mut held: Option<SimError> = None;
+    let mut expected = 1i64;
+    // Segment j reads t_{j+1} (t_c for the client's own stream), t_j and
+    // t_{j−1}; walking up shifts them through registers, so each level
+    // costs a single `local_times` load.
+    let mut node = local;
+    let mut t_above = t_c;
+    let mut t_j = t_c;
+    loop {
+        let up = (node != 0).then(|| parents[node] as usize);
+        let t_below = up.map_or(0, |p| local_times[p]);
+        let first = 2 * t_c - t_above - t_j + 1;
+        let last = if up.is_some() {
+            2 * t_c - t_j - t_below
+        } else {
+            media
+        };
+        if last >= first {
+            if first < 1 || last > media {
+                let part = if first < 1 { first } else { last };
+                return Err(SimError::Model(ModelError::PartOutOfRange { part }));
+            }
+            if first != expected {
+                return Err(SimError::Model(ModelError::CoverageGap {
+                    expected_part: expected,
+                    found_part: first,
+                }));
+            }
+            // Timeliness: part q is received during slot
+            // [t_stream + q − 1, t_stream + q) and played during
+            // [t_client + q − 1, t_client + q); the source must not be
+            // later than the client (guaranteed by parent < child,
+            // re-checked here against the actual times).
+            if t_j > t_c {
+                return Err(SimError::Model(ModelError::ParentNotEarlier {
+                    node: local,
+                    parent: node,
+                }));
+            }
+            expected = last + 1;
+            if held.is_none() {
+                let spec = &local_specs[node];
+                held = spec_error(spec, first, last, t_c, global, base + node);
+                // Part q arrives at the end of slot t_j + q − 1 and plays
+                // in slot t_c + q − 1: slack is t_c − t_j for every part
+                // of the segment. (Once `held` is set, the walk's
+                // measurements are discarded.)
+                min_slack = min_slack.min(t_c - spec.start);
+                scratch.starts.push(spec.start + first - 1);
+                scratch.ends.push(spec.start + last);
+            }
         }
-        let stream = scratch.seg_stream[s];
-        let spec = &local_specs[stream];
-        // Mirrors the dense per-part loop's error precedence: for each part
-        // in order, "stream too short" is checked before "stall", so the
-        // first failing part decides the variant.
-        if first > spec.length {
-            return Err(SimError::StreamTooShort {
-                client: global,
-                stream: base + stream,
-                part: first,
-                length: spec.length,
-            });
-        }
-        if spec.start > t_c {
-            return Err(SimError::Stall {
-                client: global,
-                part: first,
-                received: spec.start + first - 1,
-                deadline: t_c + first - 1,
-            });
-        }
-        if last > spec.length {
-            return Err(SimError::StreamTooShort {
-                client: global,
-                stream: base + stream,
-                part: spec.length + 1,
-                length: spec.length,
-            });
-        }
-        // Part q arrives at the end of slot t_j + q − 1 and plays in slot
-        // t_c + q − 1: slack is t_c − t_j for every part of the segment.
-        min_slack = min_slack.min(t_c - spec.start);
-        scratch.starts.push(spec.start + first - 1);
-        scratch.ends.push(spec.start + last);
+        let Some(p) = up else { break };
+        node = p;
+        t_above = t_j;
+        t_j = t_below;
+    }
+    if expected != media + 1 {
+        return Err(SimError::Model(ModelError::CoverageGap {
+            expected_part: expected,
+            found_part: media + 1,
+        }));
+    }
+    if let Some(e) = held {
+        return Err(e);
     }
     scratch.sort_endpoints();
 
@@ -570,7 +578,7 @@ pub(super) fn eval_client(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_core::{consecutive_slots, MergeTree, ReceivingProgram};
+    use sm_core::consecutive_slots;
 
     /// Quadratic reference for the endpoint sweep: evaluate occupancy at
     /// every candidate by re-summing all segments.
@@ -672,48 +680,6 @@ mod tests {
     fn sweep_on_no_intervals_is_zero() {
         assert_eq!(sweep_with(&[], 5, 10), 0);
         assert_eq!(sweep_with(&[], 0, 0), 0);
-    }
-
-    #[test]
-    fn soa_program_matches_receiving_program_rebuild() {
-        // The scratch's SoA rebuild + verify must agree with the
-        // pointer-based `ReceivingProgram` on the paper's Fig. 4 tree,
-        // client by client, segment by segment.
-        let tree = MergeTree::from_parents(&[
-            None,
-            Some(0),
-            Some(0),
-            Some(0),
-            Some(3),
-            Some(0),
-            Some(5),
-            Some(5),
-        ])
-        .unwrap();
-        let times = consecutive_slots(8);
-        let arena = TreeArena::lower(&tree).unwrap();
-        let mut scratch = EngineScratch::default();
-        for client in 0..tree.len() {
-            let prog = ReceivingProgram::build(&tree, &times, 15, client);
-            let verdict = scratch.rebuild_and_verify_program(&arena, &times, 15, client);
-            assert_eq!(verdict, prog.verify(&times, 15), "client {client}");
-            assert_eq!(scratch.path, prog.path, "client {client}");
-            let soa: Vec<(usize, i64, i64)> = (0..scratch.seg_stream.len())
-                .map(|s| {
-                    (
-                        scratch.seg_stream[s],
-                        scratch.seg_first[s],
-                        scratch.seg_last[s],
-                    )
-                })
-                .collect();
-            let reference: Vec<(usize, i64, i64)> = prog
-                .segments
-                .iter()
-                .map(|seg| (seg.stream, seg.first_part, seg.last_part))
-                .collect();
-            assert_eq!(soa, reference, "client {client}");
-        }
     }
 
     #[test]

@@ -10,14 +10,19 @@
 //!
 //! * **one open tree** — arrivals attach to the most recently opened tree
 //!   (the model's invariant: merging across closed trees is impossible
-//!   because their streams have already begun). The open tree is a
-//!   [`TreeArena`] (flat `u32` columns, recycled through a storage pool so
-//!   steady-state pushes are allocation-free) grown in place by
-//!   `push_arrival` plus a vector of
-//!   *tentative* Lemma-1 stream specs: attaching `y` under `p` makes `y`
-//!   the last descendant of its entire root path, so exactly the nodes on
-//!   that path update, to `ℓ(x) = (t_y − t_x) + (t_y − t_{p(x)})` —
-//!   `O(depth)` per arrival, no re-derivation from the prefix;
+//!   because their streams have already begun). The open tree is a `u32`
+//!   parent column plus its arrival times and its *tentative* Lemma-1
+//!   stream specs, all recycled through a storage pool so steady-state
+//!   pushes are allocation-free. Attaching `y` under `p` makes `y` the
+//!   last descendant of its entire root path, so only nodes on that path
+//!   can change, each to `ℓ(x) = (t_y − t_x) + (t_y − t_{p(x)})`: a growth
+//!   of `2(t_y − t_{z_old(x)})`. The walk up stops at the first ancestor
+//!   whose length does not change — its old last descendant arrived at
+//!   `t_y`, and every ancestor above it has an old last descendant that
+//!   arrived between that one and `y`, so (times never decrease) at `t_y`
+//!   too. A joiner attached at its head's time therefore costs `O(1)`; no
+//!   attach costs more than `O(depth)`, and nothing is re-derived from the
+//!   prefix;
 //! * **deadlines fire during ingest** — a client's report depends only on
 //!   its root-path arrival times and on spec fields that later arrivals
 //!   can only *grow* past its demands (`t_z ≥ t_c` for every later
@@ -25,6 +30,16 @@
 //!   part-deadline `t_c + L` falls strictly before the ingest clock.
 //!   Reports stream out through `emit` in deadline order (ties by arrival
 //!   index), and the first violating deadline is the error;
+//! * **co-arrivals reuse their parent's report** — under Lemma 1 a client
+//!   that arrives in its parent's slot gets an empty stream of its own
+//!   (parts `1..=2t_c − t_c − t_p`, none) and then exactly its parent's
+//!   segments, read against the same specs. The two share a deadline, so
+//!   they fire in one `fire_deadlines` call, and no attach runs inside a
+//!   call: every check returns the parent's verdict. The call keeps the
+//!   last report it evaluated in full, and a client whose parent is that
+//!   client, at the same time, takes it with its own index instead of
+//!   being evaluated again — every joiner the serving loop batches under
+//!   its group head is such a client;
 //! * **bandwidth change-points finalize at tree closure** — a stream's end
 //!   moves later while descendants can still attach (a tied co-arrival
 //!   even gains its start retroactively), so a tree's streams enter the
@@ -49,12 +64,12 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::iter::Peekable;
 
-use super::events::{eval_client, EngineScratch, StreamingSummary};
+use super::events::{eval_client, label, EngineScratch, StreamingSummary};
 use super::{ClientReport, SimConfig};
 use crate::error::SimError;
 use crate::metrics::ProfileBuilder;
 use crate::schedule::{checked_media_len, StreamSpec};
-use sm_core::{MergeForest, ModelError, TreeArena};
+use sm_core::{MergeForest, ModelError};
 
 /// Where one ingested arrival goes, structurally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,12 +141,12 @@ pub struct IncrementalSummary {
     pub max_open_trees: usize,
 }
 
-/// Recyclable per-tree storage: the arena columns plus the times and spec
+/// Recyclable per-tree storage: the parent column plus the times and spec
 /// buffers. Fully-served trees return their storage here so later opens
 /// reuse the capacity instead of allocating.
 #[derive(Debug, Default)]
 struct TreeStorage {
-    arena: TreeArena,
+    parents: Vec<u32>,
     times: Vec<i64>,
     specs: Vec<StreamSpec>,
 }
@@ -141,7 +156,8 @@ struct TreeStorage {
 struct OpenTree {
     /// Global index of the root.
     base: usize,
-    arena: TreeArena,
+    /// Local parent of each arrival; entry 0, the root's, is unused.
+    parents: Vec<u32>,
     times: Vec<i64>,
     /// Tentative Lemma-1 specs: exact for the tree as grown so far; only
     /// root-path entries of future arrivals can still grow.
@@ -151,11 +167,12 @@ struct OpenTree {
 impl OpenTree {
     fn new(base: usize, time: i64, media: i64, storage: TreeStorage) -> Self {
         let TreeStorage {
-            mut arena,
+            mut parents,
             mut times,
             mut specs,
         } = storage;
-        arena.reset_singleton();
+        parents.clear();
+        parents.push(0);
         times.clear();
         times.push(time);
         specs.clear();
@@ -166,32 +183,49 @@ impl OpenTree {
         });
         Self {
             base,
-            arena,
+            parents,
             times,
             specs,
         }
     }
 
-    /// Attaches an arrival at `time` under local node `parent`, updating
-    /// the tentative lengths of exactly the new node's root path.
-    fn attach(&mut self, time: i64, parent: usize) -> Result<(), ModelError> {
-        let x = self.arena.push_arrival(parent)?;
+    /// The `u32` label of local node `parent` for the next arrival, which
+    /// must itself fit a label; `None` when `parent` is not in this tree.
+    fn parent_label(&self, parent: usize) -> Option<Result<u32, ModelError>> {
+        let local = parent
+            .checked_sub(self.base)
+            .filter(|&l| l < self.times.len())?;
+        Some(label(self.times.len()).and_then(|_| label(local)))
+    }
+
+    /// Attaches an arrival at `time` under local node `parent` (a label
+    /// from [`Self::parent_label`]), updating tentative lengths up the root
+    /// path only as far as they change (see the module docs).
+    fn attach(&mut self, time: i64, parent: u32) {
+        let p = parent as usize;
+        let node = self.times.len();
+        self.parents.push(parent);
         self.times.push(time);
         // The new node is its own last descendant: ℓ = t_y − t_p.
         self.specs.push(StreamSpec {
-            node: self.base + x,
+            node: self.base + node,
             start: time,
-            length: time - self.times[parent],
+            length: time - self.times[p],
         });
         // …and the new last descendant of every proper ancestor: each
-        // non-root ancestor a becomes ℓ(a) = (t_y − t_a) + (t_y − t_{p(a)}).
-        // The root keeps the full media length.
-        let mut cur = parent;
-        while let Some(p) = self.arena.parent(cur) {
-            self.specs[cur].length = (time - self.times[cur]) + (time - self.times[p]);
-            cur = p;
+        // non-root ancestor a becomes ℓ(a) = (t_y − t_a) + (t_y − t_{p(a)}),
+        // until one keeps its length. The root keeps the full media length.
+        let mut cur = p;
+        while cur != 0 {
+            let up = self.parents[cur] as usize;
+            let length = (time - self.times[cur]) + (time - self.times[up]);
+            let spec = &mut self.specs[cur];
+            if spec.length == length {
+                break;
+            }
+            spec.length = length;
+            cur = up;
         }
-        Ok(())
     }
 }
 
@@ -200,7 +234,7 @@ impl OpenTree {
 #[derive(Debug)]
 struct ClosedTree {
     base: usize,
-    arena: TreeArena,
+    parents: Vec<u32>,
     times: Vec<i64>,
     specs: Vec<StreamSpec>,
     remaining: usize,
@@ -293,8 +327,10 @@ impl IncrementalEngine {
     /// Times must be nondecreasing (ties welcome — simultaneous arrivals
     /// are the model's bread and butter); a backwards push is rejected
     /// with [`IngestError::OutOfOrder`] and changes nothing. A rejected
-    /// attach ([`IngestError::ParentNotOpen`]) likewise leaves the engine
-    /// as it was, so a serving loop can drop the request and carry on.
+    /// attach ([`IngestError::ParentNotOpen`], or a tree outgrowing its
+    /// `u32` labels) likewise leaves the engine as it was — no report is
+    /// emitted and no tree retired — so a serving loop can drop the
+    /// request and carry on.
     pub fn push<F: FnMut(ClientReport)>(
         &mut self,
         time: i64,
@@ -306,23 +342,33 @@ impl IncrementalEngine {
                 return Err(IngestError::OutOfOrder { time, last });
             }
         }
+        let parent = match attach {
+            Attach::Root => None,
+            Attach::Under(parent) => {
+                let not_open = IngestError::ParentNotOpen {
+                    node: self.n,
+                    parent,
+                };
+                let label = self
+                    .open
+                    .as_ref()
+                    .and_then(|open| open.parent_label(parent))
+                    .ok_or(not_open)?;
+                Some(label.map_err(|e| IngestError::Sim(SimError::Model(e)))?)
+            }
+        };
         self.fire_deadlines(Some(time), &mut emit)?;
-        match attach {
-            Attach::Root => {
+        match parent {
+            None => {
                 self.close_open(Some(time));
                 let storage = self.pool.pop().unwrap_or_default();
                 self.open = Some(OpenTree::new(self.n, time, self.media, storage));
             }
-            Attach::Under(parent) => {
-                let node = self.n;
-                let not_open = IngestError::ParentNotOpen { node, parent };
-                let open = self.open.as_mut().ok_or(not_open.clone())?;
-                let local = parent
-                    .checked_sub(open.base)
-                    .filter(|&l| l < open.times.len())
-                    .ok_or(not_open)?;
-                open.attach(time, local)
-                    .map_err(|e| IngestError::Sim(SimError::Model(e)))?;
+            // Validated above; firing deadlines leaves the open tree alone.
+            Some(parent) => {
+                if let Some(open) = self.open.as_mut() {
+                    open.attach(time, parent);
+                }
             }
         }
         self.n += 1;
@@ -353,67 +399,73 @@ impl IncrementalEngine {
     /// deadline order, since times are nondecreasing) while their deadline
     /// `t_c + L` lies strictly before `before` — or all of them when
     /// `before` is `None`. Served-out closed trees are dropped from the
-    /// front as the cursor passes them.
+    /// front as the cursor passes them. A co-arrival of the last client
+    /// evaluated in full takes that client's report (see the module docs).
     fn fire_deadlines<F: FnMut(ClientReport)>(
         &mut self,
         before: Option<i64>,
         emit: &mut F,
     ) -> Result<(), SimError> {
+        let mut full: Option<ClientReport> = None;
         while self.ci < self.n {
             // The next unserved client always lives in the *front* closed
             // tree (earlier trees were dropped exactly when served out),
             // or in the open tree once no closed tree is left.
-            if let Some(front) = self.closed.front_mut() {
-                debug_assert!((front.base..front.base + front.times.len()).contains(&self.ci));
-                let local = self.ci - front.base;
-                if before.is_some_and(|h| front.times[local] + self.media >= h) {
+            let (base, parents, times, specs) = match (self.closed.front(), &self.open) {
+                (Some(t), _) => (t.base, &t.parents, &t.times, &t.specs),
+                (None, Some(t)) => (t.base, &t.parents, &t.times, &t.specs),
+                (None, None) => {
+                    debug_assert!(false, "client {} has no retained tree", self.ci);
                     return Ok(());
                 }
-                let report = eval_client(
-                    &front.arena,
-                    &front.times,
-                    &front.specs,
-                    self.media_len,
-                    front.base,
-                    local,
-                    self.config,
-                    &mut self.scratch,
-                )?;
-                emit(report);
-                self.ci += 1;
+            };
+            debug_assert!((base..base + times.len()).contains(&self.ci));
+            let local = self.ci - base;
+            let time = times[local];
+            if before.is_some_and(|h| time + self.media >= h) {
+                return Ok(());
+            }
+            // A co-arrival of the client last evaluated in full reads the
+            // same segments against the same specs: same verdict.
+            let parent = parents[local] as usize;
+            let report = match &full {
+                Some(r) if local > 0 && r.client == base + parent && times[parent] == time => {
+                    ClientReport {
+                        client: self.ci,
+                        ..*r
+                    }
+                }
+                _ => {
+                    // Tentative specs are safe here: every spec a client
+                    // reads can only grow past demands that are fixed at
+                    // its arrival.
+                    let r = eval_client(
+                        parents,
+                        times,
+                        specs,
+                        self.media_len,
+                        base,
+                        local,
+                        self.config,
+                        &mut self.scratch,
+                    )?;
+                    full = Some(r.clone());
+                    r
+                }
+            };
+            emit(report);
+            self.ci += 1;
+            if let Some(front) = self.closed.front_mut() {
                 front.remaining -= 1;
                 if front.remaining == 0 {
                     if let Some(done) = self.closed.pop_front() {
                         self.pool.push(TreeStorage {
-                            arena: done.arena,
+                            parents: done.parents,
                             times: done.times,
                             specs: done.specs,
                         });
                     }
                 }
-            } else if let Some(open) = self.open.as_ref() {
-                debug_assert!(self.ci >= open.base);
-                let local = self.ci - open.base;
-                if before.is_some_and(|h| open.times[local] + self.media >= h) {
-                    return Ok(());
-                }
-                // Tentative specs are safe here: every spec a client reads
-                // can only grow past demands that are fixed at its arrival.
-                let report = eval_client(
-                    &open.arena,
-                    &open.times,
-                    &open.specs,
-                    self.media_len,
-                    open.base,
-                    local,
-                    self.config,
-                    &mut self.scratch,
-                )?;
-                emit(report);
-                self.ci += 1;
-            } else {
-                debug_assert!(false, "client {} has no retained tree", self.ci);
-                return Ok(());
             }
         }
         Ok(())
@@ -459,14 +511,14 @@ impl IncrementalEngine {
         if remaining > 0 {
             self.closed.push_back(ClosedTree {
                 base: open.base,
-                arena: open.arena,
+                parents: open.parents,
                 times: open.times,
                 specs: open.specs,
                 remaining,
             });
         } else {
             self.pool.push(TreeStorage {
-                arena: open.arena,
+                parents: open.parents,
                 times: open.times,
                 specs: open.specs,
             });
@@ -657,6 +709,27 @@ mod tests {
         // Nor name itself or the future.
         let err = eng.push(2, Attach::Under(2), |_| {}).unwrap_err();
         assert_eq!(err, IngestError::ParentNotOpen { node: 2, parent: 2 });
+    }
+
+    #[test]
+    fn rejected_push_emits_nothing_and_changes_nothing() {
+        // Client 0's deadline 0 + 2 lies before the rejected push's time,
+        // so firing deadlines before validating the attach would emit it.
+        let mut eng = IncrementalEngine::new(2, SimConfig::default()).unwrap();
+        eng.push(0, Attach::Root, |_| {}).unwrap();
+        let mut emitted = Vec::new();
+        let err = eng
+            .push(10, Attach::Under(5), |r: ClientReport| {
+                emitted.push(r.client)
+            })
+            .unwrap_err();
+        assert_eq!(err, IngestError::ParentNotOpen { node: 1, parent: 5 });
+        assert!(emitted.is_empty(), "a rejected push emitted {emitted:?}");
+        assert_eq!(eng.arrivals(), 1);
+        assert_eq!(eng.open_trees(), 1);
+        eng.push(10, Attach::Root, |r: ClientReport| emitted.push(r.client))
+            .unwrap();
+        assert_eq!(emitted, vec![0]);
     }
 
     #[test]

@@ -9,20 +9,22 @@
 //!   over every slot of its playback window (`O(clients · L²)` time,
 //!   `O(L)` scratch per client). Simple, and kept as the reference.
 //! * [`events`] — the discrete-event engine's batch entry points and its
-//!   per-client evaluator: per-client metrics are derived from the
-//!   program's segments by a single sorted-endpoint sweep —
+//!   per-client evaluator: one walk from the client up its tree's parent
+//!   column derives, verifies and checks every segment of its program,
+//!   and per-client metrics come from a single sorted-endpoint sweep —
 //!   `O(segments log segments)` per client (never candidates × segments) —
 //!   the production batch path. Sorted arrivals replay through the
 //!   incremental driver below; unsorted ones take an eager, sort-based
 //!   fallback.
 //! * [`incremental`] — the one driver for slot-ordered arrivals: they push
-//!   in one at a time ([`IncrementalEngine::push`]), the open merge tree
-//!   and its tentative Lemma-1 specs grow in place, stream ends live in a
-//!   binary min-heap, and reports stream out as deadlines fire during
-//!   ingest — no forest, no horizon, no times slice up front, and memory
-//!   proportional to the *open* trees and active streams. The serving
-//!   loop drives it directly; [`simulate_incremental`] replays a batch
-//!   through it.
+//!   in one at a time ([`IncrementalEngine::push`]), the open tree's
+//!   parent column and its tentative Lemma-1 specs grow in place (an
+//!   attach updates lengths only as far up as they change), stream ends
+//!   live in a binary min-heap, and reports stream out as deadlines fire
+//!   during ingest, a co-arrival copying its parent's — no forest, no
+//!   horizon, no times slice up front, and memory proportional to the
+//!   *open* trees and active streams. The serving loop drives it
+//!   directly; [`simulate_incremental`] replays a batch through it.
 //!
 //! All produce bit-identical reports (pinned by the `engine_equivalence`
 //! proptest suite); [`SimConfig::engine`] selects the dense oracle or the

@@ -7,7 +7,10 @@
 //! collected `simulate_with` path on every case, and on every *sorted*
 //! case the push-based incremental engine (`simulate_incremental`, the
 //! driver behind both for sorted input) is pinned bit-identical as well:
-//! summary, reports, emission order, and first error.
+//! summary, reports, emission order, and first error. An exhaustive grid
+//! over every small tree and time vector pins the events engine's one-pass
+//! client walk, including which error wins when a client's path holds both
+//! a structural and a spec violation.
 
 use proptest::prelude::*;
 use sm_core::{consecutive_slots, MergeForest, MergeTree};
@@ -282,6 +285,7 @@ proptest! {
     fn simultaneous_arrivals_pin_all_three_engines(
         seeds in proptest::collection::vec(0u64..1_000_000_000, 2..40),
         media_len in 2u64..20,
+        bound in 0u64..7,
     ) {
         // A flash-crowd generator: each seed decides a gap (0 with high
         // probability, so duplicate timestamps pile up both *within* a
@@ -289,7 +293,9 @@ proptest! {
         // opens a new title's tree, and where it merges. Tie-breaking —
         // deadline ties resolve in arrival-index order, co-arrival streams
         // start at the same slot — must pin identically across the dense,
-        // event, and incremental engines.
+        // event, and incremental engines. A buffer bound of 0..6 (or none)
+        // pins the co-arrivals that copy their parent's report through
+        // `BufferOverflow` as well.
         let mut times = Vec::with_capacity(seeds.len());
         let mut parents_by_tree: Vec<Vec<Option<usize>>> = Vec::new();
         let mut t = 0i64;
@@ -310,7 +316,7 @@ proptest! {
             .collect();
         let forest = MergeForest::from_trees(trees).unwrap();
         prop_assert!(times.windows(2).all(|w| w[0] <= w[1]), "generator premise");
-        assert_engines_agree(&forest, &times, media_len, None);
+        assert_engines_agree(&forest, &times, media_len, (bound < 6).then_some(bound));
     }
 
     #[test]
@@ -373,4 +379,63 @@ fn unsorted_times_take_the_eager_fallback_and_still_agree() {
     let events = simulate_with(&forest, &times, 40, SimConfig::events());
     assert!(events.is_ok());
     assert_streaming_matches(&forest, &times, 40, None, &events);
+}
+
+/// Every parent array over `n` nodes: node `i` merges under any of `0..i`.
+fn all_parent_arrays(n: usize) -> Vec<Vec<Option<usize>>> {
+    let mut out = vec![vec![None]];
+    for i in 1..n {
+        out = out
+            .into_iter()
+            .flat_map(|parents| {
+                (0..i).map(move |p| {
+                    let mut next = parents.clone();
+                    next.push(Some(p));
+                    next
+                })
+            })
+            .collect();
+    }
+    out
+}
+
+#[test]
+fn every_small_tree_and_time_vector_pins_events_to_dense() {
+    // Every parent array with at most 5 nodes, every times vector over
+    // 0..=3 and L in 1..=8: 210 080 cases. Sorted times replay through the
+    // incremental engine (and its co-arrival rule); unsorted ones take the
+    // eager fallback and its index-order replay of the first error.
+    let mut cases = 0usize;
+    for n in 1..=5usize {
+        for parents in all_parent_arrays(n) {
+            let forest = MergeForest::single(MergeTree::from_parents(&parents).unwrap());
+            for code in 0..4usize.pow(n as u32) {
+                let times: Vec<i64> = (0..n)
+                    .map(|i| (code / 4usize.pow(i as u32) % 4) as i64)
+                    .collect();
+                for media_len in 1..=8u64 {
+                    let (dense, events) = run_both(&forest, &times, media_len, None);
+                    assert_eq!(
+                        dense, events,
+                        "parents {parents:?}, times {times:?}, L = {media_len}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 210_080);
+    // One of those cases, where the walk's error precedence decides: client
+    // 3's first segment (its own stream, part 1) already fails the spec
+    // check — stream 3 has length 2·1 − 2 − 1 = −1 — but its path also asks
+    // for part 4 of a 3-part media. The dense oracle verifies the whole
+    // program before it reads any spec, so the structural error wins.
+    let forest = MergeForest::single(MergeTree::chain(5));
+    let (dense, _) = run_both(&forest, &[0, 0, 1, 2, 1], 3, None);
+    assert_eq!(
+        dense,
+        Err(SimError::Model(sm_core::ModelError::PartOutOfRange {
+            part: 4
+        }))
+    );
 }
