@@ -237,8 +237,8 @@ impl MergeTree {
     /// [`Self::from_parents`], in `O(depth(parent))` instead of `O(n)`.
     ///
     /// The new node carries the largest label, so it becomes `z(x)` for
-    /// every ancestor `x` — exactly the update the incremental engines
-    /// lean on when they extend tentative stream lengths.
+    /// every ancestor `x` — the fact the incremental engine's one reverse
+    /// pass over a closing tree rests on when it computes stream lengths.
     pub fn push_arrival(&mut self, parent: usize) -> Result<usize, ModelError> {
         let node = self.len();
         if parent >= node {

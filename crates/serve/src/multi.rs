@@ -111,9 +111,16 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    fn build(self, media_len: u64) -> Box<dyn IncrementalPolicy> {
+    /// A fresh policy for a title of `media_len` slots. A Delay Guaranteed
+    /// title with a client buffer bound gets the bounded template, whose
+    /// trees hold at most `bound + 1` arrivals (the on-line mirror of
+    /// Theorem 16), so no client outgrows its buffer.
+    fn build(self, media_len: u64, buffer_bound: Option<u64>) -> Box<dyn IncrementalPolicy> {
         match self {
-            Self::DelayGuaranteed => Box::new(DelayGuaranteedOnline::new(media_len)),
+            Self::DelayGuaranteed => Box::new(match buffer_bound {
+                Some(bound) => DelayGuaranteedOnline::with_buffer_bound(media_len, bound),
+                None => DelayGuaranteedOnline::new(media_len),
+            }),
             Self::Dyadic => Box::new(DyadicMerger::new(
                 DyadicConfig::golden_poisson(),
                 media_len as f64,
@@ -152,7 +159,8 @@ pub struct TitleConfig {
     /// Optional mid-run policy swap through the
     /// [`IncrementalPolicy`] seam.
     pub swap: Option<PolicySwap>,
-    /// Optional per-client buffer bound, forwarded to the engine.
+    /// Optional per-client buffer bound, forwarded to the engine. A Delay
+    /// Guaranteed policy also builds its template to fit it.
     pub buffer_bound: Option<u64>,
 }
 
@@ -348,6 +356,7 @@ struct Group {
 struct TitleState {
     media_len: u64,
     media: i64,
+    buffer_bound: Option<u64>,
     engine: IncrementalEngine,
     policy: Box<dyn IncrementalPolicy>,
     /// `true` while the active policy runs on the dense template grid.
@@ -452,6 +461,7 @@ where
         states.push(TitleState {
             media_len: title.media_len,
             media: title.media_len as i64,
+            buffer_bound: title.buffer_bound,
             engine: IncrementalEngine::new(
                 title.media_len,
                 SimConfig {
@@ -459,7 +469,7 @@ where
                     ..SimConfig::events()
                 },
             )?,
-            policy: title.policy.build(title.media_len),
+            policy: title.policy.build(title.media_len, title.buffer_bound),
             dense_grid: title.policy.dense_grid(),
             swap: title.swap,
             policy_base: 0,
@@ -539,7 +549,7 @@ where
                 let s = planner.plan(slot);
                 state.delays.record((s - slot) as u64);
                 if let Some(swap) = state.swap.filter(|sw| sw.after_groups == state.groups) {
-                    state.policy = swap.to.build(state.media_len);
+                    state.policy = swap.to.build(state.media_len, state.buffer_bound);
                     state.dense_grid = swap.to.dense_grid();
                     state.policy_base = state.groups;
                     state.swap = None;
@@ -810,6 +820,36 @@ mod tests {
             Err(ServeError::Ingest(IngestError::Sim(SimError::BufferOverflow { .. })))
             | Err(ServeError::Sim(SimError::BufferOverflow { .. })) => {}
             other => panic!("expected BufferOverflow, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn delay_guaranteed_titles_fit_their_buffer_bound() {
+        // Below ⌊L/2⌋ = 20 the unbounded template needs more buffer than
+        // the bound allows; the bounded template serves every arrival
+        // within it.
+        for bound in [0u64, 3, 10, 19] {
+            let config = MultiServeConfig::new(
+                vec![TitleConfig {
+                    policy: PolicyKind::DelayGuaranteed,
+                    buffer_bound: Some(bound),
+                    ..TitleConfig::new(40, 0.5)
+                }],
+                4000.0,
+            );
+            let mut worst = 0i64;
+            let mut reports = 0usize;
+            let report = serve_multi_with(&config, &PlannerMemo::new(), |_, r| {
+                worst = worst.max(r.max_buffer);
+                reports += 1;
+            })
+            .unwrap_or_else(|e| panic!("bound {bound}: {e}"));
+            assert_eq!(report.served, report.generated, "bound {bound}");
+            assert_eq!(reports, report.served, "bound {bound}");
+            assert!(
+                worst <= bound as i64,
+                "bound {bound}: a client buffered {worst}"
+            );
         }
     }
 

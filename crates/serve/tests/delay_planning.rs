@@ -22,8 +22,8 @@
 //!   reference records each title's engine pushes, folds them into a
 //!   forest, and replays it through the slot-stepped engine, which shares
 //!   no code with the incremental one — so the joiners batched under a
-//!   group head (co-arrivals that copy its report) are pinned on served
-//!   traffic.
+//!   group head (co-arrivals, scored by the same closed forms as their
+//!   head) are pinned on served traffic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -88,9 +88,16 @@ fn license_gating_reference(config: &MultiServeConfig) -> IncrementalSummary {
     engine.finish(&mut |_| {}).unwrap()
 }
 
-fn build_policy(kind: PolicyKind, media_len: u64) -> Box<dyn IncrementalPolicy> {
+fn build_policy(
+    kind: PolicyKind,
+    media_len: u64,
+    buffer_bound: Option<u64>,
+) -> Box<dyn IncrementalPolicy> {
     match kind {
-        PolicyKind::DelayGuaranteed => Box::new(DelayGuaranteedOnline::new(media_len)),
+        PolicyKind::DelayGuaranteed => Box::new(match buffer_bound {
+            Some(bound) => DelayGuaranteedOnline::with_buffer_bound(media_len, bound),
+            None => DelayGuaranteedOnline::new(media_len),
+        }),
         PolicyKind::Dyadic => Box::new(DyadicMerger::new(
             DyadicConfig::golden_poisson(),
             media_len as f64,
@@ -117,6 +124,7 @@ fn delay_stats(mut delays: Vec<u64>) -> DelayStats {
 /// One title of [`whole_run_reference`].
 struct RefTitle {
     media_len: u64,
+    buffer_bound: Option<u64>,
     engine: IncrementalEngine,
     policy: Box<dyn IncrementalPolicy>,
     dense_grid: bool,
@@ -170,6 +178,7 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
         .iter()
         .map(|t| RefTitle {
             media_len: t.media_len,
+            buffer_bound: t.buffer_bound,
             engine: IncrementalEngine::new(
                 t.media_len,
                 SimConfig {
@@ -178,7 +187,7 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
                 },
             )
             .unwrap(),
-            policy: build_policy(t.policy, t.media_len),
+            policy: build_policy(t.policy, t.media_len, t.buffer_bound),
             dense_grid: t.policy == PolicyKind::DelayGuaranteed,
             swap: t.swap,
             policy_base: 0,
@@ -218,7 +227,7 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
         }
         st.delays.push((s - slot) as u64);
         if let Some(swap) = st.swap.filter(|sw| sw.after_groups == st.slot_reps.len()) {
-            st.policy = build_policy(swap.to, st.media_len);
+            st.policy = build_policy(swap.to, st.media_len, st.buffer_bound);
             st.dense_grid = swap.to == PolicyKind::DelayGuaranteed;
             st.policy_base = st.slot_reps.len();
             st.swap = None;

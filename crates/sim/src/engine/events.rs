@@ -1,5 +1,5 @@
-//! The discrete-event engine's entry points, its per-client evaluator, and
-//! the fallback for unsorted arrivals.
+//! The discrete-event engine's entry points, and the fallback and
+//! per-client walk for unsorted arrivals.
 //!
 //! Where the [`dense`](super::dense) engine sweeps every slot of every
 //! client's playback window, this engine advances time only at *events*:
@@ -11,28 +11,32 @@
 //! * **Sorted arrivals** — every real workload, and the only form the
 //!   paper's algorithms produce — replay through the push-based
 //!   [`incremental`](super::incremental) engine, the one driver for
-//!   slot-ordered input: trees are retained only while their clients'
-//!   playback windows are open, stream ends live in a min-heap, and each
-//!   closing tree's starts merge in as a sorted run.
+//!   slot-ordered input: it scores each client in `O(1)` from Lemma 1's
+//!   closed forms, computes each tree's stream lengths once when the tree
+//!   closes, retains trees only while their clients' playback windows are
+//!   open, keeps stream ends in a min-heap, and merges each closing tree's
+//!   starts in as a sorted run. Its first error is the one
+//!   [`super::simulate_with`] reports.
 //! * **Unsorted arrivals** (sibling order need not follow time order) take
 //!   an eager fallback here that materializes the schedule and every
 //!   tree's `u32` parent column and sorts the start and deadline sources;
 //!   results are identical either way.
 //!
-//! Both drivers evaluate clients with the same allocation-free code path:
-//! one walk from the client up its tree's parent column derives, verifies
-//! and checks every segment of its receiving program, pushing the receive
-//! intervals into the sweep buffers of a single `EngineScratch` reused
-//! across every client of the run. The pointer-based
-//! `MergeTree`/`ReceivingProgram` stay the validated constructors; the
-//! [`dense`](super::dense) oracle keeps using them directly, so the walk
-//! is cross-checked against them by equivalence.
+//! The walk below serves unsorted input only, where the closed forms
+//! do not hold: one allocation-free walk from the client up its tree's
+//! parent column derives, verifies and checks every segment of its
+//! receiving program, pushing the receive intervals into the sweep
+//! buffers of a single `EngineScratch` reused across every client of the
+//! run. The pointer-based `MergeTree`/`ReceivingProgram` stay the
+//! validated constructors; the [`dense`](super::dense) oracle keeps using
+//! them directly, so the walk is cross-checked against them by
+//! equivalence.
 //!
 //! Bandwidth is metered sparsely: the active-stream count is recorded only
 //! when it changes, yielding the change-point [`BandwidthProfile`] directly
 //! — no per-slot allocation over the span ever happens.
 //!
-//! Per-client metrics are computed in closed form from the receiving
+//! The walk computes per-client metrics in closed form from the receiving
 //! program's segments instead of slot-by-slot replay. For a client at `t_c`
 //! receiving parts `[first, last]` from the stream of node `x_j` (started at
 //! `t_j`):
@@ -94,12 +98,14 @@ pub(super) fn run(
                 clients,
             })
         }
+        // For sorted times deadline order is index order, so the stream's
+        // first error is already the dense engine's.
+        Err(streaming_err) if times.is_sorted() => Err(streaming_err),
         Err(streaming_err) => {
             // The stream fails at the earliest part-deadline violation; the
-            // dense engine reports the lowest-*index* violation. Those only
-            // differ when arrival times are not globally nondecreasing —
-            // replay client checks in index order so the reported error is
-            // identical either way. Error path only: no cost on success.
+            // dense engine reports the lowest-*index* violation. On unsorted
+            // times the two can differ, so replay client checks in index
+            // order to report the dense engine's. Error path only.
             let specs = stream_schedule(forest, times, media_len)?;
             let mut scratch = EngineScratch::default();
             for (range, tree) in forest.iter_with_ranges() {
@@ -288,13 +294,11 @@ fn parent_column(tree: &MergeTree) -> Result<Vec<u32>, SimError> {
 }
 
 /// Reusable per-client sweep buffers: one allocation set for a whole run
-/// instead of one per client. Shared with the push-based
-/// [`super::incremental`] engine so both evaluate clients with the very
-/// same code path.
+/// instead of one per client.
 #[derive(Debug, Default)]
-pub(super) struct EngineScratch {
+struct EngineScratch {
     /// Inclusive receive-slot interval of each non-empty segment
-    /// (test-only staging: the hot path feeds `starts`/`ends` directly).
+    /// (test-only staging: the walk feeds `starts`/`ends` directly).
     #[cfg(test)]
     intervals: Vec<(i64, i64)>,
     /// Interval start slots, sorted ascending.
@@ -304,12 +308,10 @@ pub(super) struct EngineScratch {
 }
 
 impl EngineScratch {
-    /// Sorts the endpoint views if needed. The hot path pushes endpoints in
-    /// part order, which the closed forms keep sorted for every program the
-    /// verify pass admits on sorted arrivals, so the common case is a single
-    /// ordered scan with no swap; the sorts only fire on adversarial inputs
-    /// (and produce exactly what sorting the part-order endpoints always
-    /// produced, so behavior is unchanged either way).
+    /// Sorts the endpoint views if needed. The walk pushes endpoints in
+    /// part order, which is often sorted already, so the check is a single
+    /// ordered scan; a sort produces exactly what sorting the part-order
+    /// endpoints always produced, so behavior is the same either way.
     fn sort_endpoints(&mut self) {
         if !self.starts.is_sorted() {
             self.starts.sort_unstable();
@@ -320,7 +322,7 @@ impl EngineScratch {
     }
 
     /// Loads the sorted endpoint views of `intervals` (test-only staging —
-    /// the hot path pushes into `starts`/`ends` directly).
+    /// the walk pushes into `starts`/`ends` directly).
     #[cfg(test)]
     fn load_endpoints(&mut self) {
         self.starts.clear();
@@ -443,9 +445,8 @@ fn spec_error(
 
 /// Checks one client's program against its tree's schedule and measures it,
 /// in `O(segments log segments)` arithmetic — no per-slot state, no
-/// allocation (everything lives in `scratch`). Also the evaluator of the
-/// push-based [`super::incremental`] engine (same code path, so the two
-/// engines cannot drift apart on per-client semantics).
+/// allocation (everything lives in `scratch`). Unsorted input only: sorted
+/// input is scored by the [`super::incremental`] engine's closed forms.
 ///
 /// One walk from the client up `parents` visits the program's segments in
 /// part order (its own stream first, the root last). At each level it
@@ -458,7 +459,7 @@ fn spec_error(
 /// anywhere on the path still wins, as it does in the dense oracle, which
 /// verifies the whole program before it reads a single spec.
 #[allow(clippy::too_many_arguments)] // tree-local slices + scratch, all hot
-pub(super) fn eval_client(
+fn eval_client(
     parents: &[u32],
     local_times: &[i64],
     local_specs: &[StreamSpec],

@@ -10,65 +10,86 @@
 //!
 //! * **one open tree** — arrivals attach to the most recently opened tree
 //!   (the model's invariant: merging across closed trees is impossible
-//!   because their streams have already begun). The open tree is a `u32`
-//!   parent column plus its arrival times and its *tentative* Lemma-1
-//!   stream specs, all recycled through a storage pool so steady-state
-//!   pushes are allocation-free. Attaching `y` under `p` makes `y` the
-//!   last descendant of its entire root path, so only nodes on that path
-//!   can change, each to `ℓ(x) = (t_y − t_x) + (t_y − t_{p(x)})`: a growth
-//!   of `2(t_y − t_{z_old(x)})`. The walk up stops at the first ancestor
-//!   whose length does not change — its old last descendant arrived at
-//!   `t_y`, and every ancestor above it has an old last descendant that
-//!   arrived between that one and `y`, so (times never decrease) at `t_y`
-//!   too. A joiner attached at its head's time therefore costs `O(1)`; no
-//!   attach costs more than `O(depth)`, and nothing is re-derived from the
-//!   prefix;
-//! * **deadlines fire during ingest** — a client's report depends only on
-//!   its root-path arrival times and on spec fields that later arrivals
-//!   can only *grow* past its demands (`t_z ≥ t_c` for every later
-//!   descendant), so each report is final the moment the client's last
+//!   because their streams have already begun). A tree is three columns
+//!   indexed by local arrival: its `u32` parent, its `u32` *top* (the
+//!   root's child on its root path — a node attached under the root is its
+//!   own top, any other copies its parent's), and its arrival time, all
+//!   recycled through a storage pool so steady-state pushes are
+//!   allocation-free. An attach pushes one entry onto each column: `O(1)`.
+//! * **each report in `O(1)`, from Lemma 1's closed forms** — on every
+//!   push sequence this engine accepts (nondecreasing times, each parent
+//!   pushed before its children) a client `c`'s whole report follows from
+//!   three arrival times: its own `t_c`, its root's `t_r`, and its top's
+//!   `t_u` (for the root itself, `u = c = r`). Let `m = 2t_c − t_u − t_r`
+//!   (the last part `c` takes from a non-root stream) and `d = t_c − t_r`.
+//!   - If `m > L`, the error is [`ModelError::PartOutOfRange`]: the first
+//!     `2t_c − t_{x_j} − t_{x_{j+1}}` above `L` on the walk up from `c`.
+//!     These values never decrease up the path, and this walk runs on the
+//!     error path only.
+//!   - If `L = 0` (so `m = 0`), no part is received: `max_buffer` 0,
+//!     `max_concurrent` 0, `min_slack` `i64::MAX`.
+//!   - Otherwise `max_buffer = min(d, L − d)` and `min_slack = 0`;
+//!     `max_concurrent` is 2 when `t_c > t_u`, or when both `t_u > t_r`
+//!     and `m < L`, and 1 in every other case. A buffer bound below
+//!     `max_buffer` gives [`SimError::BufferOverflow`].
+//!
+//!   *Why no other check can fail on a push.* Take the path
+//!   `x_0 = c, …, x_k = r` and set `x_{−1} = c`. Segment `j` is parts
+//!   `2t_c − t_{x_{j−1}} − t_{x_j} + 1 ..= 2t_c − t_{x_j} − t_{x_{j+1}}` of
+//!   `x_j`'s stream, and the root's segment ends at `L`. The segments run
+//!   on from part 1 without a gap, so once `m ≤ L` there is no
+//!   `CoverageGap`. Every time on the path is at most `t_c`, so there is
+//!   no `ParentNotEarlier` and no `Stall`.
+//!   `ℓ(x_j) = 2t_{z(x_j)} − t_{x_j} − t_{x_{j+1}}` with `t_z ≥ t_c`, so
+//!   there is no `StreamTooShort`. Segment `j` is received during
+//!   `[2t_c − t_{x_{j−1}}, 2t_c − t_{x_{j+1}})`; segment `j + 2` starts
+//!   where `j` ends, so at most two streams arrive at once and there is
+//!   no `ReceiveTwoViolation` (segments `j` and `j + 1` overlap exactly
+//!   when `t_{x_j} > t_{x_{j+1}}`, and the root's segment is non-empty
+//!   exactly when `m < L`: the concurrency rule above). Reception never
+//!   pauses between `t_c` and its last slot `max(2t_c − t_r, t_r + L)`,
+//!   so the buffer only grows until then. Its peak is `L` minus the
+//!   `max(d, L − d)` parts played by then, which is `min(d, L − d)`.
+//! * **deadlines fire during ingest** — a client's report is fixed at its
+//!   arrival, so each report is emitted the moment the client's last
 //!   part-deadline `t_c + L` falls strictly before the ingest clock.
 //!   Reports stream out through `emit` in deadline order (ties by arrival
 //!   index), and the first violating deadline is the error;
-//! * **co-arrivals reuse their parent's report** — under Lemma 1 a client
-//!   that arrives in its parent's slot gets an empty stream of its own
-//!   (parts `1..=2t_c − t_c − t_p`, none) and then exactly its parent's
-//!   segments, read against the same specs. The two share a deadline, so
-//!   they fire in one `fire_deadlines` call, and no attach runs inside a
-//!   call: every check returns the parent's verdict. The call keeps the
-//!   last report it evaluated in full, and a client whose parent is that
-//!   client, at the same time, takes it with its own index instead of
-//!   being evaluated again — every joiner the serving loop batches under
-//!   its group head is such a client;
-//! * **bandwidth change-points finalize at tree closure** — a stream's end
-//!   moves later while descendants can still attach (a tied co-arrival
-//!   even gains its start retroactively), so a tree's streams enter the
-//!   bandwidth sweep only when a new root closes it. All future events
-//!   then lie at or past the closing root's arrival, so every instant
-//!   strictly below it is final: the closing tree's starts (already in
-//!   time order) merge as a sorted run with a min-heap that holds only the
-//!   active streams' ends, and each instant is netted into one sparse
-//!   `ProfileBuilder` record. Starts tied with the closing root are only
-//!   counted, and join that root's instant when it closes in turn. Heap
-//!   and retention are `O(open trees + active streams)`, never
+//! * **stream lengths at tree closure** — a stream's length grows while
+//!   descendants can still attach (a tied co-arrival even gains its
+//!   stream retroactively), so no length is kept during ingest. Times never
+//!   decrease in index order, so a node's last descendant arrived at the
+//!   latest time in its subtree: when a new root closes the tree, one
+//!   reverse pass over the parent column finds that time `t_{z(x)}` and
+//!   sets `ℓ(x) = 2t_{z(x)} − t_x − t_{p(x)}`, the root's being `L`. The
+//!   lengths live in one scratch vector owned by the engine; the tree's
+//!   units enter the total and its streams the bandwidth sweep;
+//! * **bandwidth change-points finalize at tree closure** — all future
+//!   events then lie at or past the closing root's arrival, so every
+//!   instant strictly below it is final: the closing tree's starts
+//!   (already in time order) merge as a sorted run with a min-heap that
+//!   holds only the active streams' ends, and each instant is netted into
+//!   one sparse `ProfileBuilder` record. Starts tied with the closing root
+//!   are only counted, and join that root's instant when it closes in
+//!   turn. Heap and retention are `O(open trees + active streams)`, never
 //!   `O(arrivals)`;
 //! * **time travel is rejected, interleaving is not** — `push` accepts any
 //!   nondecreasing time sequence (ties included) and fails fast with
 //!   [`IngestError::OutOfOrder`] otherwise, leaving the engine untouched.
 //!
-//! The `engine_equivalence` proptest suite pins this engine bit-identical
-//! (reports, emission order, summary, first error) to the dense oracle on
-//! every sorted input.
+//! The `engine_equivalence` proptest suite and its exhaustive small-tree
+//! grid pin this engine bit-identical (reports, emission order, summary,
+//! first error) to the dense oracle on every sorted input.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::iter::Peekable;
 
-use super::events::{eval_client, label, EngineScratch, StreamingSummary};
+use super::events::{label, StreamingSummary};
 use super::{ClientReport, SimConfig};
 use crate::error::SimError;
 use crate::metrics::ProfileBuilder;
-use crate::schedule::{checked_media_len, StreamSpec};
+use crate::schedule::checked_media_len;
 use sm_core::{MergeForest, ModelError};
 
 /// Where one ingested arrival goes, structurally.
@@ -141,14 +162,102 @@ pub struct IncrementalSummary {
     pub max_open_trees: usize,
 }
 
-/// Recyclable per-tree storage: the parent column plus the times and spec
-/// buffers. Fully-served trees return their storage here so later opens
-/// reuse the capacity instead of allocating.
+/// One tree's columns, indexed by local arrival. Fully-served trees return
+/// theirs to the engine's pool so later opens reuse the capacity instead of
+/// allocating.
 #[derive(Debug, Default)]
 struct TreeStorage {
+    /// Local parent of each arrival; entry 0, the root's, is unused.
     parents: Vec<u32>,
+    /// The root's child on each arrival's root path; entry 0, the root's,
+    /// is the root itself.
+    tops: Vec<u32>,
     times: Vec<i64>,
-    specs: Vec<StreamSpec>,
+}
+
+impl TreeStorage {
+    /// Lemma 1's closed-form report of local client `c`, global index
+    /// `base + c` (see the module docs).
+    fn report(
+        &self,
+        base: usize,
+        c: usize,
+        media: i64,
+        bound: Option<u64>,
+    ) -> Result<ClientReport, SimError> {
+        let t_c = self.times[c];
+        let t_r = self.times[0];
+        let t_u = self.times[self.tops[c] as usize];
+        let m = 2 * t_c - t_u - t_r;
+        if m > media {
+            let part = self.first_part_past(c, media);
+            return Err(SimError::Model(ModelError::PartOutOfRange { part }));
+        }
+        let client = base + c;
+        if media == 0 {
+            return Ok(ClientReport {
+                client,
+                max_buffer: 0,
+                max_concurrent: 0,
+                min_slack: i64::MAX,
+            });
+        }
+        let d = t_c - t_r;
+        let max_buffer = d.min(media - d);
+        if let Some(bound) = bound {
+            if i64::try_from(bound).is_ok_and(|b| max_buffer > b) {
+                return Err(SimError::BufferOverflow {
+                    client,
+                    needed: max_buffer,
+                    bound,
+                });
+            }
+        }
+        let two = t_c > t_u || (t_u > t_r && m < media);
+        Ok(ClientReport {
+            client,
+            max_buffer,
+            max_concurrent: if two { 2 } else { 1 },
+            min_slack: 0,
+        })
+    }
+
+    /// The part `PartOutOfRange` names for local client `c`: the first
+    /// segment end `2t_c − t_x − t_{p(x)}` above `media` on the walk up
+    /// from `c`. The top's end is `m`, so the walk stops there at the
+    /// latest.
+    fn first_part_past(&self, c: usize, media: i64) -> i64 {
+        let t_c = self.times[c];
+        let mut node = c;
+        loop {
+            let up = self.parents[node] as usize;
+            let part = 2 * t_c - self.times[node] - self.times[up];
+            if part > media || up == 0 {
+                return part;
+            }
+            node = up;
+        }
+    }
+
+    /// Writes every node's final Lemma-1 stream length into `lengths`:
+    /// `ℓ(x) = 2t_{z(x)} − t_x − t_{p(x)}`, and `media` for the root.
+    /// A node's descendants all have larger indices and times never
+    /// decrease, so one reverse pass carries each subtree's latest time,
+    /// `t_{z(x)}`, up to its root, and it is final when the pass reaches
+    /// `x`.
+    fn stream_lengths(&self, media: i64, lengths: &mut Vec<i64>) {
+        lengths.clear();
+        lengths.extend_from_slice(&self.times);
+        for x in (1..self.times.len()).rev() {
+            let up = self.parents[x] as usize;
+            let t_z = lengths[x];
+            lengths[x] = 2 * t_z - self.times[x] - self.times[up];
+            lengths[up] = lengths[up].max(t_z);
+        }
+        if let Some(root) = lengths.first_mut() {
+            *root = media;
+        }
+    }
 }
 
 /// The tree currently accepting arrivals.
@@ -156,76 +265,42 @@ struct TreeStorage {
 struct OpenTree {
     /// Global index of the root.
     base: usize,
-    /// Local parent of each arrival; entry 0, the root's, is unused.
-    parents: Vec<u32>,
-    times: Vec<i64>,
-    /// Tentative Lemma-1 specs: exact for the tree as grown so far; only
-    /// root-path entries of future arrivals can still grow.
-    specs: Vec<StreamSpec>,
+    cols: TreeStorage,
 }
 
 impl OpenTree {
-    fn new(base: usize, time: i64, media: i64, storage: TreeStorage) -> Self {
-        let TreeStorage {
-            mut parents,
-            mut times,
-            mut specs,
-        } = storage;
-        parents.clear();
-        parents.push(0);
-        times.clear();
-        times.push(time);
-        specs.clear();
-        specs.push(StreamSpec {
-            node: base,
-            start: time,
-            length: media,
-        });
-        Self {
-            base,
-            parents,
-            times,
-            specs,
-        }
+    fn new(base: usize, time: i64, mut cols: TreeStorage) -> Self {
+        cols.parents.clear();
+        cols.parents.push(0);
+        cols.tops.clear();
+        cols.tops.push(0);
+        cols.times.clear();
+        cols.times.push(time);
+        Self { base, cols }
     }
 
-    /// The `u32` label of local node `parent` for the next arrival, which
-    /// must itself fit a label; `None` when `parent` is not in this tree.
-    fn parent_label(&self, parent: usize) -> Option<Result<u32, ModelError>> {
+    /// The `(parent, top)` labels of the next arrival under global node
+    /// `parent`, which must fit a label itself; `None` when `parent` is not
+    /// in this tree.
+    fn labels(&self, parent: usize) -> Option<Result<(u32, u32), ModelError>> {
         let local = parent
             .checked_sub(self.base)
-            .filter(|&l| l < self.times.len())?;
-        Some(label(self.times.len()).and_then(|_| label(local)))
+            .filter(|&l| l < self.cols.times.len())?;
+        Some(label(self.cols.times.len()).and_then(|node| {
+            let top = if local == 0 {
+                node
+            } else {
+                self.cols.tops[local]
+            };
+            Ok((label(local)?, top))
+        }))
     }
 
-    /// Attaches an arrival at `time` under local node `parent` (a label
-    /// from [`Self::parent_label`]), updating tentative lengths up the root
-    /// path only as far as they change (see the module docs).
-    fn attach(&mut self, time: i64, parent: u32) {
-        let p = parent as usize;
-        let node = self.times.len();
-        self.parents.push(parent);
-        self.times.push(time);
-        // The new node is its own last descendant: ℓ = t_y − t_p.
-        self.specs.push(StreamSpec {
-            node: self.base + node,
-            start: time,
-            length: time - self.times[p],
-        });
-        // …and the new last descendant of every proper ancestor: each
-        // non-root ancestor a becomes ℓ(a) = (t_y − t_a) + (t_y − t_{p(a)}),
-        // until one keeps its length. The root keeps the full media length.
-        let mut cur = p;
-        while cur != 0 {
-            let up = self.parents[cur] as usize;
-            let length = (time - self.times[cur]) + (time - self.times[up]);
-            let spec = &mut self.specs[cur];
-            if spec.length == length {
-                break;
-            }
-            spec.length = length;
-            cur = up;
-        }
+    /// Attaches an arrival at `time` with labels from [`Self::labels`].
+    fn attach(&mut self, time: i64, (parent, top): (u32, u32)) {
+        self.cols.parents.push(parent);
+        self.cols.tops.push(top);
+        self.cols.times.push(time);
     }
 }
 
@@ -234,9 +309,7 @@ impl OpenTree {
 #[derive(Debug)]
 struct ClosedTree {
     base: usize,
-    parents: Vec<u32>,
-    times: Vec<i64>,
-    specs: Vec<StreamSpec>,
+    cols: TreeStorage,
     remaining: usize,
 }
 
@@ -248,7 +321,6 @@ struct ClosedTree {
 /// `(forest, times)` pair.
 #[derive(Debug)]
 pub struct IncrementalEngine {
-    media_len: u64,
     media: i64,
     config: SimConfig,
     /// Latest ingested arrival time; pushes may not move before it.
@@ -262,6 +334,8 @@ pub struct IncrementalEngine {
     /// Reclaimed storage of fully-served trees; opening a new tree pops
     /// from here, so steady-state ingest allocates nothing.
     pool: Vec<TreeStorage>,
+    /// The closing tree's stream lengths; reused by every closure.
+    lengths: Vec<i64>,
     /// End slots of the started streams of *closed* trees; every instant
     /// below the latest closing root's arrival time is already drained.
     ends: BinaryHeap<Reverse<i64>>,
@@ -275,7 +349,6 @@ pub struct IncrementalEngine {
     profile: ProfileBuilder,
     total_units: i64,
     max_open_trees: usize,
-    scratch: EngineScratch,
 }
 
 impl IncrementalEngine {
@@ -285,7 +358,6 @@ impl IncrementalEngine {
     pub fn new(media_len: u64, config: SimConfig) -> Result<Self, SimError> {
         let media = checked_media_len(media_len)?;
         Ok(Self {
-            media_len,
             media,
             config,
             last_time: None,
@@ -294,6 +366,7 @@ impl IncrementalEngine {
             open: None,
             closed: VecDeque::new(),
             pool: Vec::new(),
+            lengths: Vec::new(),
             ends: BinaryHeap::new(),
             tied: 0,
             tied_at: 0,
@@ -301,7 +374,6 @@ impl IncrementalEngine {
             profile: ProfileBuilder::new(),
             total_units: 0,
             max_open_trees: 0,
-            scratch: EngineScratch::default(),
         })
     }
 
@@ -342,32 +414,32 @@ impl IncrementalEngine {
                 return Err(IngestError::OutOfOrder { time, last });
             }
         }
-        let parent = match attach {
+        let labels = match attach {
             Attach::Root => None,
             Attach::Under(parent) => {
                 let not_open = IngestError::ParentNotOpen {
                     node: self.n,
                     parent,
                 };
-                let label = self
+                let labels = self
                     .open
                     .as_ref()
-                    .and_then(|open| open.parent_label(parent))
+                    .and_then(|open| open.labels(parent))
                     .ok_or(not_open)?;
-                Some(label.map_err(|e| IngestError::Sim(SimError::Model(e)))?)
+                Some(labels.map_err(|e| IngestError::Sim(SimError::Model(e)))?)
             }
         };
         self.fire_deadlines(Some(time), &mut emit)?;
-        match parent {
+        match labels {
             None => {
                 self.close_open(Some(time));
                 let storage = self.pool.pop().unwrap_or_default();
-                self.open = Some(OpenTree::new(self.n, time, self.media, storage));
+                self.open = Some(OpenTree::new(self.n, time, storage));
             }
             // Validated above; firing deadlines leaves the open tree alone.
-            Some(parent) => {
+            Some(labels) => {
                 if let Some(open) = self.open.as_mut() {
-                    open.attach(time, parent);
+                    open.attach(time, labels);
                 }
             }
         }
@@ -395,75 +467,40 @@ impl IncrementalEngine {
         })
     }
 
-    /// Evaluates and emits clients in arrival-index order (which is
-    /// deadline order, since times are nondecreasing) while their deadline
-    /// `t_c + L` lies strictly before `before` — or all of them when
-    /// `before` is `None`. Served-out closed trees are dropped from the
-    /// front as the cursor passes them. A co-arrival of the last client
-    /// evaluated in full takes that client's report (see the module docs).
+    /// Reports and emits clients in arrival-index order (which is deadline
+    /// order, since times are nondecreasing) while their deadline `t_c + L`
+    /// lies strictly before `before` — or all of them when `before` is
+    /// `None`. Served-out closed trees are dropped from the front as the
+    /// cursor passes them.
     fn fire_deadlines<F: FnMut(ClientReport)>(
         &mut self,
         before: Option<i64>,
         emit: &mut F,
     ) -> Result<(), SimError> {
-        let mut full: Option<ClientReport> = None;
         while self.ci < self.n {
             // The next unserved client always lives in the *front* closed
             // tree (earlier trees were dropped exactly when served out),
             // or in the open tree once no closed tree is left.
-            let (base, parents, times, specs) = match (self.closed.front(), &self.open) {
-                (Some(t), _) => (t.base, &t.parents, &t.times, &t.specs),
-                (None, Some(t)) => (t.base, &t.parents, &t.times, &t.specs),
+            let (base, cols) = match (self.closed.front(), &self.open) {
+                (Some(t), _) => (t.base, &t.cols),
+                (None, Some(t)) => (t.base, &t.cols),
                 (None, None) => {
                     debug_assert!(false, "client {} has no retained tree", self.ci);
                     return Ok(());
                 }
             };
-            debug_assert!((base..base + times.len()).contains(&self.ci));
+            debug_assert!((base..base + cols.times.len()).contains(&self.ci));
             let local = self.ci - base;
-            let time = times[local];
-            if before.is_some_and(|h| time + self.media >= h) {
+            if before.is_some_and(|h| cols.times[local] + self.media >= h) {
                 return Ok(());
             }
-            // A co-arrival of the client last evaluated in full reads the
-            // same segments against the same specs: same verdict.
-            let parent = parents[local] as usize;
-            let report = match &full {
-                Some(r) if local > 0 && r.client == base + parent && times[parent] == time => {
-                    ClientReport {
-                        client: self.ci,
-                        ..*r
-                    }
-                }
-                _ => {
-                    // Tentative specs are safe here: every spec a client
-                    // reads can only grow past demands that are fixed at
-                    // its arrival.
-                    let r = eval_client(
-                        parents,
-                        times,
-                        specs,
-                        self.media_len,
-                        base,
-                        local,
-                        self.config,
-                        &mut self.scratch,
-                    )?;
-                    full = Some(r.clone());
-                    r
-                }
-            };
-            emit(report);
+            emit(cols.report(base, local, self.media, self.config.buffer_bound)?);
             self.ci += 1;
             if let Some(front) = self.closed.front_mut() {
                 front.remaining -= 1;
                 if front.remaining == 0 {
                     if let Some(done) = self.closed.pop_front() {
-                        self.pool.push(TreeStorage {
-                            parents: done.parents,
-                            times: done.times,
-                            specs: done.specs,
-                        });
+                        self.pool.push(done.cols);
                     }
                 }
             }
@@ -471,8 +508,8 @@ impl IncrementalEngine {
         Ok(())
     }
 
-    /// Closes the open tree (if any): its specs are now final, so its
-    /// units enter the total and its streams the bandwidth sweep; it is
+    /// Closes the open tree (if any): its stream lengths are now final, so
+    /// its units enter the total and its streams the bandwidth sweep; it is
     /// retained only if unserved clients remain. Then settles every instant
     /// strictly below `horizon` (all of them for `None`), merging the tree's
     /// starts in as a sorted run — sound because every undrained event and
@@ -482,46 +519,50 @@ impl IncrementalEngine {
         let Some(open) = self.open.take() else {
             return;
         };
-        self.total_units += open.specs.iter().map(|s| s.length).sum::<i64>();
+        let mut lengths = std::mem::take(&mut self.lengths);
+        open.cols.stream_lengths(self.media, &mut lengths);
+        self.total_units += lengths.iter().sum::<i64>();
         // Local order is arrival order, so the starts are already sorted.
         // A stream's end enters the heap when its start is applied, so the
         // heap holds only the active streams' ends.
-        let mut streams = open.specs.iter().filter(|s| s.length > 0).peekable();
+        let mut streams = open
+            .cols
+            .times
+            .iter()
+            .zip(&lengths)
+            .filter(|&(_, &length)| length > 0)
+            .map(|(&start, &length)| (start, start + length))
+            .peekable();
         // Streams the previous closure left tied with this tree's root open
         // the first instant: nothing pending lies below them.
         if self.tied > 0 && horizon.is_none_or(|h| self.tied_at < h) {
             self.active += std::mem::take(&mut self.tied);
             self.settle(self.tied_at, &mut streams);
         }
-        while let Some(first) = streams.next_if(|s| horizon.is_none_or(|h| s.start < h)) {
-            self.drain_below(Some(first.start));
-            self.ends.push(Reverse(first.end()));
+        while let Some((start, end)) = streams.next_if(|&(s, _)| horizon.is_none_or(|h| s < h)) {
+            self.drain_below(Some(start));
+            self.ends.push(Reverse(end));
             self.active += 1;
-            self.settle(first.start, &mut streams);
+            self.settle(start, &mut streams);
         }
         self.drain_below(horizon);
         // What is left starts at the horizon, tied with the next root.
-        for s in streams {
-            self.ends.push(Reverse(s.end()));
+        for (start, end) in streams {
+            self.ends.push(Reverse(end));
             self.tied += 1;
-            self.tied_at = s.start;
+            self.tied_at = start;
         }
-        let len = open.times.len();
+        self.lengths = lengths;
+        let len = open.cols.times.len();
         let remaining = (open.base + len) - self.ci.max(open.base);
         if remaining > 0 {
             self.closed.push_back(ClosedTree {
                 base: open.base,
-                parents: open.parents,
-                times: open.times,
-                specs: open.specs,
+                cols: open.cols,
                 remaining,
             });
         } else {
-            self.pool.push(TreeStorage {
-                parents: open.parents,
-                times: open.times,
-                specs: open.specs,
-            });
+            self.pool.push(open.cols);
         }
     }
 
@@ -529,9 +570,9 @@ impl IncrementalEngine {
     /// other streams starting at `t` go live, the streams ending at `t`
     /// retire, and the net count is recorded once, so a back-to-back
     /// handoff records no change.
-    fn settle<'a>(&mut self, t: i64, streams: &mut Peekable<impl Iterator<Item = &'a StreamSpec>>) {
-        while let Some(s) = streams.next_if(|s| s.start == t) {
-            self.ends.push(Reverse(s.end()));
+    fn settle(&mut self, t: i64, streams: &mut Peekable<impl Iterator<Item = (i64, i64)>>) {
+        while let Some((_, end)) = streams.next_if(|&(start, _)| start == t) {
+            self.ends.push(Reverse(end));
             self.active += 1;
         }
         self.pop_ends_at(t);
@@ -655,10 +696,10 @@ mod tests {
 
     #[test]
     fn tied_co_arrival_gains_its_stream_retroactively() {
-        // Arrival 1 ties with the root: its tentative stream has length 0.
-        // Arrival 2 then merges under it, so stream 1 must retroactively
-        // start (length 2·7 − 5 − 5 = 4) — the case that forces bandwidth
-        // events to wait for tree closure.
+        // Arrival 1 ties with the root: until arrival 2 merges under it,
+        // its stream has length 0. Stream 1 must then retroactively start
+        // (length 2·7 − 5 − 5 = 4) — the case that forces stream lengths
+        // and bandwidth events to wait for tree closure.
         let tree = MergeTree::from_parents(&[None, Some(0), Some(1)]).unwrap();
         let forest = MergeForest::single(tree);
         assert_matches_dense(&forest, &[5, 5, 7], 20);
@@ -683,6 +724,62 @@ mod tests {
         let dense = simulate_with(&forest, &times, 15, cfg).unwrap_err();
         let got = simulate_incremental(&forest, &times, 15, cfg, |_| {}).unwrap_err();
         assert_eq!(got, IngestError::Sim(dense));
+    }
+
+    /// Every report of one tree through the engine, or its first error,
+    /// after pinning the run against the dense oracle.
+    fn tree_reports(
+        parents: &[Option<usize>],
+        times: &[i64],
+        media_len: u64,
+    ) -> Result<Vec<ClientReport>, IngestError> {
+        let forest = MergeForest::single(MergeTree::from_parents(parents).unwrap());
+        assert_matches_dense(&forest, times, media_len);
+        let mut reports = Vec::new();
+        simulate_incremental(&forest, times, media_len, SimConfig::default(), |r| {
+            reports.push(r)
+        })?;
+        Ok(reports)
+    }
+
+    fn report(client: usize, max_buffer: i64, max_concurrent: usize) -> ClientReport {
+        ClientReport {
+            client,
+            max_buffer,
+            max_concurrent,
+            min_slack: 0,
+        }
+    }
+
+    #[test]
+    fn closed_forms_match_the_worked_examples() {
+        // Client 2: t_c = 7, t_u = 5, t_r = 0, so m = 9 and d = 7. Its
+        // buffer peaks at min(d, L − d) = 3, not at d, and it receives two
+        // streams at once because t_c > t_u.
+        let got = tree_reports(&[None, Some(0), Some(1)], &[0, 5, 7], 10).unwrap();
+        assert_eq!(got, vec![report(0, 0, 1), report(1, 5, 2), report(2, 3, 2)]);
+        // Client 1 sits under the root at d = 5, so m = d. At L = 5 the
+        // root's segment is empty (m = L): one stream at a time, no buffer.
+        let got = tree_reports(&[None, Some(0)], &[0, 5], 5).unwrap();
+        assert_eq!(got, vec![report(0, 0, 1), report(1, 0, 1)]);
+        // At L = 4 part m = 5 lies outside the media.
+        let out_of_range = |part| {
+            Err(IngestError::Sim(SimError::Model(
+                ModelError::PartOutOfRange { part },
+            )))
+        };
+        assert_eq!(tree_reports(&[None, Some(0)], &[0, 5], 4), out_of_range(5));
+        // L = 0: a root and its co-arrival receive nothing (m = 0)…
+        let nothing = |client| ClientReport {
+            client,
+            max_buffer: 0,
+            max_concurrent: 0,
+            min_slack: i64::MAX,
+        };
+        let got = tree_reports(&[None, Some(0)], &[3, 3], 0).unwrap();
+        assert_eq!(got, vec![nothing(0), nothing(1)]);
+        // …and a later arrival needs part m = 1 of an empty media.
+        assert_eq!(tree_reports(&[None, Some(0)], &[3, 4], 0), out_of_range(1));
     }
 
     #[test]

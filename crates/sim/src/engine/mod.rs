@@ -8,23 +8,23 @@
 //! * [`dense`] — the original slot-stepped oracle: every client is swept
 //!   over every slot of its playback window (`O(clients · L²)` time,
 //!   `O(L)` scratch per client). Simple, and kept as the reference.
-//! * [`events`] — the discrete-event engine's batch entry points and its
-//!   per-client evaluator: one walk from the client up its tree's parent
-//!   column derives, verifies and checks every segment of its program,
-//!   and per-client metrics come from a single sorted-endpoint sweep —
-//!   `O(segments log segments)` per client (never candidates × segments) —
-//!   the production batch path. Sorted arrivals replay through the
-//!   incremental driver below; unsorted ones take an eager, sort-based
-//!   fallback.
+//! * [`events`] — the discrete-event engine's batch entry points: sorted
+//!   arrivals replay through the incremental driver below, and unsorted
+//!   ones take an eager, sort-based fallback whose per-client walk up the
+//!   tree's parent column derives, verifies and checks every segment of a
+//!   program, with metrics from a single sorted-endpoint sweep —
+//!   `O(segments log segments)` per client (never candidates × segments).
 //! * [`incremental`] — the one driver for slot-ordered arrivals: they push
-//!   in one at a time ([`IncrementalEngine::push`]), the open tree's
-//!   parent column and its tentative Lemma-1 specs grow in place (an
-//!   attach updates lengths only as far up as they change), stream ends
-//!   live in a binary min-heap, and reports stream out as deadlines fire
-//!   during ingest, a co-arrival copying its parent's — no forest, no
-//!   horizon, no times slice up front, and memory proportional to the
-//!   *open* trees and active streams. The serving loop drives it
-//!   directly; [`simulate_incremental`] replays a batch through it.
+//!   in one at a time ([`IncrementalEngine::push`]), each appending a
+//!   parent, a top (the root's child on its path) and a time to the open
+//!   tree's columns in `O(1)`. Each client's report comes in `O(1)` from
+//!   Lemma 1's closed forms over three arrival times, and streams out as
+//!   its deadline fires during ingest; each tree's stream lengths are
+//!   computed once, when it closes, and its stream ends live in a binary
+//!   min-heap — no forest, no horizon, no times slice up front, and memory
+//!   proportional to the *open* trees and active streams. The serving loop
+//!   drives it directly; [`simulate_incremental`] replays a batch through
+//!   it.
 //!
 //! All produce bit-identical reports (pinned by the `engine_equivalence`
 //! proptest suite); [`SimConfig::engine`] selects the dense oracle or the
@@ -87,12 +87,17 @@ impl SimConfig {
 pub struct ClientReport {
     /// Global arrival index.
     pub client: usize,
-    /// Peak number of parts held in the buffer.
+    /// Peak number of parts held in the buffer. On sorted input this is
+    /// `min(d, L − d)`, where `d` is the client's distance from its root's
+    /// arrival.
     pub max_buffer: i64,
-    /// Peak number of simultaneously received streams.
+    /// Peak number of simultaneously received streams (at most 2 on
+    /// sorted input; 0 when `L = 0`).
     pub max_concurrent: usize,
     /// Slack (in slots) between each part's arrival and its playback,
-    /// minimised over parts: 0 means some part arrives just in time.
+    /// minimised over parts: 0 means some part arrives just in time. On
+    /// sorted input it is 0 whenever `L ≥ 1`; with `L = 0` there are no
+    /// parts and it is `i64::MAX`.
     pub min_slack: i64,
 }
 

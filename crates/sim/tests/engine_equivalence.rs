@@ -8,9 +8,11 @@
 //! case the push-based incremental engine (`simulate_incremental`, the
 //! driver behind both for sorted input) is pinned bit-identical as well:
 //! summary, reports, emission order, and first error. An exhaustive grid
-//! over every small tree and time vector pins the events engine's one-pass
-//! client walk, including which error wins when a client's path holds both
-//! a structural and a spec violation.
+//! over every small tree and time vector pins the incremental engine's
+//! closed-form reports (with and without buffer bounds) on sorted times,
+//! and on unsorted ones the events engine's one-pass client walk,
+//! including which error wins when a client's path holds both a
+//! structural and a spec violation.
 
 use proptest::prelude::*;
 use sm_core::{consecutive_slots, MergeForest, MergeTree};
@@ -294,7 +296,7 @@ proptest! {
         // deadline ties resolve in arrival-index order, co-arrival streams
         // start at the same slot — must pin identically across the dense,
         // event, and incremental engines. A buffer bound of 0..6 (or none)
-        // pins the co-arrivals that copy their parent's report through
+        // pins the closed-form reports of tied arrivals through
         // `BufferOverflow` as well.
         let mut times = Vec::with_capacity(seeds.len());
         let mut parents_by_tree: Vec<Vec<Option<usize>>> = Vec::new();
@@ -402,10 +404,14 @@ fn all_parent_arrays(n: usize) -> Vec<Vec<Option<usize>>> {
 #[test]
 fn every_small_tree_and_time_vector_pins_events_to_dense() {
     // Every parent array with at most 5 nodes, every times vector over
-    // 0..=3 and L in 1..=8: 210 080 cases. Sorted times replay through the
-    // incremental engine (and its co-arrival rule); unsorted ones take the
-    // eager fallback and its index-order replay of the first error.
+    // 0..=3 and L in 0..=8: 236 340 cases. Sorted times replay through the
+    // incremental engine's closed forms, whose first error `simulate_with`
+    // returns as is; unsorted ones take the eager fallback and its
+    // index-order replay of the first error. Every sorted case also runs
+    // all three engines under buffer bounds 0..=3 (57 888 more cases),
+    // which pins `BufferOverflow`'s `needed` and the incremental path.
     let mut cases = 0usize;
+    let mut bounded = 0usize;
     for n in 1..=5usize {
         for parents in all_parent_arrays(n) {
             let forest = MergeForest::single(MergeTree::from_parents(&parents).unwrap());
@@ -413,18 +419,24 @@ fn every_small_tree_and_time_vector_pins_events_to_dense() {
                 let times: Vec<i64> = (0..n)
                     .map(|i| (code / 4usize.pow(i as u32) % 4) as i64)
                     .collect();
-                for media_len in 1..=8u64 {
+                for media_len in 0..=8u64 {
                     let (dense, events) = run_both(&forest, &times, media_len, None);
                     assert_eq!(
                         dense, events,
                         "parents {parents:?}, times {times:?}, L = {media_len}"
                     );
                     cases += 1;
+                    if times.is_sorted() {
+                        for bound in 0..=3u64 {
+                            assert_engines_agree(&forest, &times, media_len, Some(bound));
+                            bounded += 1;
+                        }
+                    }
                 }
             }
         }
     }
-    assert_eq!(cases, 210_080);
+    assert_eq!((cases, bounded), (236_340, 57_888));
     // One of those cases, where the walk's error precedence decides: client
     // 3's first segment (its own stream, part 1) already fails the spec
     // check — stream 3 has length 2·1 − 2 − 1 = −1 — but its path also asks

@@ -6,9 +6,9 @@
 //! counters, and the tests here pin the engines' allocation discipline:
 //!
 //! * **events** — one cold streaming run allocates only the engine's
-//!   reusable storage (the `EngineScratch` sweep buffers, the pooled
-//!   tree parent, times and spec columns, and the bandwidth
-//!   profile's change-point log), each growing by amortized doubling.
+//!   reusable storage (the stream-length scratch, the pooled tree
+//!   parent, top and time columns, and the bandwidth profile's
+//!   change-point log), each growing by amortized doubling.
 //!   The total is `O(log n)`, so it fits a fixed [`EVENTS_SETUP_BUDGET`]
 //!   and — the sharper claim — barely moves when `n` quadruples.
 //! * **incremental** — after a warm-up prefix of pushes has grown every
