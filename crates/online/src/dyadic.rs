@@ -12,15 +12,18 @@
 //! (for α = 2 these are the dyadic halves `(x, x+w/2], (x+w/2, x+3w/4], …`).
 //! The earliest arrival inside a sub-interval becomes a child of the root
 //! and the procedure recurses inside that sub-interval. Processing arrivals
-//! in time order makes this a stack algorithm: each arrival pops expired
-//! frames, attaches under the surviving top, and pushes its own frame.
+//! in strictly increasing time order makes this a stack algorithm: each
+//! arrival pops expired frames, attaches under the surviving top, and
+//! pushes its own frame. No decision reads a closed tree, so the merger
+//! holds only the open tree and a running cost; [`dyadic_forest`] folds
+//! the decisions into the whole forest.
 //!
 //! The paper's §4.2 variant uses α = φ, with β = 0.5 for Poisson arrivals
 //! and `β = F_h / L` for constant-rate arrivals.
 
-use sm_core::{merge_cost, MergeForest};
+use sm_core::MergeForest;
 
-use crate::incremental::{ForestBuilder, MergeDecision};
+use crate::incremental::{DecisionError, ForestBuilder, MergeDecision};
 
 /// Parameters of the (α,β)-dyadic algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,6 +69,7 @@ const MAX_LEVEL: usize = 60;
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
+    /// Local index of the frame's node in the open tree.
     node: usize,
     start: f64,
     end: f64,
@@ -73,8 +77,12 @@ struct Frame {
 
 /// On-line (α,β)-dyadic merger over continuous arrival times.
 ///
-/// Feed arrivals in nondecreasing time order with [`DyadicMerger::on_arrival`];
-/// extract the committed merge forest and its bandwidth cost at any time.
+/// Feed arrivals in strictly increasing time order with
+/// [`DyadicMerger::on_arrival`]. The merger holds only its frame stack and
+/// the open tree, so its memory is bounded by the largest tree rather than
+/// the run; [`total_cost`](DyadicMerger::total_cost) is available at any
+/// time, and [`dyadic_forest`] rebuilds the committed merge forest of a
+/// whole arrival sequence.
 #[derive(Debug, Clone)]
 pub struct DyadicMerger {
     cfg: DyadicConfig,
@@ -84,11 +92,17 @@ pub struct DyadicMerger {
     /// `α^-i` at index `i - 1`, for every level `i ∈ 1..=MAX_LEVEL`.
     inv_powers: [f64; MAX_LEVEL],
     stack: Vec<Frame>,
+    /// Local parent of each open-tree node; entry 0 (the root) is unused.
+    parents: Vec<usize>,
+    /// Arrival time of each open-tree node.
     times: Vec<f64>,
-    parents: Vec<Option<usize>>,
-    /// Index into `times` where each tree starts.
-    tree_starts: Vec<usize>,
-    last_time: f64,
+    /// Reverse-pass scratch: `z(x)`, the last arrival of `x`'s subtree.
+    last: Vec<usize>,
+    /// `L + Mcost` of every closed tree, summed in closing order.
+    closed_cost: f64,
+    /// Global arrival index of the open tree's root.
+    base: usize,
+    roots: usize,
 }
 
 impl DyadicMerger {
@@ -110,16 +124,18 @@ impl DyadicMerger {
             ln_alpha: cfg.alpha.ln(),
             inv_powers: std::array::from_fn(|k| cfg.alpha.powf(-((k + 1) as f64))),
             stack: Vec::new(),
-            times: Vec::new(),
             parents: Vec::new(),
-            tree_starts: Vec::new(),
-            last_time: f64::NEG_INFINITY,
+            times: Vec::new(),
+            last: Vec::new(),
+            closed_cost: 0.0,
+            base: 0,
+            roots: 0,
         }
     }
 
     /// Number of arrivals processed.
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.base + self.times.len()
     }
 
     /// `true` before any arrival.
@@ -127,21 +143,20 @@ impl DyadicMerger {
         self.times.is_empty()
     }
 
-    /// Processes an arrival at time `t`; returns the node index assigned.
+    /// Processes an arrival at time `t` and returns its merge decision.
+    /// A root closes the open tree, whose `L + Mcost` joins the running
+    /// cost; the tree's columns are then reused for the new one.
     ///
     /// # Panics
-    /// Panics if `t` precedes an earlier arrival (feed in order; ties are
-    /// allowed only logically — use strictly increasing times, e.g. batch
-    /// co-arrivals first).
-    pub fn on_arrival(&mut self, t: f64) -> usize {
+    /// Panics unless `t` is strictly later than every earlier arrival, so a
+    /// tie panics too (batch co-arrivals into one arrival first).
+    pub fn on_arrival(&mut self, t: f64) -> MergeDecision {
+        let last_time = self.times.last().copied().unwrap_or(f64::NEG_INFINITY);
         assert!(
-            t > self.last_time,
-            "arrivals must be fed in strictly increasing order ({t} after {})",
-            self.last_time
+            t > last_time,
+            "arrivals must be fed in strictly increasing order ({t} after {last_time})"
         );
-        self.last_time = t;
-        let node = self.times.len();
-        self.times.push(t);
+        let node = self.len();
         // Expire frames whose merge window closed before t. The root frame
         // expiring means t starts a new tree.
         while let Some(top) = self.stack.last() {
@@ -151,28 +166,41 @@ impl DyadicMerger {
                 break;
             }
         }
-        match self.stack.last().copied() {
+        let parent = match self.stack.last().copied() {
             None => {
-                self.parents.push(None);
-                self.tree_starts.push(node);
-                self.stack.clear();
+                if !self.times.is_empty() {
+                    self.closed_cost += self.media_len
+                        + tree_merge_cost(&self.parents, &self.times, &mut self.last);
+                }
+                self.parents.clear();
+                self.times.clear();
+                self.base = node;
+                self.roots += 1;
+                self.parents.push(0);
                 self.stack.push(Frame {
-                    node,
+                    node: 0,
                     start: t,
                     end: t + self.cfg.beta * self.media_len,
                 });
+                None
             }
-            Some(parent) => {
-                self.parents.push(Some(parent.node));
-                let end = self.sub_interval_end(parent.start, parent.end, t);
+            Some(frame) => {
+                self.parents.push(frame.node);
+                let end = self.sub_interval_end(frame.start, frame.end, t);
                 self.stack.push(Frame {
-                    node,
+                    node: self.times.len(),
                     start: t,
                     end,
                 });
+                Some(self.base + frame.node)
             }
+        };
+        self.times.push(t);
+        MergeDecision {
+            node,
+            tree: self.roots - 1,
+            parent,
         }
-        node
     }
 
     /// Right endpoint of the geometric sub-interval of `(start, end]`
@@ -198,50 +226,40 @@ impl DyadicMerger {
         sub_end.max(t)
     }
 
-    /// Parent (global arrival index) committed for `node`; `None` for tree
-    /// roots. The decision read-back behind the crate's
-    /// [`IncrementalPolicy`](crate::incremental::IncrementalPolicy) impl.
-    pub fn parent_of(&self, node: usize) -> Option<usize> {
-        self.parents[node]
-    }
-
-    /// The committed merge forest (so far) and the global arrival times —
-    /// a fold of the recorded decision stream through a [`ForestBuilder`],
-    /// so the batch view is exactly what the arrival-at-a-time decisions
-    /// built.
-    pub fn forest(&self) -> (MergeForest, Vec<f64>) {
-        assert!(!self.times.is_empty(), "no arrivals processed");
-        let mut builder = ForestBuilder::new();
-        for (node, &parent) in self.parents.iter().enumerate() {
-            let tree = builder.trees() - usize::from(parent.is_some());
-            builder
-                .apply(&MergeDecision { node, tree, parent })
-                .expect("dyadic decisions are structurally valid");
-        }
-        (
-            builder.finish().expect("at least one tree"),
-            self.times.clone(),
-        )
-    }
-
     /// Total server bandwidth committed so far, in slot-units: `L` per root
-    /// plus receive-two merge costs.
+    /// plus receive-two merge costs. The closed trees' share is the running
+    /// total; only the open tree is costed here.
     pub fn total_cost(&self) -> f64 {
         if self.times.is_empty() {
             return 0.0;
         }
-        let (forest, times) = self.forest();
-        let mut total = 0.0;
-        for (range, tree) in forest.iter_with_ranges() {
-            total += self.media_len + merge_cost(tree, &times[range]);
-        }
-        total
+        let open = tree_merge_cost(&self.parents, &self.times, &mut Vec::new());
+        self.closed_cost + (self.media_len + open)
     }
 
     /// Number of full (root) streams started.
     pub fn roots(&self) -> usize {
-        self.tree_starts.len()
+        self.roots
     }
+}
+
+/// `Mcost` of one tree from its local parent and time columns, folded term
+/// for term as `sm_core::merge_cost` folds it: `(t_z − t_x) + (t_z − t_p)`
+/// over nodes `1..n` in index order, from `0.0`. One reverse pass over the
+/// parents finds each `z(x)`, as `MergeTree::from_parents` does.
+fn tree_merge_cost(parents: &[usize], times: &[f64], last: &mut Vec<usize>) -> f64 {
+    last.clear();
+    last.extend(0..times.len());
+    for x in (1..times.len()).rev() {
+        let p = parents[x];
+        last[p] = last[p].max(last[x]);
+    }
+    let mut cost = 0.0;
+    for x in 1..times.len() {
+        let z = times[last[x]];
+        cost += (z - times[x]) + (z - times[parents[x]]);
+    }
+    cost
 }
 
 /// Runs the dyadic algorithm over a whole arrival sequence (immediate
@@ -254,10 +272,36 @@ pub fn dyadic_total_cost(cfg: DyadicConfig, media_len: f64, arrivals: &[f64]) ->
     m.total_cost()
 }
 
+/// The merge forest the dyadic algorithm commits over a whole arrival
+/// sequence: its decisions folded through a [`ForestBuilder`], so the batch
+/// view is exactly what the arrival-at-a-time decisions built. The forest's
+/// times are `arrivals` themselves.
+///
+/// # Errors
+/// Only on empty input, as [`ForestBuilder::finish`] (a forest needs at
+/// least one tree).
+///
+/// # Panics
+/// As [`DyadicMerger::new`] and [`DyadicMerger::on_arrival`]: on bad
+/// parameters, or times that do not strictly increase.
+pub fn dyadic_forest(
+    cfg: DyadicConfig,
+    media_len: f64,
+    arrivals: &[f64],
+) -> Result<MergeForest, DecisionError> {
+    let mut m = DyadicMerger::new(cfg, media_len);
+    let mut builder = ForestBuilder::new();
+    for &t in arrivals {
+        builder.apply(&m.on_arrival(t))?;
+    }
+    builder.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_core::{validate_forest, ValidationOptions};
+    use proptest::prelude::*;
+    use sm_core::{merge_cost, validate_forest, ValidationOptions};
 
     fn feed(cfg: DyadicConfig, media: f64, ts: &[f64]) -> DyadicMerger {
         let mut m = DyadicMerger::new(cfg, media);
@@ -286,15 +330,13 @@ mod tests {
     fn classic_dyadic_halving_structure() {
         // Window (0, 5]: I_1 = (0, 2.5], I_2 = (2.5, 3.75], ...
         // Arrivals 1.0 and 2.0 share I_1: 2.0 merges under 1.0.
-        let m = feed(DyadicConfig::classic(), 10.0, &[0.0, 1.0, 2.0]);
-        let (forest, _) = m.forest();
+        let forest = dyadic_forest(DyadicConfig::classic(), 10.0, &[0.0, 1.0, 2.0]).unwrap();
         assert_eq!(forest.num_trees(), 1);
         let tree = &forest.trees()[0];
         assert_eq!(tree.parent(1), Some(0));
         assert_eq!(tree.parent(2), Some(1));
         // 3.0 falls in I_2 of the root: child of the root, not of 1.0.
-        let m = feed(DyadicConfig::classic(), 10.0, &[0.0, 1.0, 3.0]);
-        let (forest, _) = m.forest();
+        let forest = dyadic_forest(DyadicConfig::classic(), 10.0, &[0.0, 1.0, 3.0]).unwrap();
         assert_eq!(forest.trees()[0].parent(2), Some(0));
     }
 
@@ -303,8 +345,8 @@ mod tests {
         // Inside I_1 = (0, 2.5] of the root, the child at 0.5 re-splits
         // (0.5, 2.5]: its I_1 is (0.5, 1.5]. Arrival 1.2 goes under 0.5;
         // arrival 2.0 (in (1.5, 2.5]) also under 0.5; arrival 2.6 under root.
-        let m = feed(DyadicConfig::classic(), 10.0, &[0.0, 0.5, 1.2, 2.0, 2.6]);
-        let (forest, _) = m.forest();
+        let ts = [0.0, 0.5, 1.2, 2.0, 2.6];
+        let forest = dyadic_forest(DyadicConfig::classic(), 10.0, &ts).unwrap();
         let t = &forest.trees()[0];
         assert_eq!(t.parent(1), Some(0)); // 0.5 under root
         assert_eq!(t.parent(2), Some(1)); // 1.2 under 0.5
@@ -320,11 +362,9 @@ mod tests {
             DyadicConfig::golden_poisson(),
             DyadicConfig::golden_constant_rate(100),
         ] {
-            let m = feed(cfg, 100.0, &ts);
-            let (forest, times) = m.forest();
-            for (range, tree) in forest.iter_with_ranges() {
+            let forest = dyadic_forest(cfg, 100.0, &ts).unwrap();
+            for tree in forest.trees() {
                 assert!(tree.has_preorder_property());
-                let _ = &times[range];
             }
         }
     }
@@ -334,9 +374,19 @@ mod tests {
         // β ≤ 1/2 keeps every stream within the media:
         // ℓ(x) ≤ 2·span ≤ 2βL ≤ L.
         let ts: Vec<f64> = (0..300).map(|i| i as f64 * 0.23).collect();
-        let m = feed(DyadicConfig::golden_poisson(), 20.0, &ts);
-        let (forest, times) = m.forest();
-        validate_forest(&forest, &times, 20, ValidationOptions::default()).unwrap();
+        let forest = dyadic_forest(DyadicConfig::golden_poisson(), 20.0, &ts).unwrap();
+        validate_forest(&forest, &ts, 20, ValidationOptions::default()).unwrap();
+    }
+
+    /// Total cost recomputed from the committed forest: `L + merge_cost`
+    /// added tree by tree from `0.0`, the order the running cost must
+    /// reproduce bit for bit.
+    fn forest_cost(forest: &MergeForest, times: &[f64], media: f64) -> f64 {
+        let mut total = 0.0;
+        for (range, tree) in forest.iter_with_ranges() {
+            total += media + merge_cost(tree, &times[range]);
+        }
+        total
     }
 
     #[test]
@@ -344,13 +394,67 @@ mod tests {
         let ts = [0.0, 1.0, 2.0, 30.0, 31.5];
         let m = feed(DyadicConfig::classic(), 20.0, &ts);
         assert_eq!(m.roots(), 2);
-        let direct = m.total_cost();
-        let (forest, times) = m.forest();
-        let mut sum = 0.0;
-        for (range, tree) in forest.iter_with_ranges() {
-            sum += 20.0 + merge_cost(tree, &times[range]);
+        let forest = dyadic_forest(DyadicConfig::classic(), 20.0, &ts).unwrap();
+        assert_eq!(
+            m.total_cost().to_bits(),
+            forest_cost(&forest, &ts, 20.0).to_bits()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn running_cost_is_bit_identical_to_the_committed_forest(
+            // Gaps log-uniform on [1e-3, 20]: dense bursts and lone roots.
+            gap_exponents in proptest::collection::vec(-3.0f64..=20f64.log10(), 1..=400),
+            cfg_case in 0usize..4,
+            media_case in 0usize..4,
+        ) {
+            let media = [7.0, 40.0, 100.0, 333.3][media_case];
+            let cfg = match cfg_case {
+                0 => DyadicConfig::classic(),
+                1 => DyadicConfig::golden_poisson(),
+                2 => DyadicConfig::golden_constant_rate(media as u64),
+                _ => DyadicConfig {
+                    alpha: 1.05,
+                    beta: 1.0,
+                },
+            };
+            let mut t = 0.0;
+            let times: Vec<f64> = gap_exponents
+                .iter()
+                .map(|&e| {
+                    t += 10f64.powf(e);
+                    t
+                })
+                .collect();
+            let mut m = DyadicMerger::new(cfg, media);
+            for (k, &t) in times.iter().enumerate() {
+                m.on_arrival(t);
+                let n = k + 1;
+                if n % 37 == 0 || n == times.len() {
+                    let prefix = &times[..n];
+                    let forest = dyadic_forest(cfg, media, prefix).unwrap();
+                    prop_assert_eq!(
+                        m.total_cost().to_bits(),
+                        forest_cost(&forest, prefix, media).to_bits(),
+                        "{:?}, L = {}, after {} arrivals",
+                        cfg,
+                        media,
+                        n
+                    );
+                    prop_assert_eq!(m.roots(), forest.num_trees());
+                    prop_assert_eq!(m.len(), n);
+                }
+            }
         }
-        assert!((direct - sum).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_input_has_no_forest() {
+        assert!(dyadic_forest(DyadicConfig::classic(), 10.0, &[]).is_err());
+        assert_eq!(dyadic_total_cost(DyadicConfig::classic(), 10.0, &[]), 0.0);
     }
 
     #[test]
@@ -426,6 +530,14 @@ mod tests {
         let mut m = DyadicMerger::new(DyadicConfig::classic(), 10.0);
         m.on_arrival(1.0);
         m.on_arrival(0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn tied_arrivals_panic() {
+        let mut m = DyadicMerger::new(DyadicConfig::classic(), 10.0);
+        m.on_arrival(1.0);
+        m.on_arrival(1.0);
     }
 
     #[test]

@@ -2,19 +2,18 @@
 //!
 //! The §4 algorithms are *defined* one arrival at a time — the
 //! delay-guaranteed policy commits a merge decision the moment a client
-//! shows up — but the crate's original API only exposed batch reconstruction
-//! (`forest_after`, `forest()`), re-deriving structure from the full prefix.
-//! [`IncrementalPolicy`] makes the state machine explicit: `push(arrival)`
-//! returns the [`MergeDecision`] for that single arrival in `O(1)` amortized
-//! (a table lookup for the delay-guaranteed policy, a stack operation for
-//! the dyadic baseline — both trivially within the `O(log open-trees)`
-//! budget, since at most one tree is ever open).
+//! shows up. [`IncrementalPolicy`] makes the state machine explicit:
+//! `push(arrival)` returns the [`MergeDecision`] for that single arrival in
+//! `O(1)` amortized (a table lookup for the delay-guaranteed policy, a stack
+//! operation for the dyadic baseline — both trivially within the
+//! `O(log open-trees)` budget, since at most one tree is ever open).
 //!
-//! The batch functions are reimplemented as a *fold* over the decision
-//! stream through [`ForestBuilder`], so there is exactly one source of
-//! structural truth: what the fold builds is what the push-based serving
-//! engine (`sm-sim`'s `engine::incremental`, `sm-serve`'s ingest loop)
-//! executes.
+//! The batch views (`DelayGuaranteedOnline::forest_after`,
+//! [`dyadic_forest`](crate::dyadic::dyadic_forest)) are *folds* over the
+//! decision stream through [`ForestBuilder`], so there is exactly one
+//! source of structural truth: what the fold builds is what the push-based
+//! serving engine (`sm-sim`'s `engine::incremental`, `sm-serve`'s ingest
+//! loop) executes.
 
 use sm_core::{MergeForest, MergeTree, ModelError};
 
@@ -97,18 +96,13 @@ impl IncrementalPolicy for DelayGuaranteedOnline {
 }
 
 /// The dyadic baseline is natively arrival-at-a-time: `push` is
-/// [`DyadicMerger::on_arrival`] plus the decision read-back.
+/// [`DyadicMerger::on_arrival`].
 ///
 /// # Panics
 /// Panics if `time` does not strictly increase, as `on_arrival` does.
 impl IncrementalPolicy for DyadicMerger {
     fn push(&mut self, time: f64) -> MergeDecision {
-        let node = self.on_arrival(time);
-        MergeDecision {
-            node,
-            tree: self.roots() - 1,
-            parent: self.parent_of(node),
-        }
+        self.on_arrival(time)
     }
 
     fn arrivals(&self) -> usize {
@@ -211,10 +205,10 @@ impl ForestBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dyadic::DyadicConfig;
+    use crate::dyadic::{dyadic_forest, DyadicConfig};
 
     /// Folding a policy's decision stream through the builder.
-    fn fold<P: IncrementalPolicy>(policy: &mut P, times: &[f64]) -> MergeForest {
+    fn fold<P: IncrementalPolicy + ?Sized>(policy: &mut P, times: &[f64]) -> MergeForest {
         let mut b = ForestBuilder::new();
         for &t in times {
             b.apply(&policy.push(t)).unwrap();
@@ -261,16 +255,16 @@ mod tests {
 
     #[test]
     fn dyadic_fold_matches_forest() {
+        // The trait path the serve loop takes, folded here, against the
+        // batch view.
         let ts: Vec<f64> = (0..200).map(|i| i as f64 * 0.37).collect();
-        let mut batch = DyadicMerger::new(DyadicConfig::golden_poisson(), 100.0);
-        for &t in &ts {
-            batch.on_arrival(t);
-        }
-        let (reference, _) = batch.forest();
-        let mut incremental = DyadicMerger::new(DyadicConfig::golden_poisson(), 100.0);
-        let folded = fold(&mut incremental, &ts);
+        let reference = dyadic_forest(DyadicConfig::golden_poisson(), 100.0, &ts).unwrap();
+        let mut policy: Box<dyn IncrementalPolicy> =
+            Box::new(DyadicMerger::new(DyadicConfig::golden_poisson(), 100.0));
+        let folded = fold(policy.as_mut(), &ts);
         assert_eq!(folded.trees(), reference.trees());
-        assert_eq!(incremental.arrivals(), ts.len());
+        assert!(reference.num_trees() > 1);
+        assert_eq!(policy.arrivals(), ts.len());
     }
 
     #[test]

@@ -15,19 +15,27 @@
 //!   pool and buffer, the remaining pushes are allocation-free up to the
 //!   log-many residual doublings of the bandwidth log
 //!   ([`INCREMENTAL_STEADY_BUDGET`]): `allocations / pushes` floors to 0.
-//! * **serve loop** — the multi-title ingest thread's heap bytes barely
-//!   grow with the run: at most [`SERVE_BYTES_PER_EXTRA_ARRIVAL`] per
-//!   extra arrival when the horizon quadruples (no per-arrival latency
-//!   samples, no whole-run group table).
+//! * **dyadic merger** — after a warm-up prefix, `DyadicMerger` pushes
+//!   request no bytes: the merger holds only its frame stack and the open
+//!   tree, whose columns keep their capacity from tree to tree.
+//! * **serve loop** — for a Delay Guaranteed catalog, the multi-title
+//!   ingest thread's heap bytes barely grow with the run: at most
+//!   [`SERVE_BYTES_PER_EXTRA_ARRIVAL`] per extra arrival when the horizon
+//!   quadruples (no per-arrival latency samples, no whole-run group
+//!   table, no per-merger history). A dyadic catalog adds about 1.5
+//!   bandwidth change points per merge group to the log its report
+//!   returns, so its bytes may also grow by
+//!   [`LOG_BYTES_PER_EXTRA_CHANGE_POINT`] per extra change point — and by
+//!   nothing else.
 //!
 //! The counters are per-thread, so the harness is immune to the test
 //! runner's own threads; each test observes only its own allocations.
 
 use sm_core::{alloc_counter, consecutive_slots};
-use sm_online::DelayGuaranteedOnline;
+use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
 use sm_serve::{serve_multi, MultiServeConfig, PolicyKind, TitleConfig};
 use sm_sim::{simulate_streaming_slice, Attach, IncrementalEngine, SimConfig};
-use sm_workload::deep_chain_forest;
+use sm_workload::{deep_chain_forest, ArrivalProcess, PoissonProcess};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 
@@ -78,6 +86,12 @@ const INCREMENTAL_STEADY_BUDGET: u64 = 64;
 /// engines' amortized bandwidth-log doublings, well under one machine
 /// word — a per-arrival record of any kind would cost at least 8.
 const SERVE_BYTES_PER_EXTRA_ARRIVAL: u64 = 2;
+
+/// Ingest-thread heap bytes a serve run may add per extra bandwidth change
+/// point: one 16-byte `(i64, u32)` log entry under amortized doubling — at
+/// most twice the final capacity is ever requested, and the capacity is
+/// under twice the length.
+const LOG_BYTES_PER_EXTRA_CHANGE_POINT: u64 = 64;
 
 /// One cold Delay Guaranteed streaming run; returns the allocations the
 /// run itself performed (workload construction excluded).
@@ -188,34 +202,113 @@ fn incremental_push_steady_state_is_allocation_free() {
     );
 }
 
-/// One three-title Delay Guaranteed `serve_multi` run with no budget;
-/// returns the heap bytes its ingest (calling) thread requested and the
-/// arrivals served. The producer thread's batches are not counted.
-fn serve_ingest_bytes(horizon: f64) -> (u64, usize) {
-    let titles = [(64, 0.5), (100, 1.0), (144, 2.0)]
+#[test]
+fn dyadic_push_steady_state_requests_no_bytes() {
+    const WARMUP: usize = 4_000;
+    let arrivals = PoissonProcess::new(1.0, 3).generate(40_000.0);
+    let mut merger = DyadicMerger::new(DyadicConfig::golden_poisson(), MEDIA as f64);
+    for &t in &arrivals[..WARMUP] {
+        black_box(merger.push(t));
+    }
+    let ckpt = alloc_counter::checkpoint();
+    for &t in &arrivals[WARMUP..] {
+        black_box(merger.push(t));
+    }
+    let bytes = ckpt.bytes_since();
+    let pushes = (arrivals.len() - WARMUP) as u64;
+    assert!(merger.roots() > 100, "{} trees", merger.roots());
+    assert_eq!(
+        bytes / pushes,
+        0,
+        "{pushes} steady-state pushes requested {bytes} bytes"
+    );
+}
+
+/// What one three-title `serve_multi` run's ingest (calling) thread
+/// requested, and what the run served and logged. The producer thread's
+/// batches are not counted.
+struct IngestRun {
+    bytes: u64,
+    served: usize,
+    /// Bandwidth change points across every title's returned log.
+    change_points: usize,
+}
+
+/// Titles of 64, 100 and 144 slots at the given mean gaps, all under
+/// `policy`.
+fn serve_ingest(
+    policy: PolicyKind,
+    gaps: [f64; 3],
+    budget: Option<usize>,
+    horizon: f64,
+) -> IngestRun {
+    let titles = [64, 100, 144]
         .into_iter()
+        .zip(gaps)
         .map(|(media_len, mean)| TitleConfig {
-            policy: PolicyKind::DelayGuaranteed,
+            policy,
             ..TitleConfig::new(media_len, mean)
         })
         .collect();
-    let config = MultiServeConfig::new(titles, horizon);
+    let config = MultiServeConfig {
+        budget,
+        ..MultiServeConfig::new(titles, horizon)
+    };
     let ckpt = alloc_counter::checkpoint();
-    let report = serve_multi(&config).expect("an unbudgeted DG catalog always serves");
+    let report = serve_multi(&config).expect("the loop delays instead of declining");
     let bytes = ckpt.bytes_since();
     assert_eq!(report.served, report.generated);
-    (bytes, report.served)
+    let change_points = report
+        .titles
+        .iter()
+        .map(|t| t.summary.summary.bandwidth.change_points().len())
+        .sum();
+    IngestRun {
+        bytes,
+        served: report.served,
+        change_points,
+    }
 }
 
 #[test]
 fn serve_loop_ingest_bytes_do_not_grow_per_arrival() {
-    let (small_bytes, small_n) = serve_ingest_bytes(5_000.0);
-    let (large_bytes, large_n) = serve_ingest_bytes(20_000.0);
-    assert!(large_n > 3 * small_n, "{small_n} then {large_n} arrivals");
-    let extra = (large_n - small_n) as u64;
+    let dg = |horizon| serve_ingest(PolicyKind::DelayGuaranteed, [0.5, 1.0, 2.0], None, horizon);
+    let (small, large) = (dg(5_000.0), dg(20_000.0));
     assert!(
-        large_bytes <= small_bytes + SERVE_BYTES_PER_EXTRA_ARRIVAL * extra,
-        "ingest bytes grew {small_bytes} -> {large_bytes} over {extra} extra arrivals \
-         (budget {SERVE_BYTES_PER_EXTRA_ARRIVAL} B each)"
+        large.served > 3 * small.served,
+        "{} then {} arrivals",
+        small.served,
+        large.served
+    );
+    let extra = (large.served - small.served) as u64;
+    assert!(
+        large.bytes <= small.bytes + SERVE_BYTES_PER_EXTRA_ARRIVAL * extra,
+        "ingest bytes grew {} -> {} over {extra} extra arrivals \
+         (budget {SERVE_BYTES_PER_EXTRA_ARRIVAL} B each)",
+        small.bytes,
+        large.bytes
+    );
+}
+
+#[test]
+fn dyadic_serve_ingest_bytes_grow_only_with_the_bandwidth_log() {
+    let dyadic = |horizon| serve_ingest(PolicyKind::Dyadic, [1.0, 2.0, 4.0], Some(6), horizon);
+    let (small, large) = (dyadic(5_000.0), dyadic(20_000.0));
+    assert!(
+        large.served > 3 * small.served,
+        "{} then {} arrivals",
+        small.served,
+        large.served
+    );
+    let extra = (large.served - small.served) as u64;
+    let extra_points = large.change_points.saturating_sub(small.change_points) as u64;
+    let budget =
+        SERVE_BYTES_PER_EXTRA_ARRIVAL * extra + LOG_BYTES_PER_EXTRA_CHANGE_POINT * extra_points;
+    assert!(
+        large.bytes <= small.bytes + budget,
+        "ingest bytes grew {} -> {} over {extra} extra arrivals and {extra_points} extra \
+         change points (budget {budget} B)",
+        small.bytes,
+        large.bytes
     );
 }

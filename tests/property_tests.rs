@@ -10,7 +10,7 @@ use stream_merging::offline::general;
 use stream_merging::offline::receive_all;
 use stream_merging::offline::tree_builder::optimal_merge_tree;
 use stream_merging::online::delay_guaranteed::online_full_cost;
-use stream_merging::online::dyadic::{DyadicConfig, DyadicMerger};
+use stream_merging::online::dyadic::{dyadic_forest, DyadicConfig, DyadicMerger};
 use stream_merging::sim::simulate;
 
 /// Random merge tree over n arrivals: each node picks an earlier parent.
@@ -107,11 +107,13 @@ proptest! {
         };
         let mut m = DyadicMerger::new(cfg, media);
         let mut t = 0.0;
+        let mut times = Vec::with_capacity(gaps.len());
         for g in gaps {
             t += g;
             m.on_arrival(t);
+            times.push(t);
         }
-        let (forest, times) = m.forest();
+        let forest = dyadic_forest(cfg, media, &times).unwrap();
         for (range, tree) in forest.iter_with_ranges() {
             prop_assert!(tree.has_preorder_property());
             // Spans stay within the merge window.
