@@ -6,6 +6,14 @@
 //! satisfy the preorder-traversal property (preorder visits labels in
 //! increasing order) — a fact from \[6\] the paper reuses; [`MergeTree`]
 //! validates the former on construction and exposes the latter as a check.
+//!
+//! A [`MergeTree`] is a shared, immutable shape: its columns sit behind one
+//! [`Arc`], so cloning a tree is `O(1)` and a forest that repeats a shape
+//! (Theorem 10's `p`/`p+1` trees, a tiling of one template) stores the
+//! shape once plus one handle per tree. [`MergeTree::push_arrival`], the
+//! only mutator, copies the columns first if another handle shares them.
+
+use std::sync::Arc;
 
 use crate::error::ModelError;
 
@@ -15,8 +23,18 @@ use crate::error::ModelError;
 /// the cost functions, so one tree shape can be priced against any time axis
 /// (consecutive slots for the delay-guaranteed model, real timestamps for the
 /// dyadic algorithm).
+///
+/// Clones share the columns: `clone` bumps a reference count, and equality
+/// between clones is a pointer check. [`Self::push_arrival`] copies on
+/// write, so growing a clone never changes the tree it was cloned from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeTree {
+    cols: Arc<Columns>,
+}
+
+/// The per-node columns one or more [`MergeTree`] handles share.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Columns {
     /// `parent[i]` for non-root `i`; `parent[0]` is unused (stored as 0).
     parent: Vec<u32>,
     /// Children of each node, in increasing (arrival) order.
@@ -67,9 +85,11 @@ impl MergeTree {
             }
         }
         Ok(Self {
-            parent,
-            children,
-            last_descendant,
+            cols: Arc::new(Columns {
+                parent,
+                children,
+                last_descendant,
+            }),
         })
     }
 
@@ -105,7 +125,7 @@ impl MergeTree {
     /// Number of arrivals (nodes).
     #[inline]
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.cols.parent.len()
     }
 
     /// `true` iff the tree is a single arrival.
@@ -117,26 +137,26 @@ impl MergeTree {
     /// Parent of `node`, or `None` for the root.
     #[inline]
     pub fn parent(&self, node: usize) -> Option<usize> {
-        (node != 0).then(|| self.parent[node] as usize)
+        (node != 0).then(|| self.cols.parent[node] as usize)
     }
 
     /// Ordered children of `node`.
     #[inline]
     pub fn children(&self, node: usize) -> &[u32] {
-        &self.children[node]
+        &self.cols.children[node]
     }
 
     /// The paper's `z(x)`: the largest arrival in the subtree of `node`
     /// (equals `node` for leaves).
     #[inline]
     pub fn last_descendant(&self, node: usize) -> usize {
-        self.last_descendant[node] as usize
+        self.cols.last_descendant[node] as usize
     }
 
     /// The last arrival served by this tree, `z(root)`.
     #[inline]
     pub fn last_arrival(&self) -> usize {
-        self.last_descendant[0] as usize
+        self.cols.last_descendant[0] as usize
     }
 
     /// The path of local indices from the root to `node`, inclusive — the
@@ -185,7 +205,7 @@ impl MergeTree {
         while let Some(node) = stack.pop() {
             out.push(node);
             // Push children in reverse so the leftmost is visited first.
-            for &c in self.children[node].iter().rev() {
+            for &c in self.children(node).iter().rev() {
                 stack.push(c as usize);
             }
         }
@@ -239,22 +259,26 @@ impl MergeTree {
     /// The new node carries the largest label, so it becomes `z(x)` for
     /// every ancestor `x` — the fact the incremental engine's one reverse
     /// pass over a closing tree rests on when it computes stream lengths.
+    ///
+    /// Copy on write: if a clone shares this tree's columns, they are
+    /// copied first (`O(n)`, once), so the clone is left unchanged.
     pub fn push_arrival(&mut self, parent: usize) -> Result<usize, ModelError> {
         let node = self.len();
         if parent >= node {
             return Err(ModelError::ParentNotEarlier { node, parent });
         }
-        self.parent.push(label(parent));
-        self.children.push(Vec::new());
-        self.children[parent].push(label(node));
-        self.last_descendant.push(label(node));
+        let cols = Arc::make_mut(&mut self.cols);
+        cols.parent.push(label(parent));
+        cols.children.push(Vec::new());
+        cols.children[parent].push(label(node));
+        cols.last_descendant.push(label(node));
         let mut cur = parent;
         loop {
-            self.last_descendant[cur] = label(node);
-            match self.parent(cur) {
-                Some(p) => cur = p,
-                None => break,
+            cols.last_descendant[cur] = label(node);
+            if cur == 0 {
+                break;
             }
+            cur = cols.parent[cur] as usize;
         }
         Ok(node)
     }
@@ -430,6 +454,37 @@ mod tests {
             grown.push_arrival(parents[i].unwrap()).unwrap();
             assert_eq!(grown, MergeTree::from_parents(&parents[..=i]).unwrap());
         }
+    }
+
+    #[test]
+    fn clones_share_columns_until_one_grows() {
+        // Forests cross threads in `parallel_map` and the server's memo.
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<MergeTree>();
+
+        let original = fig4_tree();
+        let mut grown = original.clone();
+        assert_eq!(grown, original);
+        assert!(Arc::ptr_eq(&grown.cols, &original.cols));
+
+        let parents = original.to_parents();
+        let children: Vec<Vec<u32>> = (0..8).map(|i| original.children(i).to_vec()).collect();
+        let last: Vec<usize> = (0..8).map(|i| original.last_descendant(i)).collect();
+        assert_eq!(grown.push_arrival(5).unwrap(), 8);
+        assert!(!Arc::ptr_eq(&grown.cols, &original.cols));
+
+        // Copy on write: the original keeps every column it had.
+        assert_eq!(original.to_parents(), parents);
+        for i in 0..8 {
+            assert_eq!(original.children(i), children[i].as_slice(), "node {i}");
+            assert_eq!(original.last_descendant(i), last[i], "node {i}");
+        }
+        assert_eq!(original, fig4_tree());
+
+        // The grown clone is the batch tree of the extended parent list.
+        let mut extended = parents;
+        extended.push(Some(5));
+        assert_eq!(grown, MergeTree::from_parents(&extended).unwrap());
     }
 
     #[test]

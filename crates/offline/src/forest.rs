@@ -12,6 +12,8 @@
 //! minimizing `s` is `s₁ = ⌊n/F_h⌋` or `s₁+1`, where `F_{h+1} < L+2 ≤
 //! F_{h+2}` (clamped below by `s₀ = ⌈n/L⌉`).
 
+use std::iter;
+
 use crate::closed_form::ClosedForm;
 use crate::tree_builder::optimal_merge_tree_with;
 use sm_core::{MergeForest, MergeTree};
@@ -19,7 +21,9 @@ use sm_core::{MergeForest, MergeTree};
 /// A computed optimal (or constrained-optimal) forest plan.
 #[derive(Debug, Clone)]
 pub struct OptimalForestPlan {
-    /// The forest itself (trees of `p`+1 arrivals first, then `p`).
+    /// The forest itself (trees of `p`+1 arrivals first, then `p`). It
+    /// holds two tree shapes and `s` handles to them, so its memory is
+    /// `O(L + s)`, not `O(n)`.
     pub forest: MergeForest,
     /// Number of full streams `s`.
     pub s: u64,
@@ -108,31 +112,30 @@ pub fn optimal_forest(media_len: u64, n: usize) -> OptimalForestPlan {
 }
 
 /// Builds the balanced forest for a *given* `s` (the placement step of
-/// Theorem 10).
+/// Theorem 10). Each of the two tree sizes is built once; the forest holds
+/// `s` handles to those two shapes.
 pub fn forest_with_s(cf: &ClosedForm, media_len: u64, n: usize, s: u64) -> OptimalForestPlan {
     assert!(s >= 1 && s <= n as u64);
-    let p = n as u64 / s;
-    let r = n as u64 - p * s;
-    let big = if r > 0 {
-        Some(optimal_merge_tree_with(cf, (p + 1) as usize))
-    } else {
-        None
-    };
-    let small = if s - r > 0 {
-        Some(optimal_merge_tree_with(cf, p as usize))
-    } else {
-        None
-    };
-    let mut trees: Vec<MergeTree> = Vec::with_capacity(s as usize);
-    for _ in 0..r {
-        trees.push(big.clone().expect("r > 0 implies big tree"));
-    }
-    for _ in 0..(s - r) {
-        trees.push(small.clone().expect("s > r implies small tree"));
-    }
-    let forest = MergeForest::from_trees(trees).expect("s >= 1 trees");
+    let forest = balanced_forest(n, s as usize, |size| optimal_merge_tree_with(cf, size));
     let cost = full_cost_given_s(cf, media_len, n as u64, s);
     OptimalForestPlan { forest, s, cost }
+}
+
+/// Theorem 10's placement: with `n = p·s + r` (`0 ≤ r < s`), `r` trees of
+/// `p + 1` arrivals followed by `s − r` trees of `p`. `build` runs once per
+/// distinct size, and every tree of that size is a handle to its shape.
+pub(crate) fn balanced_forest(
+    n: usize,
+    s: usize,
+    build: impl Fn(usize) -> MergeTree,
+) -> MergeForest {
+    let (p, r) = (n / s, n % s);
+    let mut trees = Vec::with_capacity(s);
+    if r > 0 {
+        trees.extend(iter::repeat_n(build(p + 1), r));
+    }
+    trees.extend(iter::repeat_n(build(p), s - r));
+    MergeForest::from_trees(trees).expect("s >= 1 trees")
 }
 
 /// Brute-force optimum over all feasible `s` — `O(n)` reference for tests.
@@ -318,6 +321,40 @@ mod tests {
                 )
                 .unwrap_or_else(|e| panic!("L = {media_len}, n = {n}: {e}"));
             }
+        }
+    }
+
+    /// The pre-sharing construction of `plan`'s forest: each of its `s`
+    /// trees built on its own by `optimal_merge_tree_with`.
+    fn per_tree_forest(plan: &OptimalForestPlan, n: usize) -> MergeForest {
+        let cf = cf();
+        let s = plan.s as usize;
+        let (p, r) = (n / s, n % s);
+        let trees = (0..s)
+            .map(|i| optimal_merge_tree_with(&cf, if i < r { p + 1 } else { p }))
+            .collect();
+        MergeForest::from_trees(trees).unwrap()
+    }
+
+    #[test]
+    fn shared_shapes_equal_per_tree_construction() {
+        for media_len in 1..=40u64 {
+            for n in 1..=150usize {
+                let plan = optimal_forest(media_len, n);
+                assert_eq!(
+                    plan.forest,
+                    per_tree_forest(&plan, n),
+                    "L = {media_len}, n = {n}"
+                );
+            }
+        }
+        for (n, buffer) in [(40usize, 3u64), (55, 5), (23, 2), (150, 0), (7, 9)] {
+            let plan = optimal_forest_bounded_buffer(20, n, buffer);
+            assert_eq!(
+                plan.forest,
+                per_tree_forest(&plan, n),
+                "n = {n}, B = {buffer}"
+            );
         }
     }
 

@@ -13,6 +13,7 @@
 //! `log_φ 2 ≈ 1.44` over receive-two.
 
 use crate::closed_form::ClosedForm;
+use crate::forest::balanced_forest;
 use sm_core::{MergeForest, MergeTree};
 
 /// `Mω(n)` by the closed form of Eq. (20). `Mω(0) = Mω(1) = 0`.
@@ -116,6 +117,8 @@ fn feasible(media_len: u64, n: u64, s: u64) -> bool {
 }
 
 /// Builds an optimal receive-all forest: balanced sizes, balanced trees.
+/// Each of the two tree sizes is built once and shared by every tree of
+/// that size.
 pub fn optimal_forest(media_len: u64, n: usize) -> (MergeForest, u64) {
     assert!(n >= 1);
     let s0 = (n as u64).div_ceil(media_len);
@@ -140,16 +143,10 @@ pub fn optimal_forest(media_len: u64, n: usize) -> (MergeForest, u64) {
         s = run_end + 1;
     }
     let s = s_opt.expect("optimal s exists");
-    let p = n as u64 / s;
-    let r = n as u64 - p * s;
-    let mut trees = Vec::with_capacity(s as usize);
-    for _ in 0..r {
-        trees.push(optimal_merge_tree((p + 1) as usize));
-    }
-    for _ in 0..(s - r) {
-        trees.push(optimal_merge_tree(p as usize));
-    }
-    (MergeForest::from_trees(trees).expect("s >= 1"), best_cost)
+    (
+        balanced_forest(n, s as usize, optimal_merge_tree),
+        best_cost,
+    )
 }
 
 /// The merge-cost ratio `M(n)/Mω(n)` of Theorem 19 (→ `log_φ 2 ≈ 1.44`).
@@ -221,6 +218,24 @@ mod tests {
                 "n = {n}"
             );
             assert!(t.has_preorder_property());
+        }
+    }
+
+    #[test]
+    fn shared_shapes_equal_per_tree_construction() {
+        for media_len in 1..=20u64 {
+            for n in 1..=80usize {
+                let (forest, _) = optimal_forest(media_len, n);
+                // The pre-sharing construction: r trees of p + 1, then s − r
+                // of p, each built on its own.
+                let s = forest.num_trees();
+                let (p, r) = (n / s, n % s);
+                let trees = (0..s)
+                    .map(|i| optimal_merge_tree(if i < r { p + 1 } else { p }))
+                    .collect();
+                let per_tree = MergeForest::from_trees(trees).unwrap();
+                assert_eq!(forest, per_tree, "L = {media_len}, n = {n}");
+            }
         }
     }
 

@@ -6,11 +6,12 @@
 //! The DG schedule is periodic with period `F_h` slots once warmed up, so
 //! its peak and average concurrent-stream counts are well-defined constants
 //! for each media length; [`steady_state_bandwidth`] measures them exactly
-//! by materializing enough periods and metering the middle of the window.
+//! by stamping enough periods of the schedule straight from the template
+//! and metering the middle of the window.
 
+use crate::cast::slots_i64;
 use crate::delay_guaranteed::DelayGuaranteedOnline;
-use sm_core::consecutive_slots;
-use sm_sim::{stream_schedule, BandwidthProfile};
+use sm_sim::BandwidthProfile;
 
 /// Peak and average concurrent streams of the warmed-up DG schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,23 +27,23 @@ pub struct SteadyStateBandwidth {
 /// Measures the steady-state bandwidth of the Delay Guaranteed algorithm
 /// for media length `media_len`.
 ///
-/// Materializes enough warm-up (one media length on each side) plus several
-/// periods, then meters only the interior window, so edge effects of the
-/// horizon do not leak in.
+/// Stamps enough warm-up (one media length on each side) plus several
+/// periods with [`DelayGuaranteedOnline::schedule_after`], then meters only
+/// the interior window, so edge effects of the horizon do not leak in.
 pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
     let alg = DelayGuaranteedOnline::new(media_len);
     let period = alg.tree_size();
     // Warm-up: streams live at a slot start as much as L slots earlier, so
     // one media length of margin on each side suffices.
     let periods_needed = media_len.div_ceil(period) + 2;
-    let n = crate::cast::index_to_usize((2 * periods_needed + 2) * period);
-    let forest = alg.forest_after(n);
-    let times = consecutive_slots(n);
-    let specs = stream_schedule(&forest, &times, media_len).expect("slot-scale media length");
-    let profile = BandwidthProfile::from_streams(&specs);
+    let n = (2 * periods_needed + 2) * period;
+    let profile = BandwidthProfile::from_intervals(
+        alg.schedule_after(n)
+            .map(|(start, len)| (slots_i64(start), slots_i64(start + len))),
+    );
     // Interior window: skip L slots at the front, L + period at the back.
-    let lo = profile.origin() + crate::cast::slots_i64(media_len);
-    let hi = profile.end() - crate::cast::slots_i64(media_len + period);
+    let lo = profile.origin() + slots_i64(media_len);
+    let hi = profile.end() - slots_i64(media_len + period);
     let window = profile.window(lo, hi);
     assert!(
         window.len() >= crate::cast::index_to_usize(period),
@@ -109,6 +110,43 @@ pub fn min_delay_for_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_core::consecutive_slots;
+    use sm_sim::stream_schedule;
+
+    /// The forest derivation [`steady_state_bandwidth`] replaced: build the
+    /// committed forest, flatten its stream schedule, meter the same window.
+    fn steady_state_via_forest(media_len: u64) -> SteadyStateBandwidth {
+        let alg = DelayGuaranteedOnline::new(media_len);
+        let period = alg.tree_size();
+        let periods_needed = media_len.div_ceil(period) + 2;
+        let n = ((2 * periods_needed + 2) * period) as usize;
+        let forest = alg.forest_after(n);
+        let specs = stream_schedule(&forest, &consecutive_slots(n), media_len).unwrap();
+        let profile = BandwidthProfile::from_streams(&specs);
+        let lo = profile.origin() + media_len as i64;
+        let hi = profile.end() - (media_len + period) as i64;
+        let window = profile.window(lo, hi);
+        SteadyStateBandwidth {
+            peak: window.iter().copied().max().unwrap_or(0),
+            average: window.iter().map(|&c| c as f64).sum::<f64>() / window.len() as f64,
+            period,
+        }
+    }
+
+    #[test]
+    fn template_stamp_matches_forest_derivation() {
+        for media_len in 1..=300u64 {
+            let stamped = steady_state_bandwidth(media_len);
+            let reference = steady_state_via_forest(media_len);
+            assert_eq!(stamped.peak, reference.peak, "L = {media_len}");
+            assert_eq!(stamped.period, reference.period, "L = {media_len}");
+            assert_eq!(
+                stamped.average.to_bits(),
+                reference.average.to_bits(),
+                "L = {media_len}"
+            );
+        }
+    }
 
     #[test]
     fn steady_state_is_periodic_constant() {

@@ -149,6 +149,8 @@ impl From<ModelError> for DecisionError {
 /// [`MergeForest`] — the single reconstruction path every batch function
 /// now goes through. Each decision is `O(depth)` via
 /// [`MergeTree::push_arrival`]; nothing is re-derived from the prefix.
+/// The builder owns every tree it grows alone, so no push copies a shared
+/// shape.
 #[derive(Debug, Default)]
 pub struct ForestBuilder {
     trees: Vec<MergeTree>,

@@ -34,23 +34,25 @@ use rand::{RngExt, SeedableRng};
 use crate::catalog::Catalog;
 use crate::memo::PlannerMemo;
 use crate::planner::DelayPlan;
-use sm_core::consecutive_slots;
 use sm_online::delay_guaranteed::DelayGuaranteedOnline;
-use sm_sim::{stream_schedule, BandwidthProfile};
+use sm_sim::BandwidthProfile;
 
 /// One steady-state period of the DG bandwidth profile for `media_len`,
-/// in concurrent streams per slot.
+/// in concurrent streams per slot, metered one media length into a
+/// schedule stamped straight from the template
+/// ([`DelayGuaranteedOnline::schedule_after`]).
 pub fn periodic_profile(media_len: u64) -> Vec<u32> {
     let alg = DelayGuaranteedOnline::new(media_len);
     let period = alg.tree_size();
     let periods_needed = media_len.div_ceil(period) + 2;
-    let n = ((2 * periods_needed + 2) * period) as usize;
-    let forest = alg.forest_after(n);
-    let times = consecutive_slots(n);
-    let specs = stream_schedule(&forest, &times, media_len).expect("slot-scale media length");
-    let profile = BandwidthProfile::from_streams(&specs);
-    let lo = profile.origin() + media_len as i64;
-    profile.window(lo, lo + period as i64)
+    let n = (2 * periods_needed + 2) * period;
+    let slot = |x: u64| i64::try_from(x).expect("slot-scale media length");
+    let profile = BandwidthProfile::from_intervals(
+        alg.schedule_after(n)
+            .map(|(start, len)| (slot(start), slot(start + len))),
+    );
+    let lo = profile.origin() + slot(media_len);
+    profile.window(lo, lo + slot(period))
 }
 
 /// Minute-grained aggregate load of a planned catalog.
@@ -203,7 +205,9 @@ mod tests {
     use super::*;
     use crate::catalog::{Catalog, Title};
     use crate::planner::plan_weighted;
+    use sm_core::consecutive_slots;
     use sm_online::capacity::steady_state_bandwidth;
+    use sm_sim::stream_schedule;
 
     fn catalog() -> Catalog {
         Catalog::new(vec![
@@ -218,6 +222,31 @@ mod tests {
                 weight: 1.0,
             },
         ])
+    }
+
+    /// The forest derivation [`periodic_profile`] replaced: build the
+    /// committed forest and flatten its stream schedule.
+    fn periodic_profile_via_forest(media_len: u64) -> Vec<u32> {
+        let alg = DelayGuaranteedOnline::new(media_len);
+        let period = alg.tree_size();
+        let periods_needed = media_len.div_ceil(period) + 2;
+        let n = ((2 * periods_needed + 2) * period) as usize;
+        let forest = alg.forest_after(n);
+        let specs = stream_schedule(&forest, &consecutive_slots(n), media_len).unwrap();
+        let profile = BandwidthProfile::from_streams(&specs);
+        let lo = profile.origin() + media_len as i64;
+        profile.window(lo, lo + period as i64)
+    }
+
+    #[test]
+    fn template_stamp_matches_forest_derivation() {
+        for media_len in 1..=300u64 {
+            assert_eq!(
+                periodic_profile(media_len),
+                periodic_profile_via_forest(media_len),
+                "L = {media_len}"
+            );
+        }
     }
 
     #[test]

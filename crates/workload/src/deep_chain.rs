@@ -16,6 +16,8 @@
 //! `L ≥ 2(c − 1)`. [`max_feasible_chain`] is that bound; the generator
 //! tiles arrivals with chains of exactly that length.
 
+use std::iter;
+
 use sm_core::{consecutive_slots, MergeForest, MergeTree};
 
 /// Longest chain feasible for media length `media_len` under consecutive
@@ -27,7 +29,8 @@ pub fn max_feasible_chain(media_len: u64) -> usize {
 /// A forest of maximal-depth feasible merge chains over `n` consecutive
 /// arrivals: every tree is a chain of [`max_feasible_chain`]`(media_len)`
 /// arrivals (the last tree takes the remainder), paired with the matching
-/// `consecutive_slots` arrival times.
+/// `consecutive_slots` arrival times. The full-length chain is built once
+/// and every full tree is a handle to it.
 ///
 /// The result always simulates cleanly, making it a drop-in stress shape
 /// for benches and the equivalence suite.
@@ -37,12 +40,13 @@ pub fn max_feasible_chain(media_len: u64) -> usize {
 pub fn deep_chain_forest(n: usize, media_len: u64) -> (MergeForest, Vec<i64>) {
     assert!(n > 0, "need at least one arrival");
     let chain = max_feasible_chain(media_len);
+    let (full, rest) = (n / chain, n % chain);
     let mut trees = Vec::with_capacity(n.div_ceil(chain));
-    let mut left = n;
-    while left > 0 {
-        let k = left.min(chain);
-        trees.push(MergeTree::chain(k));
-        left -= k;
+    if full > 0 {
+        trees.extend(iter::repeat_n(MergeTree::chain(chain), full));
+    }
+    if rest > 0 {
+        trees.push(MergeTree::chain(rest));
     }
     let forest = MergeForest::from_trees(trees).expect("n > 0 arrivals");
     (forest, consecutive_slots(n))
@@ -59,6 +63,28 @@ mod tests {
         assert_eq!(forest.sizes(), vec![51, 51, 28]);
         assert_eq!(times.len(), 130);
         assert_eq!(times, consecutive_slots(130));
+    }
+
+    #[test]
+    fn shared_chains_equal_per_tree_construction() {
+        // The pre-sharing construction: one freshly built chain per tree.
+        fn per_tree(n: usize, media_len: u64) -> MergeForest {
+            let chain = max_feasible_chain(media_len);
+            let mut trees = Vec::new();
+            let mut left = n;
+            while left > 0 {
+                let k = left.min(chain);
+                trees.push(MergeTree::chain(k));
+                left -= k;
+            }
+            MergeForest::from_trees(trees).unwrap()
+        }
+        for media_len in 0..=24u64 {
+            for n in 1..=60usize {
+                let (forest, _) = deep_chain_forest(n, media_len);
+                assert_eq!(forest, per_tree(n, media_len), "n = {n}, L = {media_len}");
+            }
+        }
     }
 
     #[test]

@@ -27,11 +27,16 @@
 //!   returns, so its bytes may also grow by
 //!   [`LOG_BYTES_PER_EXTRA_CHANGE_POINT`] per extra change point — and by
 //!   nothing else.
+//! * **plan forest** — Theorem 10's optimal forest holds two tree shapes
+//!   and one handle per tree: `optimal_forest` makes the same number of
+//!   allocations when `n` quadruples, and its bytes grow by at most
+//!   [`PLAN_BYTES_PER_EXTRA_TREE`] per extra tree.
 //!
 //! The counters are per-thread, so the harness is immune to the test
 //! runner's own threads; each test observes only its own allocations.
 
 use sm_core::{alloc_counter, consecutive_slots};
+use sm_offline::optimal_forest;
 use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
 use sm_serve::{serve_multi, MultiServeConfig, PolicyKind, TitleConfig};
 use sm_sim::{simulate_streaming_slice, Attach, IncrementalEngine, SimConfig};
@@ -92,6 +97,11 @@ const SERVE_BYTES_PER_EXTRA_ARRIVAL: u64 = 2;
 /// most twice the final capacity is ever requested, and the capacity is
 /// under twice the length.
 const LOG_BYTES_PER_EXTRA_CHANGE_POINT: u64 = 64;
+
+/// Heap bytes an optimal plan may add per extra tree: one 8-byte handle in
+/// the forest's tree list and one 8-byte start index. A tree that owned its
+/// own columns would cost at least one allocation more.
+const PLAN_BYTES_PER_EXTRA_TREE: u64 = 16;
 
 /// One cold Delay Guaranteed streaming run; returns the allocations the
 /// run itself performed (workload construction excluded).
@@ -310,5 +320,36 @@ fn dyadic_serve_ingest_bytes_grow_only_with_the_bandwidth_log() {
          change points (budget {budget} B)",
         small.bytes,
         large.bytes
+    );
+}
+
+#[test]
+fn plan_forest_holds_two_shapes_and_a_handle_per_tree() {
+    // (allocations, bytes, trees) of one optimal plan over `n` arrivals.
+    let plan = |n| {
+        let ckpt = alloc_counter::checkpoint();
+        let plan = black_box(optimal_forest(MEDIA, n));
+        (
+            ckpt.allocations_since(),
+            ckpt.bytes_since(),
+            plan.forest.num_trees(),
+        )
+    };
+    let (small_allocs, small_bytes, small_trees) = plan(250_000);
+    let (large_allocs, large_bytes, large_trees) = plan(1_000_000);
+    assert!(
+        large_trees > 3 * small_trees,
+        "{small_trees} then {large_trees} trees"
+    );
+    assert_eq!(
+        large_allocs, small_allocs,
+        "allocations scaled with the tree count: {small_allocs} for {small_trees} trees \
+         vs {large_allocs} for {large_trees}"
+    );
+    let extra = (large_trees - small_trees) as u64;
+    assert!(
+        large_bytes <= small_bytes + PLAN_BYTES_PER_EXTRA_TREE * extra,
+        "plan bytes grew {small_bytes} -> {large_bytes} over {extra} extra trees \
+         (budget {PLAN_BYTES_PER_EXTRA_TREE} B each)"
     );
 }
