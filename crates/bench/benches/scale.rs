@@ -11,11 +11,11 @@
 //! * the Delay Guaranteed grid (one merged client per slot, the §4.1
 //!   steady-state server shape — balanced trees, logarithmic programs);
 //! * deep merge chains (`sm_workload::deep_chain_forest`, depth `L/2 + 1`
-//!   per tree — the shape that made the former candidates × segments
-//!   evaluator superlinear; with the endpoint sweep the wall-time ratio to
-//!   the balanced grid is flat in `n` at the genuine program-content ratio
-//!   — chain programs carry ~26 segments/client vs ~8, measured ≈ 4× — and
-//!   the printed ratio line plus `BENCH_scale.json` track it per commit);
+//!   per tree — chain programs carry ~26 segments per client against ~8
+//!   on the balanced grid, while the engine scores every client in `O(1)`
+//!   from Lemma 1's closed forms, whatever its segment count; the printed
+//!   wall-time ratio to the balanced grid plus `BENCH_scale.json` track it
+//!   per commit);
 //! * a flash-crowd workload (Poisson with a ×20 premiere spike), co-slot
 //!   arrivals batched into star trees — one full stream per occupied slot,
 //!   spike clients riding the batch.
@@ -363,9 +363,8 @@ fn bench_scale(c: &mut Criterion) {
     });
     drop((forest, times));
 
-    // Deep chains at the same arrival count: the former quadratic
-    // per-client evaluator made this shape superlinearly slower than the
-    // balanced grid; with the endpoint sweep it must stay comparable.
+    // Deep chains at the same arrival count: the longest receiving
+    // programs, scored by the same closed forms as the balanced grid.
     let (forest, times) = deep_chain_forest(n, media_len);
     let (chain_case, _) = timed_case(
         format!("events_deep_chain_L{media_len}"),

@@ -194,9 +194,9 @@ impl DelayGuaranteedOnline {
     /// `length` slots. A template root runs the whole media `L`; any other
     /// node `x` runs `2·z − x − p(x)`, where `p` is its template parent and
     /// `z` its last descendant, clipped to the last slot the trailing
-    /// (truncated) instance holds. The pairs are exactly what
-    /// [`sm_sim::ScheduleStream`] yields over [`Self::forest_after`]`(n)`
-    /// on consecutive slots.
+    /// (truncated) instance holds. The pairs are exactly the
+    /// [`sm_sim::stream_schedule`] of [`Self::forest_after`]`(n)` on
+    /// consecutive slots.
     pub fn schedule_after(&self, n: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         let size = self.tree_size;
         (0..n.div_ceil(size)).flat_map(move |k| {
@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use sm_core::{full_cost, merge_cost, validate_forest, ValidationOptions};
     use sm_offline::forest::optimal_full_cost;
-    use sm_sim::ScheduleStream;
+    use sm_sim::stream_schedule;
 
     #[test]
     fn tree_size_is_fh() {
@@ -372,7 +372,7 @@ mod tests {
         }
     }
 
-    /// The stamped schedule equals `ScheduleStream` over the materialized
+    /// The stamped schedule equals `stream_schedule` over the materialized
     /// forest, node for node, for every media length up to 200 and every
     /// truncation of the trailing tree behind 0, 1 and 2 full trees.
     #[test]
@@ -388,9 +388,9 @@ mod tests {
                     }
                     let forest = alg.forest_after(index_to_usize(n));
                     let times = consecutive_slots(index_to_usize(n));
-                    let expected: Vec<(u64, u64)> = ScheduleStream::new(&forest, &times, l)
+                    let expected: Vec<(u64, u64)> = stream_schedule(&forest, &times, l)
                         .unwrap()
-                        .flat_map(|tree| tree.specs)
+                        .into_iter()
                         .map(|s| (s.start as u64, s.length as u64))
                         .collect();
                     let stamped: Vec<(u64, u64)> = alg.schedule_after(n).collect();

@@ -520,6 +520,8 @@ where
                 .collect();
             Ok(merge_runs(runs, |a, b| a.0 < b.0))
         },
+        // Out of line: inlined, this loop's speed moved with unrelated code.
+        #[inline(never)]
         |_, arrivals| {
             let batch_start = Instant::now();
             for (t, k) in arrivals {

@@ -10,7 +10,7 @@ use sm_server::{
     simulate_dynamic_with, simulate_requests, Catalog, DynamicConfig, DynamicError, DynamicReport,
     Epoch, EpochBreakdown, EpochPlan, PlannerMemo, Title, Zipf,
 };
-use sm_sim::ScheduleStream;
+use sm_sim::stream_schedule;
 
 fn arb_catalog() -> impl Strategy<Value = Catalog> {
     proptest::collection::vec((30.0f64..=180.0, 0.1f64..=10.0), 1..=4).prop_map(|specs| {
@@ -94,7 +94,7 @@ fn assert_outcomes_identical(
 /// Test-side reference for the dynamic server that shares no schedule or
 /// peak code with it: each live epoch plans with `plan_weighted`; each
 /// `(title, epoch)` materializes its Delay Guaranteed forest with
-/// `forest_after` and walks it with `ScheduleStream`; every stream adds one
+/// `forest_after` and walks it with `stream_schedule`; every stream adds one
 /// to each minute it covers; and each minute asks every switch whether its
 /// transition window covers it.
 fn forest_materializing_reference(
@@ -130,13 +130,11 @@ fn forest_materializing_reference(
             let media_len = title.media_len(delay);
             let forest = DelayGuaranteedOnline::new(media_len).forest_after(slots);
             let times = consecutive_slots(slots);
-            for tree in ScheduleStream::new(&forest, &times, media_len).unwrap() {
-                for spec in tree.specs {
-                    let start = t0 + spec.start as u64 * d;
-                    let end = start + spec.length as u64 * d;
-                    for m in start..end.min(horizon) {
-                        per_minute[m as usize] += 1;
-                    }
+            for spec in stream_schedule(&forest, &times, media_len).unwrap() {
+                let start = t0 + spec.start as u64 * d;
+                let end = start + spec.length as u64 * d;
+                for m in start..end.min(horizon) {
+                    per_minute[m as usize] += 1;
                 }
             }
         }

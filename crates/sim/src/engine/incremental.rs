@@ -4,9 +4,10 @@
 //! one by one, the merge policy commits each one at traffic time, and
 //! reports must flow out while the horizon is still growing.
 //! [`IncrementalEngine`] is the event engine built around that ingest
-//! direction, and it is also the one driver for sorted batch input: the
-//! [`events`](super::events) entry points replay nondecreasing arrival
-//! times through it via [`simulate_incremental`].
+//! direction, and it is also the one driver for batch input: every batch
+//! entry point, [`simulate_incremental`] and the [`events`](super::events)
+//! ones alike, checks that the arrival times never decrease and then
+//! replays them through it.
 //!
 //! * **one open tree** — arrivals attach to the most recently opened tree
 //!   (the model's invariant: merging across closed trees is impossible
@@ -79,14 +80,15 @@
 //!
 //! The `engine_equivalence` proptest suite and its exhaustive small-tree
 //! grid pin this engine bit-identical (reports, emission order, summary,
-//! first error) to the dense oracle on every sorted input.
+//! first error) to the dense oracle on every input the batch entry points
+//! accept.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::iter::Peekable;
 
 use super::events::{label, StreamingSummary};
-use super::{ClientReport, SimConfig};
+use super::{check_batch, ClientReport, SimConfig};
 use crate::error::SimError;
 use crate::metrics::ProfileBuilder;
 use crate::schedule::checked_media_len;
@@ -601,27 +603,34 @@ impl IncrementalEngine {
 }
 
 /// Replays a batch `(forest, times)` pair through the push interface, in
-/// global arrival order — the sorted-input driver behind
+/// global arrival order. Its summary adds the retention gauge to what
 /// [`simulate_streaming_slice`](super::events::simulate_streaming_slice)
-/// and [`super::simulate_with`]. Its summary adds the retention gauge.
+/// returns.
 ///
-/// `times` must be nondecreasing (the push interface's clock contract);
-/// a backwards step fails with [`IngestError::OutOfOrder`].
+/// Input is checked as [`super::simulate_with`] checks it, before any
+/// report is emitted, and an input error comes back as
+/// [`IngestError::Sim`]: in particular a `times` vector that ever
+/// decreases fails with [`SimError::TimesOutOfOrder`].
 pub fn simulate_incremental<F: FnMut(ClientReport)>(
     forest: &MergeForest,
     times: &[i64],
     media_len: u64,
     config: SimConfig,
-    mut emit: F,
+    emit: F,
 ) -> Result<IncrementalSummary, IngestError> {
-    if times.len() != forest.total_arrivals() {
-        return Err(IngestError::Sim(SimError::Model(
-            ModelError::TimesLengthMismatch {
-                nodes: forest.total_arrivals(),
-                times: times.len(),
-            },
-        )));
-    }
+    check_batch(forest, times, media_len)?;
+    Ok(replay(forest, times, media_len, config, emit)?)
+}
+
+/// The replay behind every batch entry point, over input that entry point
+/// has checked.
+pub(super) fn replay<F: FnMut(ClientReport)>(
+    forest: &MergeForest,
+    times: &[i64],
+    media_len: u64,
+    config: SimConfig,
+    mut emit: F,
+) -> Result<IncrementalSummary, SimError> {
     let mut engine = IncrementalEngine::new(media_len, config)?;
     for (range, tree) in forest.iter_with_ranges() {
         let base = range.start;
@@ -630,10 +639,22 @@ pub fn simulate_incremental<F: FnMut(ClientReport)>(
                 None => Attach::Root,
                 Some(p) => Attach::Under(base + p),
             };
-            engine.push(times[base + local], attach, &mut emit)?;
+            engine
+                .push(times[base + local], attach, &mut emit)
+                .map_err(|e| match e {
+                    IngestError::Sim(e) => e,
+                    // Checked times over a validated forest push in clock
+                    // order with every parent inside its own open tree, so
+                    // these are unreachable; they surface as model errors
+                    // rather than panics.
+                    IngestError::OutOfOrder { .. } => SimError::Model(ModelError::TimesNotSorted),
+                    IngestError::ParentNotOpen { node, parent } => {
+                        SimError::Model(ModelError::ParentNotEarlier { node, parent })
+                    }
+                })?;
         }
     }
-    engine.finish(&mut emit).map_err(IngestError::Sim)
+    engine.finish(&mut emit)
 }
 
 #[cfg(test)]

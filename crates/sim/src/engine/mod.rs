@@ -3,18 +3,17 @@
 //! Three engines replay every client's receiving program against the
 //! concrete broadcast schedule and fail with the *first* violation —
 //! stall, receive-two breach, buffer overflow, or a program/schedule
-//! mismatch:
+//! mismatch. Every batch entry point takes arrivals in time order, as the
+//! paper numbers them: before it scores or emits any client it rejects a
+//! times vector that ever decreases with [`SimError::TimesOutOfOrder`]
+//! (ties are legal).
 //!
 //! * [`dense`] — the original slot-stepped oracle: every client is swept
 //!   over every slot of its playback window (`O(clients · L²)` time,
 //!   `O(L)` scratch per client). Simple, and kept as the reference.
-//! * [`events`] — the discrete-event engine's batch entry points: sorted
-//!   arrivals replay through the incremental driver below, and unsorted
-//!   ones take an eager, sort-based fallback whose per-client walk up the
-//!   tree's parent column derives, verifies and checks every segment of a
-//!   program, with metrics from a single sorted-endpoint sweep —
-//!   `O(segments log segments)` per client (never candidates × segments).
-//! * [`incremental`] — the one driver for slot-ordered arrivals: they push
+//! * [`events`] — the discrete-event engine's batch entry points, which
+//!   replay every input through the incremental driver below.
+//! * [`incremental`] — the one driver for time-ordered arrivals: they push
 //!   in one at a time ([`IncrementalEngine::push`]), each appending a
 //!   parent, a top (the root's child on its path) and a time to the open
 //!   tree's columns in `O(1)`. Each client's report comes in `O(1)` from
@@ -38,7 +37,7 @@ pub mod incremental;
 use crate::error::SimError;
 use crate::metrics::BandwidthProfile;
 use crate::schedule::checked_media_len;
-use sm_core::MergeForest;
+use sm_core::{MergeForest, ModelError};
 
 pub use events::{simulate_streaming_slice, StreamingSummary};
 pub use incremental::{
@@ -87,17 +86,16 @@ impl SimConfig {
 pub struct ClientReport {
     /// Global arrival index.
     pub client: usize,
-    /// Peak number of parts held in the buffer. On sorted input this is
-    /// `min(d, L − d)`, where `d` is the client's distance from its root's
-    /// arrival.
+    /// Peak number of parts held in the buffer: `min(d, L − d)`, where `d`
+    /// is the client's distance from its root's arrival.
     pub max_buffer: i64,
-    /// Peak number of simultaneously received streams (at most 2 on
-    /// sorted input; 0 when `L = 0`).
+    /// Peak number of simultaneously received streams (at most 2; 0 when
+    /// `L = 0`).
     pub max_concurrent: usize,
     /// Slack (in slots) between each part's arrival and its playback,
-    /// minimised over parts: 0 means some part arrives just in time. On
-    /// sorted input it is 0 whenever `L ≥ 1`; with `L = 0` there are no
-    /// parts and it is `i64::MAX`.
+    /// minimised over parts: 0 means some part arrives just in time. It is
+    /// 0 whenever `L ≥ 1`; with `L = 0` there are no parts and it is
+    /// `i64::MAX`.
     pub min_slack: i64,
 }
 
@@ -129,6 +127,12 @@ pub fn simulate(
 /// tree path — agreement is the Lemma 1 ↔ §2 consistency the paper relies
 /// on).
 ///
+/// Before it scores any client it fails on malformed input, checked in
+/// this order: a times vector that does not hold one time per arrival,
+/// times that ever decrease ([`SimError::TimesOutOfOrder`]; ties are
+/// legal), and a `media_len` beyond `i64`. Otherwise the error is the
+/// first violating client's, and reports come in arrival order.
+///
 /// An empty forest over zero arrivals yields an empty report.
 pub fn simulate_with(
     forest: &MergeForest,
@@ -136,17 +140,35 @@ pub fn simulate_with(
     media_len: u64,
     config: SimConfig,
 ) -> Result<SimReport, SimError> {
-    if times.len() != forest.total_arrivals() {
-        return Err(SimError::Model(sm_core::ModelError::TimesLengthMismatch {
-            nodes: forest.total_arrivals(),
-            times: times.len(),
-        }));
-    }
-    checked_media_len(media_len)?;
+    check_batch(forest, times, media_len)?;
     match config.engine {
         Engine::Dense => dense::run(forest, times, media_len, config),
         Engine::Events => events::run(forest, times, media_len, config),
     }
+}
+
+/// The batch input contract that every batch entry point checks first, in
+/// [`simulate_with`]'s order.
+fn check_batch(forest: &MergeForest, times: &[i64], media_len: u64) -> Result<(), SimError> {
+    if times.len() != forest.total_arrivals() {
+        return Err(SimError::Model(ModelError::TimesLengthMismatch {
+            nodes: forest.total_arrivals(),
+            times: times.len(),
+        }));
+    }
+    // One scan on the accepted path; the first decrease is searched for
+    // only once it is known to exist.
+    if !times.is_sorted() {
+        if let Some(i) = times.windows(2).position(|w| w[1] < w[0]) {
+            return Err(SimError::TimesOutOfOrder {
+                index: i + 1,
+                time: times[i + 1],
+                previous: times[i],
+            });
+        }
+    }
+    checked_media_len(media_len)?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -345,30 +367,25 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_sibling_times_agree_with_dense_on_reports_and_first_error() {
-        // Sibling order need not follow time order (`from_parents` only
-        // constrains indices): with times [0, 5, 2] client 2's part-deadline
-        // fires before client 1's, so the event engine naturally *detects*
-        // client 2's violation first — but it must still report client 1's,
-        // like the dense index-order scan does.
+    fn decreasing_times_are_rejected_and_ties_simulate() {
+        // Sibling order follows index order; a later sibling may not
+        // arrive earlier.
         let tree = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
         let forest = MergeForest::single(tree);
-        let times = [0i64, 5, 2];
-        let ok_dense = simulate_with(&forest, &times, 40, cfg(Engine::Dense));
-        let ok_events = simulate_with(&forest, &times, 40, cfg(Engine::Events));
-        assert!(ok_dense.is_ok());
-        assert_eq!(ok_dense, ok_events);
-        let err_cfg = |engine| SimConfig {
-            buffer_bound: Some(0),
-            engine,
-        };
-        let err_dense = simulate_with(&forest, &times, 40, err_cfg(Engine::Dense)).unwrap_err();
-        let err_events = simulate_with(&forest, &times, 40, err_cfg(Engine::Events)).unwrap_err();
-        assert_eq!(err_dense, err_events);
-        assert!(matches!(
-            err_dense,
-            SimError::BufferOverflow { client: 1, .. }
-        ));
+        for engine in ENGINES {
+            let err = simulate_with(&forest, &[0, 5, 2], 40, cfg(engine)).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::TimesOutOfOrder {
+                    index: 2,
+                    time: 2,
+                    previous: 5
+                },
+                "{engine:?}"
+            );
+            let report = simulate_with(&forest, &[0, 2, 2], 40, cfg(engine)).unwrap();
+            assert_eq!(report.clients.len(), 3, "{engine:?}");
+        }
     }
 
     #[test]

@@ -37,6 +37,17 @@ pub enum SimError {
         needed: i64,
         bound: u64,
     },
+    /// The arrival times decrease: arrival `index` comes at `time`, before
+    /// arrival `index − 1` at `previous`. Batch input is in time order, as
+    /// the paper numbers arrivals; ties are allowed.
+    TimesOutOfOrder {
+        /// The first arrival whose time is below its predecessor's.
+        index: usize,
+        /// That arrival's time.
+        time: i64,
+        /// Its predecessor's time.
+        previous: i64,
+    },
     /// `media_len` does not fit the signed slot arithmetic (`i64`); the
     /// schedule cannot be represented without wrapping.
     MediaLenOverflow {
@@ -83,6 +94,14 @@ impl fmt::Display for SimError {
                 f,
                 "client {client} needs {needed} buffered parts, bound is {bound}"
             ),
+            Self::TimesOutOfOrder {
+                index,
+                time,
+                previous,
+            } => write!(
+                f,
+                "arrival {index} comes at {time}, before its predecessor at {previous}; arrival times must not decrease"
+            ),
             Self::MediaLenOverflow { media_len } => write!(
                 f,
                 "media length {media_len} exceeds the representable slot range (i64)"
@@ -118,6 +137,11 @@ mod tests {
                 stream: 0,
                 part: 16,
                 length: 15,
+            },
+            SimError::TimesOutOfOrder {
+                index: 2,
+                time: 2,
+                previous: 5,
             },
         ];
         for e in errs {

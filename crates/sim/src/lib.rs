@@ -3,11 +3,12 @@
 //! reproduction.
 //!
 //! The paper evaluates schedules analytically; this crate *executes* them.
-//! Given a merge forest over slotted arrivals, it derives the concrete
-//! broadcast schedule (which stream transmits which part in which slot, as
-//! in the paper's Fig. 3), replays every client's receiving program against
-//! that schedule, and independently re-measures every quantity the theory
-//! predicts:
+//! Given a merge forest over slotted arrivals in time order (as the paper
+//! numbers them; a times vector that ever decreases is rejected), it
+//! derives the concrete broadcast schedule (which stream transmits which
+//! part in which slot, as in the paper's Fig. 3), replays every client's
+//! receiving program against that schedule, and independently re-measures
+//! every quantity the theory predicts:
 //!
 //! * **uninterrupted playback** — every part arrives no later than its
 //!   playback slot;
@@ -37,4 +38,4 @@ pub use engine::{
 };
 pub use error::SimError;
 pub use metrics::BandwidthProfile;
-pub use schedule::{stream_schedule, ScheduleStream, StreamSpec, TreeSchedule};
+pub use schedule::{stream_schedule, StreamSpec};

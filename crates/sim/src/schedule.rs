@@ -1,4 +1,7 @@
-//! Concrete broadcast schedules: the Fig.-3 view of a merge forest.
+//! Concrete broadcast schedules: the Fig.-3 view of a merge forest, one
+//! [`StreamSpec`] per arrival. The dense oracle and the test oracles read
+//! it; the event engines derive each tree's stream lengths themselves, once,
+//! when the tree closes.
 
 use crate::error::SimError;
 use sm_core::MergeForest;
@@ -29,144 +32,41 @@ impl StreamSpec {
     }
 }
 
-/// The concrete schedule of one tree of a forest: `specs[x]` is the stream
-/// of local node `x`, so slicing `times`/reports by `base..base + len` stays
-/// aligned with the tree the specs came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TreeSchedule {
-    /// Index of the tree within the forest.
-    pub tree: usize,
-    /// Global arrival index of the tree's first node.
-    pub base: usize,
-    /// The tree's streams, in local node order.
-    pub specs: Vec<StreamSpec>,
-}
-
-impl TreeSchedule {
-    /// Number of arrivals (and streams) in the tree.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// A tree always has at least one arrival.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Total slot-units this tree transmits (its share of `Fcost`).
-    pub fn total_units(&self) -> i64 {
-        self.specs.iter().map(|s| s.length).sum()
-    }
-}
-
-/// Lazy, per-tree view of a forest's broadcast schedule.
-///
-/// Yields one [`TreeSchedule`] per tree, in forest order, deriving each
-/// tree's Lemma-1 stream lengths only when the tree is pulled — the whole
-/// forest is never materialized at once, so a consumer holds one tree's
-/// specs at a time instead of `O(arrivals)`.
-///
-/// Construction fails with [`SimError::MediaLenOverflow`] when `media_len`
-/// does not fit the signed slot arithmetic; iteration itself is infallible.
-#[derive(Debug)]
-pub struct ScheduleStream<'a> {
-    forest: &'a MergeForest,
-    times: &'a [i64],
-    media: i64,
-    next_tree: usize,
-    base: usize,
-}
-
-impl<'a> ScheduleStream<'a> {
-    /// Opens the schedule of `forest` over `times` for a media of
-    /// `media_len` parts.
-    ///
-    /// # Panics
-    /// Iteration panics if `times` is shorter than the forest's arrivals
-    /// (callers validate lengths up front, as [`stream_schedule`] always
-    /// has).
-    pub fn new(
-        forest: &'a MergeForest,
-        times: &'a [i64],
-        media_len: u64,
-    ) -> Result<Self, SimError> {
-        let media = checked_media_len(media_len)?;
-        Ok(Self {
-            forest,
-            times,
-            media,
-            next_tree: 0,
-            base: 0,
-        })
-    }
-
-    /// Number of trees not yet yielded.
-    pub fn remaining_trees(&self) -> usize {
-        self.forest.num_trees() - self.next_tree
-    }
-
-    /// Writes the next tree's specs into `specs` (cleared first, capacity
-    /// kept) and returns the tree's base arrival index, or `None` when the
-    /// stream is exhausted.
-    fn next_into(&mut self, specs: &mut Vec<StreamSpec>) -> Option<usize> {
-        let tree = self.forest.trees().get(self.next_tree)?;
-        let base = self.base;
-        let local_times = &self.times[base..base + tree.len()];
-        specs.clear();
-        specs.reserve(tree.len());
-        specs.push(StreamSpec {
-            node: base,
-            start: local_times[0],
-            length: self.media,
-        });
-        for x in 1..tree.len() {
-            // ℓ(x) = (z − x) + (z − p), inlined from `cost::lengths` so no
-            // per-tree length vector is allocated on the hot path.
-            let p = tree.parent(x).unwrap_or(0);
-            let z = tree.last_descendant(x);
-            specs.push(StreamSpec {
-                node: base + x,
-                start: local_times[x],
-                length: (local_times[z] - local_times[x]) + (local_times[z] - local_times[p]),
-            });
-        }
-        self.next_tree += 1;
-        self.base += tree.len();
-        Some(base)
-    }
-}
-
-impl Iterator for ScheduleStream<'_> {
-    type Item = TreeSchedule;
-
-    fn next(&mut self) -> Option<TreeSchedule> {
-        let tree = self.next_tree;
-        let mut specs = Vec::new();
-        let base = self.next_into(&mut specs)?;
-        Some(TreeSchedule { tree, base, specs })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining_trees();
-        (n, Some(n))
-    }
-}
-
-/// Derives the full broadcast schedule of a forest: the root of each tree
-/// runs `media_len` parts, every other stream exactly its Lemma-1 length.
-/// Eager form of [`ScheduleStream`] — one flat `Vec` over all trees.
+/// Derives the full broadcast schedule of a forest, one spec per arrival in
+/// arrival order: the root of each tree runs `media_len` parts, and every
+/// other node `x` exactly its Lemma-1 length `ℓ(x) = 2t_{z(x)} − t_x −
+/// t_{p(x)}`, where `p(x)` is its parent and `z(x)` its last descendant.
 ///
 /// Fails with [`SimError::MediaLenOverflow`] when `media_len` does not fit
 /// the signed slot arithmetic (a plain `as i64` here would silently wrap to
 /// a negative root length).
+///
+/// # Panics
+/// If `times` is shorter than the forest's arrivals (the batch entry points
+/// check lengths first).
 pub fn stream_schedule(
     forest: &MergeForest,
     times: &[i64],
     media_len: u64,
 ) -> Result<Vec<StreamSpec>, SimError> {
+    let media = checked_media_len(media_len)?;
     let mut specs = Vec::with_capacity(times.len());
-    for tree in ScheduleStream::new(forest, times, media_len)? {
-        specs.extend(tree.specs);
+    for (range, tree) in forest.iter_with_ranges() {
+        let local_times = &times[range.clone()];
+        for (x, &start) in local_times.iter().enumerate() {
+            let length = match tree.parent(x) {
+                None => media,
+                Some(p) => {
+                    let t_z = local_times[tree.last_descendant(x)];
+                    (t_z - start) + (t_z - local_times[p])
+                }
+            };
+            specs.push(StreamSpec {
+                node: range.start + x,
+                start,
+                length,
+            });
+        }
     }
     Ok(specs)
 }
@@ -235,99 +135,26 @@ mod tests {
     }
 
     #[test]
-    fn schedule_stream_yields_one_tree_at_a_time() {
-        let t = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
-        let forest = MergeForest::from_trees(vec![t.clone(), t]).unwrap();
-        let times = consecutive_slots(6);
-        let mut stream = ScheduleStream::new(&forest, &times, 10).unwrap();
-        assert_eq!(stream.remaining_trees(), 2);
-        let first = stream.next().unwrap();
-        assert_eq!((first.tree, first.base, first.len()), (0, 0, 3));
-        assert_eq!(stream.remaining_trees(), 1);
-        let second = stream.next().unwrap();
-        assert_eq!((second.tree, second.base, second.len()), (1, 3, 3));
-        assert!(stream.next().is_none());
-        // Per-tree units sum to the flat schedule's total.
-        assert_eq!(
-            first.total_units() + second.total_units(),
-            stream_schedule(&forest, &times, 10)
-                .unwrap()
-                .iter()
-                .map(|s| s.length)
-                .sum::<i64>()
-        );
+    fn empty_forest_has_an_empty_schedule() {
+        let specs = stream_schedule(&MergeForest::empty(), &[], 10).unwrap();
+        assert!(specs.is_empty());
     }
 
     #[test]
-    fn schedule_stream_concatenation_matches_eager_schedule() {
-        let forest = fig4_forest();
-        let times = consecutive_slots(8);
-        let lazy: Vec<StreamSpec> = ScheduleStream::new(&forest, &times, 15)
-            .unwrap()
-            .flat_map(|t| t.specs)
-            .collect();
-        assert_eq!(lazy, stream_schedule(&forest, &times, 15).unwrap());
-    }
-
-    #[test]
-    fn next_into_reuses_buffer_and_matches_iterator() {
-        let forest = fig4_forest();
-        let times = consecutive_slots(8);
-        let eager: Vec<TreeSchedule> = ScheduleStream::new(&forest, &times, 15).unwrap().collect();
-        let mut stream = ScheduleStream::new(&forest, &times, 15).unwrap();
-        let mut scratch = Vec::new();
-        let mut seen = 0usize;
-        while let Some(base) = stream.next_into(&mut scratch) {
-            assert_eq!(base, eager[seen].base);
-            assert_eq!(scratch, eager[seen].specs);
-            seen += 1;
-        }
-        assert_eq!(seen, eager.len());
-        // Exhausted stream leaves the scratch untouched thereafter.
-        let before = scratch.clone();
-        assert!(stream.next_into(&mut scratch).is_none());
-        assert_eq!(scratch, before);
-    }
-
-    #[test]
-    fn empty_forest_stream_is_exhausted_from_the_start() {
-        let forest = MergeForest::empty();
-        let mut stream = ScheduleStream::new(&forest, &[], 10).unwrap();
-        assert_eq!(stream.remaining_trees(), 0);
-        let mut scratch = vec![StreamSpec {
-            node: 9,
-            start: 9,
-            length: 9,
-        }];
-        assert!(stream.next_into(&mut scratch).is_none());
-        assert_eq!(scratch.len(), 1, "an exhausted stream must not clear");
-        assert!(stream.next().is_none());
-    }
-
-    #[test]
-    fn single_client_trees_count_down_one_arrival_at_a_time() {
-        // A forest of singletons: every tree is one full stream, and each
-        // pull takes one tree off the remaining count.
+    fn singleton_trees_are_full_streams_at_their_own_arrivals() {
         let n = 5usize;
         let forest = MergeForest::from_trees(vec![MergeTree::singleton(); n]).unwrap();
         let times: Vec<i64> = (0..n as i64).map(|i| i * 7).collect();
-        let mut stream = ScheduleStream::new(&forest, &times, 4).unwrap();
-        let mut specs = Vec::new();
-        for (k, &time) in times.iter().enumerate() {
-            assert_eq!(stream.remaining_trees(), n - k);
-            assert_eq!(stream.next_into(&mut specs), Some(k));
-            assert_eq!(
-                specs,
-                vec![StreamSpec {
-                    node: k,
-                    start: time,
-                    length: 4,
-                }],
-                "a singleton tree is exactly its root's full stream"
-            );
-        }
-        assert_eq!(stream.remaining_trees(), 0);
-        assert!(stream.next_into(&mut specs).is_none());
+        let expected: Vec<StreamSpec> = times
+            .iter()
+            .enumerate()
+            .map(|(node, &start)| StreamSpec {
+                node,
+                start,
+                length: 4,
+            })
+            .collect();
+        assert_eq!(stream_schedule(&forest, &times, 4).unwrap(), expected);
     }
 
     #[test]
@@ -338,22 +165,9 @@ mod tests {
         // schedule itself is still well-defined).
         let tree = MergeTree::from_parents(&[None, Some(0)]).unwrap();
         let forest = MergeForest::single(tree);
-        let mut stream = ScheduleStream::new(&forest, &[3, 3], 1).unwrap();
-        let t = stream.next().unwrap();
-        assert_eq!(t.specs[0].length, 1);
-        assert_eq!(t.specs[1].length, 0);
-        assert_eq!(t.total_units(), 1);
-        assert_eq!(stream.remaining_trees(), 0);
-    }
-
-    #[test]
-    fn schedule_stream_rejects_oversized_media_len() {
-        let forest = fig4_forest();
-        let times = consecutive_slots(8);
-        assert!(matches!(
-            ScheduleStream::new(&forest, &times, u64::MAX).unwrap_err(),
-            SimError::MediaLenOverflow { .. }
-        ));
+        let specs = stream_schedule(&forest, &[3, 3], 1).unwrap();
+        let lens: Vec<i64> = specs.iter().map(|s| s.length).collect();
+        assert_eq!(lens, vec![1, 0]);
     }
 
     #[test]

@@ -4,21 +4,18 @@
 //! and the same first error on infeasible inputs — across randomized
 //! forests, arrival sequences, media lengths, and buffer bounds. The
 //! streaming API (`simulate_streaming_slice`) is pinned against the
-//! collected `simulate_with` path on every case, and on every *sorted*
-//! case the push-based incremental engine (`simulate_incremental`, the
-//! driver behind both for sorted input) is pinned bit-identical as well:
+//! collected `simulate_with` path on every case, and so is the push-based
+//! incremental engine (`simulate_incremental`, the driver behind both):
 //! summary, reports, emission order, and first error. An exhaustive grid
 //! over every small tree and time vector pins the incremental engine's
 //! closed-form reports (with and without buffer bounds) on sorted times,
-//! and on unsorted ones the events engine's one-pass client walk,
-//! including which error wins when a client's path holds both a
-//! structural and a spec violation.
+//! and pins that every unsorted times vector fails at its first decrease.
 
 use proptest::prelude::*;
 use sm_core::{consecutive_slots, MergeForest, MergeTree};
 use sm_sim::{
-    simulate_incremental, simulate_streaming_slice, simulate_with, ClientReport, IngestError,
-    SimConfig, SimError, SimReport,
+    simulate, simulate_incremental, simulate_streaming_slice, simulate_with, ClientReport,
+    IngestError, SimConfig, SimError, SimReport,
 };
 
 fn run_both(
@@ -86,29 +83,18 @@ fn assert_streaming_matches(
     buffer_bound: Option<u64>,
     events: &Result<SimReport, SimError>,
 ) {
-    let (summary, mut emitted) = run_streaming(forest, times, media_len, buffer_bound);
+    let (summary, emitted) = run_streaming(forest, times, media_len, buffer_bound);
     match (events, summary) {
         (Ok(report), Ok(summary)) => {
             assert_eq!(summary.bandwidth, report.bandwidth);
             assert_eq!(summary.total_units, report.total_units);
             assert_eq!(summary.clients, report.clients.len());
             // Emission order is part-deadline order (`t_c + L`, ties by
-            // arrival index); for sorted times that is arrival order.
-            let deadlines_sorted = times.windows(2).all(|w| w[0] <= w[1]);
-            if deadlines_sorted {
-                assert_eq!(emitted, report.clients, "emission order = arrival order");
-            } else {
-                emitted.sort_unstable_by_key(|r| r.client);
-                assert_eq!(emitted, report.clients);
-            }
+            // arrival index), which is arrival order for accepted times.
+            assert_eq!(emitted, report.clients, "emission order = arrival order");
         }
         (Err(report_err), Err(stream_err)) => {
-            // `simulate_with` normalizes the first error to arrival-index
-            // order; the raw stream fails at the first part-*deadline*
-            // violation. For sorted times the two coincide.
-            if times.windows(2).all(|w| w[0] <= w[1]) {
-                assert_eq!(*report_err, stream_err);
-            }
+            assert_eq!(*report_err, stream_err);
         }
         (report, summary) => {
             panic!("streaming/collected feasibility disagreement: {report:?} vs {summary:?}")
@@ -117,9 +103,8 @@ fn assert_streaming_matches(
 }
 
 /// The push-based incremental engine replayed over the same arrivals must
-/// be bit-identical to the collected event-engine report on every *sorted*
-/// input (the push interface's clock contract): same summary, same
-/// reports in the same emission order, same first error.
+/// be bit-identical to the collected event-engine report: same summary,
+/// same reports in the same emission order, same first error.
 fn assert_incremental_matches(
     forest: &MergeForest,
     times: &[i64],
@@ -127,9 +112,6 @@ fn assert_incremental_matches(
     buffer_bound: Option<u64>,
     events: &Result<SimReport, SimError>,
 ) {
-    if !times.windows(2).all(|w| w[0] <= w[1]) {
-        return;
-    }
     let mut emitted = Vec::new();
     let got = simulate_incremental(
         forest,
@@ -370,17 +352,30 @@ proptest! {
 }
 
 #[test]
-fn unsorted_times_take_the_eager_fallback_and_still_agree() {
-    // Sibling order need not follow time order; globally unsorted times
-    // route `simulate_streaming_slice` through the eager sort-based path,
-    // which must still reproduce the collected report bit for bit.
-    let tree = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
-    let forest = MergeForest::single(tree);
-    let times = [0i64, 5, 2];
-    assert!(times.windows(2).any(|w| w[0] > w[1]), "premise: unsorted");
-    let events = simulate_with(&forest, &times, 40, SimConfig::events());
-    assert!(events.is_ok());
-    assert_streaming_matches(&forest, &times, 40, None, &events);
+fn out_of_order_times_fail_every_entry_point_before_any_report() {
+    // Client 0's deadline (0 + 10) passes before the arrival at 100, so an
+    // entry point that checked times only as it pushed would emit client
+    // 0's report first.
+    let forest = MergeForest::from_trees(vec![MergeTree::singleton(); 3]).unwrap();
+    let times = [0i64, 100, 50];
+    let expected = SimError::TimesOutOfOrder {
+        index: 2,
+        time: 50,
+        previous: 100,
+    };
+    assert_eq!(simulate(&forest, &times, 10), Err(expected.clone()));
+    let (dense, events) = run_both(&forest, &times, 10, None);
+    assert_eq!(dense, Err(expected.clone()));
+    assert_eq!(events, Err(expected.clone()));
+    let (summary, emitted) = run_streaming(&forest, &times, 10, None);
+    assert_eq!(summary, Err(expected.clone()));
+    assert!(emitted.is_empty(), "streaming emitted {emitted:?}");
+    let mut emitted = Vec::new();
+    let got = simulate_incremental(&forest, &times, 10, SimConfig::events(), |r| {
+        emitted.push(r)
+    });
+    assert_eq!(got, Err(IngestError::Sim(expected)));
+    assert!(emitted.is_empty(), "incremental emitted {emitted:?}");
 }
 
 /// Every parent array over `n` nodes: node `i` merges under any of `0..i`.
@@ -406,10 +401,10 @@ fn every_small_tree_and_time_vector_pins_events_to_dense() {
     // Every parent array with at most 5 nodes, every times vector over
     // 0..=3 and L in 0..=8: 236 340 cases. Sorted times replay through the
     // incremental engine's closed forms, whose first error `simulate_with`
-    // returns as is; unsorted ones take the eager fallback and its
-    // index-order replay of the first error. Every sorted case also runs
-    // all three engines under buffer bounds 0..=3 (57 888 more cases),
-    // which pins `BufferOverflow`'s `needed` and the incremental path.
+    // returns as is; every unsorted vector must fail on both engines at
+    // its first decrease. Every sorted case also runs all three engines
+    // under buffer bounds 0..=3 (57 888 more cases), which pins
+    // `BufferOverflow`'s `needed` and the incremental path.
     let mut cases = 0usize;
     let mut bounded = 0usize;
     for n in 1..=5usize {
@@ -419,6 +414,7 @@ fn every_small_tree_and_time_vector_pins_events_to_dense() {
                 let times: Vec<i64> = (0..n)
                     .map(|i| (code / 4usize.pow(i as u32) % 4) as i64)
                     .collect();
+                let first_decrease = (1..n).find(|&i| times[i] < times[i - 1]);
                 for media_len in 0..=8u64 {
                     let (dense, events) = run_both(&forest, &times, media_len, None);
                     assert_eq!(
@@ -426,7 +422,14 @@ fn every_small_tree_and_time_vector_pins_events_to_dense() {
                         "parents {parents:?}, times {times:?}, L = {media_len}"
                     );
                     cases += 1;
-                    if times.is_sorted() {
+                    if let Some(index) = first_decrease {
+                        let expected = SimError::TimesOutOfOrder {
+                            index,
+                            time: times[index],
+                            previous: times[index - 1],
+                        };
+                        assert_eq!(events, Err(expected), "times {times:?}");
+                    } else {
                         for bound in 0..=3u64 {
                             assert_engines_agree(&forest, &times, media_len, Some(bound));
                             bounded += 1;
@@ -437,17 +440,4 @@ fn every_small_tree_and_time_vector_pins_events_to_dense() {
         }
     }
     assert_eq!((cases, bounded), (236_340, 57_888));
-    // One of those cases, where the walk's error precedence decides: client
-    // 3's first segment (its own stream, part 1) already fails the spec
-    // check — stream 3 has length 2·1 − 2 − 1 = −1 — but its path also asks
-    // for part 4 of a 3-part media. The dense oracle verifies the whole
-    // program before it reads any spec, so the structural error wins.
-    let forest = MergeForest::single(MergeTree::chain(5));
-    let (dense, _) = run_both(&forest, &[0, 0, 1, 2, 1], 3, None);
-    assert_eq!(
-        dense,
-        Err(SimError::Model(sm_core::ModelError::PartOutOfRange {
-            part: 4
-        }))
-    );
 }

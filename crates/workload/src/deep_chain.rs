@@ -5,8 +5,9 @@
 //! *logarithmic* root path, so per-client receiving programs are short. A
 //! **chain** is the opposite extreme: client `k` merges through all `k` of
 //! its predecessors, its receiving program has `k + 1` segments, and any
-//! evaluator that is quadratic in segments blows up — the workload that
-//! motivated the event engine's `O(segments log segments)` endpoint sweep.
+//! evaluator that is quadratic in segments blows up. The event engine
+//! scores each client in `O(1)` from Lemma 1's closed forms, so this
+//! workload checks that its cost does not grow with path length.
 //!
 //! Chains are not just adversarial, they are *feasible*: with consecutive
 //! arrivals, Lemma 1 gives chain node `x` (0-based, chain length `c`) the

@@ -126,7 +126,7 @@ fn architecture_documents_the_runtime_pieces() {
         "engine::events",
         "engine::dense",
         "engine::incremental",
-        "ScheduleStream",
+        "stream_schedule",
         "simulate_streaming_slice",
         "simulate_incremental",
         "IncrementalEngine",
