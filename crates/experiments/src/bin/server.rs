@@ -27,6 +27,17 @@ fn main() {
         .map(|&pct| full * pct / 100)
         .collect();
     let rows = server_exp::compute(&catalog, &budgets, &candidates, 2_000);
+    // §5's claim, end to end: every feasible plan fits its budget, and the
+    // measured phase-aligned aggregate never exceeds the plan.
+    for row in &rows {
+        if let (Some(planned), Some(measured)) = (row.planned_peak, row.measured_peak) {
+            assert!(
+                measured <= planned && planned <= row.budget,
+                "budget {}: measured peak {measured}, planned peak {planned}",
+                row.budget
+            );
+        }
+    }
     println!(
         "Multi-title planning — {} Zipf titles, unconstrained peak = {full} streams\n",
         catalog.len()

@@ -4,7 +4,7 @@
 //! A Zipf catalog is planned two ways for each budget:
 //!
 //! * **uniform** — one delay for the whole catalog (the smallest candidate
-//!   that fits, the strategy of `sm_online::capacity::min_delay_for_budget`);
+//!   that fits, [`plan_uniform`]);
 //! * **weighted** — per-title delays from the greedy water-filling planner
 //!   (popular titles keep short delays).
 //!
@@ -139,6 +139,21 @@ mod tests {
                 assert!(row.planned_peak.unwrap() <= row.budget);
             }
         }
+    }
+
+    #[test]
+    fn uniform_planning_picks_smallest_fitting_delay() {
+        let c = catalog();
+        let candidates = [1.0, 2.0, 5.0, 10.0, 20.0];
+        // A generous budget admits the smallest delay; a tiny one none.
+        let generous = plan_uniform(&c, 1_000, &candidates).expect("generous budget fits");
+        assert!(generous.delays_minutes.iter().all(|&d| d == candidates[0]));
+        assert!(plan_uniform(&c, 1, &candidates).is_none());
+        // A budget sized at one candidate's peak picks that delay or a
+        // smaller one.
+        let sized = plan_weighted(&c, u64::MAX, &[5.0]).unwrap().total_peak;
+        let mid = plan_uniform(&c, sized, &candidates).expect("sized budget fits");
+        assert!(mid.delays_minutes.iter().all(|&d| d <= 5.0));
     }
 
     #[test]

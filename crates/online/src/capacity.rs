@@ -4,17 +4,20 @@
 //! maximum bandwidth and still never have to decline a client request").
 //!
 //! The DG schedule is periodic with period `F_h` slots once warmed up, so
-//! its peak and average concurrent-stream counts are well-defined constants
-//! for each media length; [`steady_state_bandwidth`] measures them exactly
-//! by stamping enough periods of the schedule straight from the template
-//! and metering the middle of the window.
+//! its peak, its average and its profile over one period are well-defined
+//! constants for each media length; [`steady_state_bandwidth`] measures
+//! them exactly by stamping enough periods of the schedule straight from
+//! the template and metering the middle of the window. It is the only DG
+//! steady-state analysis in the workspace: the §5 server in `sm-server`
+//! plans with its `peak` and sums its `periodic` profiles, reading both
+//! from one cache entry per media length.
 
-use crate::cast::slots_i64;
+use crate::cast::{index_to_usize, slots_i64};
 use crate::delay_guaranteed::DelayGuaranteedOnline;
 use sm_sim::BandwidthProfile;
 
-/// Peak and average concurrent streams of the warmed-up DG schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Peak, average and one-period profile of the warmed-up DG schedule.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SteadyStateBandwidth {
     /// Maximum concurrent streams in steady state.
     pub peak: u32,
@@ -22,6 +25,9 @@ pub struct SteadyStateBandwidth {
     pub average: f64,
     /// The period of the schedule (`F_h` slots).
     pub period: u64,
+    /// Concurrent streams in each of the `period` slots that start one
+    /// media length into the stamped schedule; its maximum is `peak`.
+    pub periodic: Vec<u32>,
 }
 
 /// Measures the steady-state bandwidth of the Delay Guaranteed algorithm
@@ -45,8 +51,9 @@ pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
     let lo = profile.origin() + slots_i64(media_len);
     let hi = profile.end() - slots_i64(media_len + period);
     let window = profile.window(lo, hi);
+    let one_period = index_to_usize(period);
     assert!(
-        window.len() >= crate::cast::index_to_usize(period),
+        window.len() >= one_period,
         "window must cover at least one period"
     );
     let peak = window.iter().copied().max().unwrap_or(0);
@@ -55,56 +62,8 @@ pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
         peak,
         average,
         period,
+        periodic: window[..one_period].to_vec(),
     }
-}
-
-/// A media object served by a shared multi-object server (§5: "the
-/// practical case of a server that serves multiple media objects").
-#[derive(Debug, Clone)]
-pub struct MediaObject {
-    /// Display name.
-    pub name: String,
-    /// Playback duration, in minutes.
-    pub duration_minutes: f64,
-}
-
-impl MediaObject {
-    /// Media length in slots for a given guaranteed delay, clamped to ≥ 1.
-    pub fn media_len(&self, delay_minutes: f64) -> u64 {
-        assert!(delay_minutes > 0.0);
-        // `f64 as u64` saturates (never wraps) and the ratio of two positive
-        // durations is nonnegative, so the clamp to ≥ 1 is the only edge.
-        ((self.duration_minutes / delay_minutes).round() as u64).max(1)
-    }
-}
-
-/// Aggregate steady-state peak bandwidth (in concurrent streams) for a set
-/// of objects all served with the same guaranteed delay via DG.
-///
-/// The DG schedule per object is independent, so peaks add: this is the
-/// worst case (streams of different objects need not peak simultaneously,
-/// but a guarantee must cover alignment).
-pub fn aggregate_peak(objects: &[MediaObject], delay_minutes: f64) -> u64 {
-    objects
-        .iter()
-        .map(|o| steady_state_bandwidth(o.media_len(delay_minutes)).peak as u64)
-        .sum()
-}
-
-/// Smallest delay from `candidates_minutes` whose aggregate peak fits
-/// `budget_streams`, or `None`.
-pub fn min_delay_for_budget(
-    objects: &[MediaObject],
-    budget_streams: u64,
-    candidates_minutes: &[f64],
-) -> Option<f64> {
-    let mut fitting: Vec<f64> = candidates_minutes
-        .iter()
-        .copied()
-        .filter(|&d| aggregate_peak(objects, d) <= budget_streams)
-        .collect();
-    fitting.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    fitting.first().copied()
 }
 
 #[cfg(test)]
@@ -114,7 +73,8 @@ mod tests {
     use sm_sim::stream_schedule;
 
     /// The forest derivation [`steady_state_bandwidth`] replaced: build the
-    /// committed forest, flatten its stream schedule, meter the same window.
+    /// committed forest, flatten its stream schedule, meter the same window
+    /// and read one period from its start.
     fn steady_state_via_forest(media_len: u64) -> SteadyStateBandwidth {
         let alg = DelayGuaranteedOnline::new(media_len);
         let period = alg.tree_size();
@@ -130,6 +90,7 @@ mod tests {
             peak: window.iter().copied().max().unwrap_or(0),
             average: window.iter().map(|&c| c as f64).sum::<f64>() / window.len() as f64,
             period,
+            periodic: profile.window(lo, lo + period as i64),
         }
     }
 
@@ -143,6 +104,17 @@ mod tests {
             assert_eq!(
                 stamped.average.to_bits(),
                 reference.average.to_bits(),
+                "L = {media_len}"
+            );
+            assert_eq!(stamped.periodic, reference.periodic, "L = {media_len}");
+            assert_eq!(
+                stamped.periodic.len() as u64,
+                stamped.period,
+                "L = {media_len}"
+            );
+            assert_eq!(
+                stamped.periodic.iter().copied().max(),
+                Some(stamped.peak),
                 "L = {media_len}"
             );
         }
@@ -178,39 +150,5 @@ mod tests {
             "avg {} vs amortized {amortized}",
             s.average
         );
-    }
-
-    #[test]
-    fn media_len_conversion() {
-        let movie = MediaObject {
-            name: "movie".into(),
-            duration_minutes: 120.0,
-        };
-        assert_eq!(movie.media_len(15.0), 8);
-        assert_eq!(movie.media_len(1.0), 120);
-        assert_eq!(movie.media_len(240.0), 1);
-    }
-
-    #[test]
-    fn budget_planning_picks_smallest_fitting_delay() {
-        let objects = vec![
-            MediaObject {
-                name: "a".into(),
-                duration_minutes: 100.0,
-            },
-            MediaObject {
-                name: "b".into(),
-                duration_minutes: 60.0,
-            },
-        ];
-        let candidates = [1.0, 2.0, 5.0, 10.0, 20.0];
-        // A generous budget admits the smallest delay; a tiny one may not.
-        let generous = min_delay_for_budget(&objects, 1_000, &candidates);
-        assert_eq!(generous, Some(1.0));
-        let impossible = min_delay_for_budget(&objects, 1, &candidates);
-        assert_eq!(impossible, None);
-        // Budgets in between pick interior delays, monotonically.
-        let d_mid = min_delay_for_budget(&objects, aggregate_peak(&objects, 5.0), &candidates);
-        assert!(d_mid.unwrap() <= 5.0);
     }
 }

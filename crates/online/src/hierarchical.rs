@@ -222,15 +222,6 @@ impl HierarchicalMerger {
     }
 }
 
-/// Runs ERMT over a whole arrival sequence; returns total bandwidth.
-pub fn ermt_total_cost(media_len: f64, arrivals: &[f64]) -> f64 {
-    let mut m = HierarchicalMerger::ermt(media_len);
-    for &t in arrivals {
-        m.on_arrival(t);
-    }
-    m.total_cost()
-}
-
 /// Runs rate-tuned ERMT over a whole arrival sequence; returns total
 /// bandwidth.
 pub fn ermt_tuned_cost(media_len: f64, rate: f64, arrivals: &[f64]) -> f64 {

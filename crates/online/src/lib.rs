@@ -23,8 +23,9 @@
 //!   stream.
 //! * [`analysis`] — the competitive bounds of Theorems 21 and 22.
 //! * [`hybrid`] — the §5 hybrid server (DG under load, dyadic when idle).
-//! * [`capacity`] — steady-state peak bandwidth and the §5 multi-object
-//!   max-bandwidth planning.
+//! * [`capacity`] — the Delay Guaranteed steady state of one media length
+//!   (peak, average and one-period profile), the one analysis the §5
+//!   multi-object server (`sm-server`) plans and admits with.
 
 pub mod analysis;
 pub mod batching;

@@ -454,7 +454,7 @@ where
 {
     config.validate()?;
     let hits_before = memo.hits();
-    memo.seed_peaks(config.titles.iter().map(|t| t.media_len).collect());
+    memo.seed(config.titles.iter().map(|t| t.media_len).collect());
 
     let mut states = Vec::with_capacity(config.titles.len());
     for title in &config.titles {

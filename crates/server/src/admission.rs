@@ -3,11 +3,14 @@
 //!
 //! The Delay Guaranteed algorithm's bandwidth is *deterministic*: streams
 //! start on the slot grid whether or not clients arrived, so a title's
-//! steady-state load is a fixed periodic profile (period `F_h` slots). The
-//! aggregate load of a catalog is the phase-aligned sum of those profiles on
-//! a common minute grid — [`aggregate_profile`] computes it and shows the
-//! planned worst case (`Σ` per-title peaks) is honored, usually with slack
-//! (titles do not peak simultaneously).
+//! steady-state load is a fixed periodic profile (period `F_h` slots): the
+//! `periodic` field of the same
+//! [`steady_state_bandwidth`](sm_online::capacity::steady_state_bandwidth)
+//! analysis whose `peak` the planner budgets. The aggregate load of a
+//! catalog is the phase-aligned sum of those profiles on a common minute
+//! grid — [`aggregate_profile`] computes it and shows the planned worst
+//! case (`Σ` per-title peaks) is honored, usually with slack (titles do not
+//! peak simultaneously).
 //!
 //! [`simulate_requests`] drives Zipf-popular Poisson requests against the
 //! plan: every request is served at its title's next slot boundary, so the
@@ -34,26 +37,6 @@ use rand::{RngExt, SeedableRng};
 use crate::catalog::Catalog;
 use crate::memo::PlannerMemo;
 use crate::planner::DelayPlan;
-use sm_online::delay_guaranteed::DelayGuaranteedOnline;
-use sm_sim::BandwidthProfile;
-
-/// One steady-state period of the DG bandwidth profile for `media_len`,
-/// in concurrent streams per slot, metered one media length into a
-/// schedule stamped straight from the template
-/// ([`DelayGuaranteedOnline::schedule_after`]).
-pub fn periodic_profile(media_len: u64) -> Vec<u32> {
-    let alg = DelayGuaranteedOnline::new(media_len);
-    let period = alg.tree_size();
-    let periods_needed = media_len.div_ceil(period) + 2;
-    let n = (2 * periods_needed + 2) * period;
-    let slot = |x: u64| i64::try_from(x).expect("slot-scale media length");
-    let profile = BandwidthProfile::from_intervals(
-        alg.schedule_after(n)
-            .map(|(start, len)| (slot(start), slot(start + len))),
-    );
-    let lo = profile.origin() + slot(media_len);
-    profile.window(lo, lo + slot(period))
-}
 
 /// Minute-grained aggregate load of a planned catalog.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,11 +61,12 @@ pub fn aggregate_profile(
 }
 
 /// [`aggregate_profile`] with a caller-owned [`PlannerMemo`]: each distinct
-/// media length's periodic profile is derived once per memo lifetime (the
-/// memo's seeding stage shards the unseen lengths across threads), so
-/// catalogs with repeated durations — and repeated admission checks against
-/// overlapping catalogs — reuse earlier derivations. The report is
-/// **bit-identical** to [`aggregate_profile`]'s.
+/// media length is analyzed once per memo lifetime (the memo's seeding
+/// stage shards the unseen lengths across threads), so catalogs with
+/// repeated durations, repeated admission checks against overlapping
+/// catalogs, and an admission check after planning on the same memo all
+/// reuse earlier analyses. The report is **bit-identical** to
+/// [`aggregate_profile`]'s.
 pub fn aggregate_profile_with(
     catalog: &Catalog,
     plan: &DelayPlan,
@@ -91,24 +75,25 @@ pub fn aggregate_profile_with(
 ) -> AggregateReport {
     assert_eq!(plan.delays_minutes.len(), catalog.len());
     assert!(horizon_minutes > 0);
-    // Each title's periodic profile is an independent forest + schedule
-    // construction: the memo shards the distinct unseen ones across
-    // threads (order-preserving, so the aggregate is bit-identical to a
-    // sequential sum), then every title fetches its shared profile.
+    // Each title's analysis is an independent schedule stamp: the memo
+    // shards the distinct unseen ones across threads (order-preserving, so
+    // the aggregate is bit-identical to a sequential sum), then every title
+    // fetches its shared analysis and reads one period of its profile.
     let jobs: Vec<(f64, u64)> = catalog
         .titles()
         .iter()
         .zip(&plan.delays_minutes)
         .map(|(t, &d)| (d, t.media_len(d)))
         .collect();
-    memo.seed_profiles(jobs.iter().map(|&(_, l)| l).collect());
-    let profiles: Vec<(f64, std::sync::Arc<Vec<u32>>)> = jobs
+    memo.seed(jobs.iter().map(|&(_, l)| l).collect());
+    let analyses: Vec<_> = jobs
         .iter()
-        .map(|&(d, media_len)| (d, memo.periodic(media_len)))
+        .map(|&(d, media_len)| (d, memo.steady(media_len)))
         .collect();
     let mut per_minute = vec![0u64; horizon_minutes as usize];
     for (m, slot_count) in per_minute.iter_mut().enumerate() {
-        for (delay, profile) in &profiles {
+        for (delay, steady) in &analyses {
+            let profile = &steady.periodic;
             let slot = (m as f64 / delay).floor() as usize;
             *slot_count += profile[slot % profile.len()] as u64;
         }
@@ -204,10 +189,7 @@ pub fn simulate_requests(
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, Title};
-    use crate::planner::plan_weighted;
-    use sm_core::consecutive_slots;
-    use sm_online::capacity::steady_state_bandwidth;
-    use sm_sim::stream_schedule;
+    use crate::planner::{plan_weighted, plan_weighted_with};
 
     fn catalog() -> Catalog {
         Catalog::new(vec![
@@ -222,41 +204,6 @@ mod tests {
                 weight: 1.0,
             },
         ])
-    }
-
-    /// The forest derivation [`periodic_profile`] replaced: build the
-    /// committed forest and flatten its stream schedule.
-    fn periodic_profile_via_forest(media_len: u64) -> Vec<u32> {
-        let alg = DelayGuaranteedOnline::new(media_len);
-        let period = alg.tree_size();
-        let periods_needed = media_len.div_ceil(period) + 2;
-        let n = ((2 * periods_needed + 2) * period) as usize;
-        let forest = alg.forest_after(n);
-        let specs = stream_schedule(&forest, &consecutive_slots(n), media_len).unwrap();
-        let profile = BandwidthProfile::from_streams(&specs);
-        let lo = profile.origin() + media_len as i64;
-        profile.window(lo, lo + period as i64)
-    }
-
-    #[test]
-    fn template_stamp_matches_forest_derivation() {
-        for media_len in 1..=300u64 {
-            assert_eq!(
-                periodic_profile(media_len),
-                periodic_profile_via_forest(media_len),
-                "L = {media_len}"
-            );
-        }
-    }
-
-    #[test]
-    fn periodic_profile_matches_capacity_peak() {
-        for l in [10u64, 50, 100] {
-            let profile = periodic_profile(l);
-            let s = steady_state_bandwidth(l);
-            assert_eq!(profile.len(), s.period as usize);
-            assert_eq!(profile.iter().copied().max().unwrap(), s.peak, "media {l}");
-        }
     }
 
     #[test]
@@ -292,6 +239,23 @@ mod tests {
             "repeat admission checks must reuse the cached profiles"
         );
         assert!(memo.hits() > 0);
+    }
+
+    #[test]
+    fn planner_and_aggregate_share_one_analysis_per_length() {
+        let catalog = catalog();
+        let memo = PlannerMemo::new();
+        let plan = plan_weighted_with(&catalog, u64::MAX, &[2.0, 5.0], &memo).unwrap();
+        let planned = memo.misses();
+        assert!(planned > 0);
+        let agg = aggregate_profile_with(&catalog, &plan, 500, &memo);
+        assert_eq!(agg, aggregate_profile(&catalog, &plan, 500));
+        assert_eq!(
+            memo.misses(),
+            planned,
+            "the aggregate reuses the planner's analyses"
+        );
+        assert_eq!(memo.misses(), memo.distinct_lengths() as u64);
     }
 
     #[test]

@@ -117,6 +117,7 @@ mod tests {
             weight: 1.0,
         };
         assert_eq!(t.media_len(15.0), 7); // ceil(100/15)
+        assert_eq!(t.media_len(30.0), 4); // 3 slots would be 33.3 min each
         assert_eq!(t.media_len(1.0), 100);
         assert_eq!(t.media_len(500.0), 1); // clamped
     }

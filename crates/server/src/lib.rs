@@ -29,14 +29,15 @@
 //!   accounting: the §5 point that dynamic channel allocation lets the
 //!   server *change* the guaranteed delay without tearing anything down.
 //!
-//! Titles are independent objects, so the expensive per-title work —
-//! steady-state capacity analyses in [`planner`], periodic profiles in
-//! [`admission`] — is sharded across threads with
-//! [`sm_core::parallel_map`]. Results are collected in input order, so
-//! every report is bit-identical to a sequential run. The analyses
-//! themselves are cached in a [`memo::PlannerMemo`] — a shared cross-epoch
-//! (and cross-run) handle that pays for each distinct media length once —
-//! and the greedy planner reads them into a peak table instead of
+//! Titles are independent objects, so the expensive per-title work — one
+//! steady-state Delay Guaranteed analysis per media length, whose peak
+//! [`planner`] budgets and whose periodic profile [`admission`] sums — is
+//! sharded across threads with [`sm_core::parallel_map`]. Results are
+//! collected in input order, so every report is bit-identical to a
+//! sequential run. The analyses themselves are cached in a
+//! [`memo::PlannerMemo`] — a shared cross-epoch (and cross-run) handle that
+//! pays for each distinct media length once, for both layers — and the
+//! greedy planner reads them into a peak table instead of
 //! rebuilding its plan per step. [`dynamic`] pipelines *across* epochs with
 //! [`sm_core::pipeline`]: planning runs up to
 //! [`DynamicConfig::plan_ahead`](dynamic::DynamicConfig) epochs ahead of

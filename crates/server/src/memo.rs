@@ -1,33 +1,33 @@
 //! Cross-epoch planner memo: one shared cache of the Delay Guaranteed
-//! steady-state analyses.
+//! steady-state analysis.
 //!
 //! Every expensive per-title computation in this crate is a deterministic
-//! function of the title's **media length** alone: the planner's
-//! [`steady_state_bandwidth`] peak and the admission layer's
-//! [`periodic_profile`]. Catalogs overlap heavily in practice — epochs
+//! function of the title's **media length** alone: the planner reads the
+//! `peak` of [`steady_state_bandwidth`] and the admission layer reads its
+//! `periodic` profile. Catalogs overlap heavily in practice — epochs
 //! share titles, different titles share durations, and different
 //! `(duration, delay)` pairs collide on the same media length — so
-//! re-deriving those analyses per epoch (or per run) pays the same forest
-//! construction over and over.
+//! re-deriving that analysis per epoch (or per run, or per layer) stamps
+//! the same schedule over and over.
 //!
 //! [`PlannerMemo`] is a cheaply cloneable handle (an `Arc` around the
-//! caches) that callers thread through
+//! cache) that callers thread through
 //! [`plan_weighted_with`](crate::planner::plan_weighted_with),
 //! [`simulate_dynamic_with`](crate::dynamic::simulate_dynamic_with) / the
 //! sequential spine (`crate::dynamic`, via
 //! [`DynamicConfig`](crate::dynamic::DynamicConfig)), and
 //! [`aggregate_profile_with`](crate::admission::aggregate_profile_with):
-//! each distinct media
-//! length is analyzed **once per memo lifetime** instead of once per epoch.
-//! The [`seed_peaks`](PlannerMemo::seed_peaks) bulk stage shards the
-//! analyses across threads with [`parallel_map`] — and only analyzes
-//! lengths the memo has not seen — while point lookups go through
-//! [`peak`](PlannerMemo::peak) / [`periodic`](PlannerMemo::periodic).
+//! each distinct media length is analyzed **once per memo lifetime**, and
+//! the planner and the admission layer share that one analysis. The
+//! [`seed`](PlannerMemo::seed) bulk stage shards the analyses across
+//! threads with [`parallel_map`] — and only analyzes lengths the memo has
+//! not seen — while point lookups go through [`peak`](PlannerMemo::peak) /
+//! [`steady`](PlannerMemo::steady).
 //!
-//! Because the cached functions are pure, a memo-carrying run is
+//! Because the cached function is pure, a memo-carrying run is
 //! **bit-identical** to a memo-free one (pinned by proptest in
 //! `crates/server/tests/proptests.rs`); the memo only changes how often the
-//! analyses execute, which the [`hits`](PlannerMemo::hits) /
+//! analysis executes, which the [`hits`](PlannerMemo::hits) /
 //! [`misses`](PlannerMemo::misses) counters make observable (and
 //! `benches/scale.rs` records in `BENCH_scale.json` as `memo_hits`).
 //!
@@ -49,17 +49,16 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::admission::periodic_profile;
 use sm_core::parallel_map;
-use sm_online::capacity::steady_state_bandwidth;
+use sm_online::capacity::{steady_state_bandwidth, SteadyStateBandwidth};
 
 /// Shared, thread-safe cache of per-media-length steady-state analyses.
 ///
-/// Cloning is cheap and shares the underlying caches, so one handle can be
+/// Cloning is cheap and shares the underlying cache, so one handle can be
 /// threaded through the planner (on the dynamic pipeline's producer thread),
-/// the admission layer, and across whole simulation runs. All cached values
-/// are pure functions of the media length, so sharing never changes any
-/// result — only how often the analyses run.
+/// the admission layer, and across whole simulation runs. Every cached
+/// value is a pure function of the media length, so sharing never changes
+/// any result — only how often the analysis runs.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerMemo {
     inner: Arc<MemoInner>,
@@ -67,14 +66,12 @@ pub struct PlannerMemo {
 
 #[derive(Debug, Default)]
 struct MemoInner {
-    /// `media_len → steady_state_bandwidth(media_len).peak`.
-    peaks: Mutex<HashMap<u64, u32>>,
-    /// `media_len → periodic_profile(media_len)` (admission layer).
-    profiles: Mutex<HashMap<u64, Arc<Vec<u32>>>>,
-    /// Lookups served from a cache (either map).
+    /// `media_len → steady_state_bandwidth(media_len)`.
+    analyses: Mutex<HashMap<u64, Arc<SteadyStateBandwidth>>>,
+    /// Lookups served from the cache.
     hits: AtomicU64,
-    /// Fresh analyses executed (either map; bulk seeding counts each
-    /// newly analyzed length once).
+    /// Fresh analyses executed (bulk seeding counts each newly analyzed
+    /// length once).
     misses: AtomicU64,
 }
 
@@ -84,105 +81,75 @@ impl PlannerMemo {
         Self::default()
     }
 
-    fn peaks(&self) -> MutexGuard<'_, HashMap<u64, u32>> {
-        self.inner.peaks.lock().expect("planner memo poisoned")
-    }
-
-    fn profiles(&self) -> MutexGuard<'_, HashMap<u64, Arc<Vec<u32>>>> {
-        self.inner.profiles.lock().expect("planner memo poisoned")
-    }
-
-    fn count_hit(&self) {
-        self.inner.hits.fetch_add(1, Ordering::Relaxed);
+    fn analyses(&self) -> MutexGuard<'_, HashMap<u64, Arc<SteadyStateBandwidth>>> {
+        self.inner.analyses.lock().expect("planner memo poisoned")
     }
 
     fn count_misses(&self, n: u64) {
         self.inner.misses.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The steady-state Delay Guaranteed peak for `media_len`, computed on
-    /// first demand and cached thereafter.
-    pub fn peak(&self, media_len: u64) -> u32 {
-        if let Some(&p) = self.peaks().get(&media_len) {
-            self.count_hit();
-            return p;
+    /// Reads `media_len`'s analysis through `read`, analyzing it on first
+    /// demand. A hit runs `read` under the lock on the cached entry.
+    fn lookup<T>(&self, media_len: u64, read: impl Fn(&Arc<SteadyStateBandwidth>) -> T) -> T {
+        if let Some(s) = self.analyses().get(&media_len) {
+            self.inner.hits.fetch_add(1, Ordering::Relaxed);
+            return read(s);
         }
         // Analyze outside the lock: concurrent callers may race to compute
         // the same (pure, deterministic) value, never a different one.
-        let p = steady_state_bandwidth(media_len).peak;
+        let s = Arc::new(steady_state_bandwidth(media_len));
         self.count_misses(1);
-        self.peaks().insert(media_len, p);
-        p
+        read(self.analyses().entry(media_len).or_insert(s))
     }
 
-    /// One steady-state period of the DG bandwidth profile for `media_len`
-    /// (the admission layer's [`periodic_profile`]), cached behind an `Arc`
-    /// so repeated titles share one allocation.
-    pub fn periodic(&self, media_len: u64) -> Arc<Vec<u32>> {
-        if let Some(p) = self.profiles().get(&media_len) {
-            self.count_hit();
-            return Arc::clone(p);
-        }
-        let p = Arc::new(periodic_profile(media_len));
-        self.count_misses(1);
-        self.profiles()
-            .entry(media_len)
-            .or_insert(p.clone())
-            .clone()
+    /// The steady-state Delay Guaranteed peak for `media_len`, computed on
+    /// first demand and cached thereafter. A hit allocates nothing.
+    pub fn peak(&self, media_len: u64) -> u32 {
+        self.lookup(media_len, |s| s.peak)
     }
 
-    /// Bulk-seeds the peak cache: dedups `lens`, drops every length the
-    /// memo has already seen, and analyzes the remainder across threads
-    /// with [`parallel_map`]. The planner calls this before its greedy
-    /// relaxation so the expensive analyses shard while the greedy itself
-    /// stays sequential (and bit-identical).
-    pub fn seed_peaks(&self, mut lens: Vec<u64>) {
+    /// The whole steady-state analysis for `media_len` (the admission
+    /// layer reads its `periodic` profile), cached behind an `Arc` so
+    /// repeated titles share one allocation.
+    pub fn steady(&self, media_len: u64) -> Arc<SteadyStateBandwidth> {
+        self.lookup(media_len, Arc::clone)
+    }
+
+    /// Bulk-seeds the cache: dedups `lens`, drops every length the memo
+    /// has already seen, and analyzes the remainder across threads with
+    /// [`parallel_map`]. The planner calls this before its greedy
+    /// relaxation and the admission layer before it sums profiles, so the
+    /// expensive analyses shard while the callers themselves stay
+    /// sequential (and bit-identical).
+    pub fn seed(&self, mut lens: Vec<u64>) {
         lens.sort_unstable();
         lens.dedup();
         {
-            let cache = self.peaks();
+            let cache = self.analyses();
             lens.retain(|l| !cache.contains_key(l));
         }
         if lens.is_empty() {
             return;
         }
-        let peaks = parallel_map(&lens, |&l| steady_state_bandwidth(l).peak);
+        let analyses = parallel_map(&lens, |&l| Arc::new(steady_state_bandwidth(l)));
         self.count_misses(lens.len() as u64);
-        self.peaks().extend(lens.into_iter().zip(peaks));
+        self.analyses().extend(lens.into_iter().zip(analyses));
     }
 
-    /// Bulk-seeds the periodic-profile cache (admission's analogue of
-    /// [`seed_peaks`](Self::seed_peaks)): only lengths the memo has not
-    /// seen are derived, sharded across threads.
-    pub fn seed_profiles(&self, mut lens: Vec<u64>) {
-        lens.sort_unstable();
-        lens.dedup();
-        {
-            let cache = self.profiles();
-            lens.retain(|l| !cache.contains_key(l));
-        }
-        if lens.is_empty() {
-            return;
-        }
-        let profiles = parallel_map(&lens, |&l| Arc::new(periodic_profile(l)));
-        self.count_misses(lens.len() as u64);
-        self.profiles().extend(lens.into_iter().zip(profiles));
-    }
-
-    /// Lookups served from a cache so far (both caches combined).
+    /// Lookups served from the cache so far.
     pub fn hits(&self) -> u64 {
         self.inner.hits.load(Ordering::Relaxed)
     }
 
-    /// Fresh analyses executed so far (both caches combined).
+    /// Fresh analyses executed so far.
     pub fn misses(&self) -> u64 {
         self.inner.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct media lengths currently cached (both caches
-    /// combined; a length analyzed by both counts twice).
+    /// Number of distinct media lengths currently cached.
     pub fn distinct_lengths(&self) -> usize {
-        self.peaks().len() + self.profiles().len()
+        self.analyses().len()
     }
 }
 
@@ -202,28 +169,30 @@ mod tests {
     }
 
     #[test]
-    fn periodic_matches_uncached_profile_and_shares_the_allocation() {
+    fn steady_matches_uncached_analysis_and_shares_the_allocation() {
         let memo = PlannerMemo::new();
-        let a = memo.periodic(40);
-        assert_eq!(*a, periodic_profile(40));
-        let b = memo.periodic(40);
+        let a = memo.steady(40);
+        assert_eq!(*a, steady_state_bandwidth(40));
+        let b = memo.steady(40);
         assert!(Arc::ptr_eq(&a, &b), "repeat lookups share one allocation");
-        assert_eq!(memo.hits(), 1);
+        assert_eq!(memo.peak(40), a.peak, "peak reads the same entry");
+        assert_eq!(memo.hits(), 2);
         assert_eq!(memo.misses(), 1);
     }
 
     #[test]
     fn seeding_skips_lengths_already_seen() {
         let memo = PlannerMemo::new();
-        memo.seed_peaks(vec![20, 30, 20, 30]);
+        memo.seed(vec![20, 30, 20, 30]);
         assert_eq!(memo.misses(), 2, "duplicates dedup before analysis");
-        memo.seed_peaks(vec![30, 40]);
+        memo.seed(vec![30, 40]);
         assert_eq!(memo.misses(), 3, "only the unseen length is analyzed");
         assert_eq!(memo.peak(40), steady_state_bandwidth(40).peak);
         assert_eq!(memo.hits(), 1);
-        memo.seed_profiles(vec![20, 25]);
-        memo.seed_profiles(vec![25]);
-        assert_eq!(memo.misses(), 5, "profile seeding skips seen lengths too");
+        memo.seed(vec![20, 25]);
+        memo.seed(vec![25]);
+        assert_eq!(memo.misses(), 4, "four distinct lengths, four analyses");
+        assert_eq!(memo.distinct_lengths(), 4);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! is a deterministic, decreasing function of the delay, so a server with a
 //! fixed channel budget can always buy feasibility with delay. With many
 //! titles the interesting question is *how to split* the budget: giving
-//! every title the same delay (the uniform planner in
-//! `sm_online::capacity`) wastes channels on the long tail. The weighted
-//! planner here assigns **per-title** delays minimizing the
-//! popularity-weighted expected delay `Σ p_i · D_i` subject to
+//! every title the same delay (the uniform planner,
+//! `sm_experiments::server_exp::plan_uniform`) wastes channels on the long
+//! tail. The weighted planner here assigns **per-title** delays minimizing
+//! the popularity-weighted expected delay `Σ p_i · D_i` subject to
 //! `Σ peak_i(D_i) ≤ budget` — a discrete water-filling: repeatedly push out
 //! the delay of whichever title buys the most bandwidth per unit of
 //! weighted-delay pain. [`brute_force_plan`] solves small instances exactly
@@ -131,7 +131,7 @@ pub fn plan_weighted_with(
     // the smallest-delay lengths are analyzed up front; the full
     // |titles| × |candidates| cross product is precomputed just before the
     // greedy starts relaxing, when most of it will be queried anyway.
-    memo.seed_peaks(titles.iter().map(|t| t.media_len(smallest)).collect());
+    memo.seed(titles.iter().map(|t| t.media_len(smallest)).collect());
     let mut choice = vec![0usize; titles.len()];
     let mut total: u64 = titles
         .iter()
@@ -142,7 +142,7 @@ pub fn plan_weighted_with(
             .iter()
             .flat_map(|t| candidates_minutes.iter().map(|&d| t.media_len(d)))
             .collect();
-        memo.seed_peaks(lens.clone());
+        memo.seed(lens.clone());
         // The greedy reads this titles × candidates peak table (title-major)
         // and keeps a running total, so a relaxation step is one scan of
         // the titles; the plan itself is built once, at the end.
@@ -238,7 +238,7 @@ mod tests {
         memo: &PlannerMemo,
     ) -> Option<DelayPlan> {
         let probs = catalog.probabilities();
-        memo.seed_peaks(
+        memo.seed(
             catalog
                 .titles()
                 .iter()
@@ -248,7 +248,7 @@ mod tests {
         let mut choice = vec![0usize; catalog.len()];
         let mut plan = build_plan(catalog, candidates_minutes, &choice, &probs, memo);
         if plan.total_peak > budget_streams {
-            memo.seed_peaks(
+            memo.seed(
                 catalog
                     .titles()
                     .iter()

@@ -4,7 +4,7 @@
 
 use stream_merging::core::consecutive_slots;
 use stream_merging::online::batching::{batch_arrivals, batched_dyadic_cost, plain_batching_cost};
-use stream_merging::online::capacity::{steady_state_bandwidth, MediaObject};
+use stream_merging::online::capacity::steady_state_bandwidth;
 use stream_merging::online::delay_guaranteed::online_full_cost;
 use stream_merging::online::dyadic::{dyadic_forest, dyadic_total_cost, DyadicConfig};
 use stream_merging::online::hybrid::{HybridConfig, HybridServer};
@@ -117,21 +117,25 @@ fn hybrid_server_matches_components_at_extremes() {
 
 #[test]
 fn multi_object_peaks_add_up() {
-    use stream_merging::online::capacity::aggregate_peak;
-    let objects = vec![
-        MediaObject {
+    use stream_merging::server::{plan_weighted, Catalog, Title};
+    let catalog = Catalog::new(vec![
+        Title {
             name: "film".into(),
             duration_minutes: 90.0,
+            weight: 1.0,
         },
-        MediaObject {
+        Title {
             name: "short".into(),
             duration_minutes: 30.0,
+            weight: 1.0,
         },
-    ];
+    ]);
     let d = 3.0;
-    let sum: u64 = objects
+    let sum: u64 = catalog
+        .titles()
         .iter()
-        .map(|o| steady_state_bandwidth(o.media_len(d)).peak as u64)
+        .map(|t| steady_state_bandwidth(t.media_len(d)).peak as u64)
         .sum();
-    assert_eq!(aggregate_peak(&objects, d), sum);
+    let plan = plan_weighted(&catalog, u64::MAX, &[d]).unwrap();
+    assert_eq!(plan.total_peak, sum);
 }
