@@ -34,8 +34,10 @@ fn text_before<'a>(toks: &'a [Token<'_>], i: usize, back: usize) -> &'a str {
 /// variants) plus the `panic!` / `unreachable!` / `todo!` /
 /// `unimplemented!` / `assert!`-family macros are forbidden in the
 /// non-test code of the serving hot paths — `sm-serve`, the `sm-sim`
-/// engines, and `sm_core::parallel`. `debug_assert*` is deliberately
-/// exempt: it compiles out of the release builds that serve traffic.
+/// engines, `sm_core::parallel`, and the §5 dynamic server
+/// (`sm_server::dynamic`, whose pipeline workers report typed errors).
+/// `debug_assert*` is deliberately exempt: it compiles out of the release
+/// builds that serve traffic.
 pub struct NoPanicSurface;
 
 const PANIC_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -58,7 +60,8 @@ impl Rule for NoPanicSurface {
         !is_test_path(path)
             && (path.starts_with("crates/serve/src/")
                 || path.starts_with("crates/sim/src/engine")
-                || path == "crates/core/src/parallel.rs")
+                || path == "crates/core/src/parallel.rs"
+                || path == "crates/server/src/dynamic.rs")
     }
 
     fn check(&self, file: &SourceFile<'_>) -> Vec<(u32, String)> {

@@ -12,10 +12,18 @@
 //! on the minute grid, so the transition overlap is measured, not modeled.
 //!
 //! The Delay Guaranteed algorithm makes no on-line decision, so no forest
-//! is built: [`DelayGuaranteedOnline::schedule_after`] reads each
+//! is built: [`DelayGuaranteedOnline::schedule_after`] reads a
 //! `(title, epoch)`'s streams straight off the template, and each run keeps
-//! one template per media length. A step of the server therefore costs
-//! about as much as the streams it emits.
+//! one template per media length. Those streams, in slot units, are a fixed
+//! function of the media length and the window's slot count, so the
+//! pipelined spine stamps each distinct `(media_len, slots)` window once
+//! per run into its nonzero net per-slot deltas — a few dozen, against
+//! hundreds of streams. Every `(title, epoch)` with that window then adds
+//! those deltas, scaled by its delay and shifted to its epoch start, into
+//! one difference array. A step of the pipelined server therefore costs
+//! about as much as its windows' net deltas, not the streams it emits. The
+//! sequential spine still stamps stream by stream, so pinning the two
+//! spines together checks the window cache against an independent path.
 //!
 //! # The depth-K cross-epoch pipeline
 //!
@@ -23,8 +31,8 @@
 //! [`sm_core::pipeline`]: a *planning* stage runs the weighted planner
 //! (whose memo seeding shards unseen media lengths across threads with
 //! [`sm_core::parallel_map`]) on its own thread while the
-//! *materialization* stage stamps finished plans into exact stream
-//! intervals and bins them. The bounded channel between the stages holds
+//! *materialization* stage bins finished plans' exact streams on the
+//! minute grid. The bounded channel between the stages holds
 //! up to [`DynamicConfig::plan_ahead`] finished plans, so planning runs at
 //! most `K` epochs ahead of materialization — `K = 1` is the classic
 //! one-epoch overlap, larger `K` lets short planning stages batch ahead of
@@ -181,8 +189,10 @@ pub struct EpochBreakdown {
     pub transition_peak: u64,
     /// Wall-clock milliseconds the planning stage spent on this epoch.
     pub plan_ms: f64,
-    /// Wall-clock milliseconds the materialization stage spent (stamping
-    /// the streams and binning them on the minute grid).
+    /// Wall-clock milliseconds the materialization stage spent binning
+    /// the epoch's streams on the minute grid: the pipelined spine adds
+    /// each title's cached window deltas (stamping a window only on its
+    /// first use in the run), the sequential spine stamps every stream.
     pub materialize_ms: f64,
 }
 
@@ -268,8 +278,9 @@ impl DynamicReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DynamicError {
     /// An input is malformed: no epochs, a first epoch not at minute 0,
-    /// epochs out of order, a candidate delay that is not a positive whole
-    /// number of minutes, a zero horizon, or a zero plan-ahead depth.
+    /// epochs out of order, no candidate delay, a candidate delay that is
+    /// not a positive whole number of minutes, candidate delays that do
+    /// not strictly increase, a zero horizon, or a zero plan-ahead depth.
     Config {
         /// Which input.
         field: &'static str,
@@ -355,6 +366,9 @@ fn epoch_jobs(
     {
         return bad("epochs", "start minutes must strictly increase");
     }
+    if candidates_minutes.is_empty() {
+        return bad("candidates_minutes", "need at least one candidate delay");
+    }
     if !candidates_minutes
         .iter()
         .all(|d| *d > 0.0 && d.fract() == 0.0)
@@ -362,6 +376,12 @@ fn epoch_jobs(
         return bad(
             "candidates_minutes",
             "every candidate delay must be a positive whole number of minutes",
+        );
+    }
+    if !candidates_minutes.windows(2).all(|w| w[0] < w[1]) {
+        return bad(
+            "candidates_minutes",
+            "candidate delays must strictly increase",
         );
     }
     if horizon_minutes == 0 {
@@ -407,16 +427,24 @@ fn plan_stage(
 }
 
 /// Run-local Delay Guaranteed templates keyed by media length: each spine
-/// builds a length's template once per run and stamps every
-/// `(title, epoch)` that needs it.
+/// builds a length's template once per run. The sequential spine stamps
+/// every `(title, epoch)` from it, the pipelined spine every window.
 type Templates = HashMap<u64, DelayGuaranteedOnline>;
 
-/// Stamps one planned epoch's streams: the pipeline's consumer stage. Each
-/// title's Delay Guaranteed schedule over the epoch's slots is read
-/// straight from its template and handed to `emit` as `(start, end)`
-/// minutes, titles in catalog order. Streams started before `job.t1` run
-/// to their natural end (possibly past it). The first title whose media
-/// length overflows the signed slot axis fails the epoch.
+/// Run-local window cache of the pipelined spine: the sorted nonzero net
+/// slot deltas of each `(media_len, slots)` window, stamped once per run
+/// by [`window_deltas`] and added by every `(title, epoch)` that needs it.
+/// A window keeps at most `slots + media_len` entries for the whole run,
+/// even when no later epoch reuses it.
+type Windows = HashMap<(u64, u64), Vec<(u64, i64)>>;
+
+/// Stamps one planned epoch's streams: the sequential spine's consumer
+/// stage, and the reference [`bin_epoch`] is pinned against. Each title's
+/// Delay Guaranteed schedule over the epoch's slots is read straight from
+/// its template and handed to `emit` as `(start, end)` minutes, titles in
+/// catalog order. Streams started before `job.t1` run to their natural
+/// end (possibly past it). The first title whose media length overflows
+/// the signed slot axis fails the epoch.
 fn stamp_epoch(
     catalog: &Catalog,
     plan: &DelayPlan,
@@ -448,6 +476,72 @@ fn stamp_epoch(
             let start = job.t0 + slot * d;
             emit(start, start + length * d);
         });
+    }
+    Ok(())
+}
+
+/// The net change in concurrent streams at each slot of `template`'s
+/// schedule over its first `slots` slots — `+1` where a stream starts,
+/// `−1` where one ends — kept where nonzero, in slot order. The last
+/// stream starts at slot `slots − 1` and runs at most the media length,
+/// so one dense pass over `slots + media_len` entries nets every stream
+/// with no sort: `O(slots + media_len)`, the order of stamping the
+/// window's streams once.
+fn window_deltas(template: &DelayGuaranteedOnline, slots: u64) -> Vec<(u64, i64)> {
+    let mut dense = vec![0i64; (slots + template.media_len()) as usize];
+    template.schedule_after(slots).for_each(|(slot, length)| {
+        dense[slot as usize] += 1;
+        dense[(slot + length) as usize] -= 1;
+    });
+    dense
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, delta)| delta != 0)
+        .map(|(slot, delta)| (slot as u64, delta))
+        .collect()
+}
+
+/// Bins one planned epoch into the difference array `diff` of a
+/// `horizon`-minute run: the pipelined spine's consumer stage. Titles are
+/// skipped or fail exactly as in [`stamp_epoch`], in catalog order; each
+/// other title adds its window's cached deltas, stamping the window on its
+/// first use in the run. A delta at slot `s` lands on minute
+/// `job.t0 + s · delay`, clamped to `horizon`, just as the sequential
+/// spine clips each stamped stream to the horizon: a stream that starts at
+/// or past the horizon, or an empty one, adds `+1` and `−1` on one index
+/// and nets to 0, and `diff[horizon]` is never read.
+fn bin_epoch(
+    catalog: &Catalog,
+    plan: &DelayPlan,
+    job: EpochJob,
+    templates: &mut Templates,
+    windows: &mut Windows,
+    diff: &mut [i64],
+    horizon: u64,
+) -> Result<(), DynamicError> {
+    for (title, &delay) in catalog.titles().iter().zip(&plan.delays_minutes) {
+        let d = delay as u64;
+        let slots = (job.t1 - job.t0) / d;
+        if slots == 0 {
+            continue;
+        }
+        let media_len = title.media_len(delay);
+        if i64::try_from(media_len).is_err() {
+            return Err(DynamicError::Schedule {
+                epoch: job.epoch,
+                title: title.name.clone(),
+                source: SimError::MediaLenOverflow { media_len },
+            });
+        }
+        let deltas = windows.entry((media_len, slots)).or_insert_with(|| {
+            let template = templates
+                .entry(media_len)
+                .or_insert_with(|| DelayGuaranteedOnline::new(media_len));
+            window_deltas(template, slots)
+        });
+        for &(slot, delta) in deltas.iter() {
+            diff[(job.t0 + slot * d).min(horizon) as usize] += delta;
+        }
     }
     Ok(())
 }
@@ -525,10 +619,11 @@ fn assemble_report(
 ///
 /// # Errors
 /// [`DynamicError::Config`] if epochs are empty, unsorted, or don't start
-/// at minute 0, if the horizon is 0, or if any candidate delay is not a
-/// positive whole number of minutes (the minute grid needs integral
-/// slots); [`DynamicError::Infeasible`] if some epoch has no feasible
-/// plan; [`DynamicError::Schedule`] if a title's schedule cannot be
+/// at minute 0, if the horizon is 0, if the candidate delays are empty or
+/// not strictly increasing, or if any candidate delay is not a positive
+/// whole number of minutes (the minute grid needs integral slots);
+/// [`DynamicError::Infeasible`] if some epoch has no feasible plan;
+/// [`DynamicError::Schedule`] if a title's schedule cannot be
 /// materialized. Errors are reported in the same deterministic order as
 /// the sequential spine (inputs first; then epochs in order and, within an
 /// epoch, titles in catalog order).
@@ -572,12 +667,15 @@ pub fn simulate_dynamic_with(
         });
     }
     let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes)?;
-    // The materialization stage bins each stamped stream into a difference
-    // array as it is emitted — O(streams + horizon) with no interval
-    // buffer, and count-identical to the sequential spine's sort-based
+    // The materialization stage adds each title's cached window deltas
+    // into one difference array — O(net deltas + horizon) per run, plus
+    // one O(slots + media_len) stamp per distinct window — and the prefix
+    // sum below turns that same allocation into the report's per-minute
+    // profile, count-identical to the sequential spine's sort-based
     // sparse profile.
     let mut diff = vec![0i64; horizon_minutes as usize + 1];
     let mut templates = Templates::new();
+    let mut windows = Windows::new();
     let mut epoch_plans: Vec<EpochPlan> = Vec::with_capacity(jobs.len());
     let mut latencies: Vec<(f64, f64)> = Vec::with_capacity(jobs.len());
 
@@ -596,15 +694,15 @@ pub fn simulate_dynamic_with(
         |k, (plan, plan_ms)| {
             let job = jobs[k];
             let t = Instant::now();
-            let catalog = &epochs[job.epoch].catalog;
-            stamp_epoch(catalog, &plan, job, &mut templates, |s, e| {
-                let lo = s.min(horizon_minutes) as usize;
-                let hi = e.min(horizon_minutes) as usize;
-                if lo < hi {
-                    diff[lo] += 1;
-                    diff[hi] -= 1;
-                }
-            })?;
+            bin_epoch(
+                &epochs[job.epoch].catalog,
+                &plan,
+                job,
+                &mut templates,
+                &mut windows,
+                &mut diff,
+                horizon_minutes,
+            )?;
             epoch_plans.push(EpochPlan {
                 start_minute: job.t0,
                 end_minute: job.t1,
@@ -615,21 +713,28 @@ pub fn simulate_dynamic_with(
         },
     )?;
 
-    let mut cur = 0i64;
-    let per_minute: Vec<u64> = diff[..horizon_minutes as usize]
-        .iter()
-        .map(|&d| {
-            cur += d;
-            cur as u64
-        })
-        .collect();
     Ok(assemble_report(
         epochs,
         &jobs,
-        per_minute,
+        prefix_sums(diff, horizon_minutes),
         epoch_plans,
         latencies,
     ))
+}
+
+/// The per-minute profile of a `horizon`-minute run from its difference
+/// array: running sums of the first `horizon` entries (`diff[horizon]`
+/// only collects deltas at or past the horizon). The same-layout `map`
+/// collects in place, so the profile reuses the array's allocation.
+fn prefix_sums(mut diff: Vec<i64>, horizon: u64) -> Vec<u64> {
+    diff.truncate(horizon as usize);
+    let mut cur = 0i64;
+    diff.into_iter()
+        .map(|d| {
+            cur += d;
+            cur as u64
+        })
+        .collect()
 }
 
 /// The original sequential spine: plans and materializes one epoch at a
@@ -1072,12 +1177,90 @@ mod tests {
             start_minute: 0,
             catalog: catalog(1),
         }];
-        for cands in [[1.5], [0.0], [f64::NAN], [f64::INFINITY]] {
+        let bad: [&[f64]; 7] = [
+            &[1.5],
+            &[0.0],
+            &[f64::NAN],
+            &[f64::INFINITY],
+            // The planner needs a smallest delay and a strict order.
+            &[],
+            &[5.0, 2.0],
+            &[2.0, 2.0],
+        ];
+        for cands in bad {
             assert_eq!(
-                config_error_field(&epochs, &cands, 100),
+                config_error_field(&epochs, cands, 100),
                 "candidates_minutes",
                 "candidates {cands:?}"
             );
+        }
+    }
+
+    #[test]
+    fn cached_window_deltas_bin_like_the_stamped_streams() {
+        // One cache for every case, as in a run: a window stamped for one
+        // delay, horizon or slot count is reused wherever its key matches,
+        // so a key that drops a component hands some title another
+        // window's deltas.
+        let mut templates = Templates::new();
+        let mut windows = Windows::new();
+        let mut reference_templates = Templates::new();
+        for media_len in 1..=150u64 {
+            let f = DelayGuaranteedOnline::new(media_len).tree_size();
+            for slots in [1, 2, f - 1, f, f + 1, 3 * f + 2, 600] {
+                for d in [1u64, 3, 16] {
+                    let catalog = Catalog::new(vec![Title {
+                        name: "t".into(),
+                        duration_minutes: (media_len * d) as f64,
+                        weight: 1.0,
+                    }]);
+                    let plan = DelayPlan {
+                        delays_minutes: vec![d as f64],
+                        peaks: vec![0],
+                        total_peak: 0,
+                        expected_delay: d as f64,
+                    };
+                    let job = EpochJob {
+                        epoch: 0,
+                        t0: 7,
+                        t1: 7 + slots * d,
+                    };
+                    // Cut inside the window, inside the streams' tails, and
+                    // past the last stream's end.
+                    for horizon in [
+                        job.t0 + slots * d / 2 + 1,
+                        job.t1 + media_len * d / 2,
+                        job.t1 + media_len * d + 1,
+                    ] {
+                        let mut intervals = Vec::new();
+                        stamp_epoch(&catalog, &plan, job, &mut reference_templates, |s, e| {
+                            intervals.push((s.min(horizon) as i64, e.min(horizon) as i64));
+                        })
+                        .unwrap();
+                        let want: Vec<u64> = BandwidthProfile::from_intervals(intervals)
+                            .window(0, horizon as i64)
+                            .into_iter()
+                            .map(u64::from)
+                            .collect();
+                        let mut diff = vec![0i64; horizon as usize + 1];
+                        bin_epoch(
+                            &catalog,
+                            &plan,
+                            job,
+                            &mut templates,
+                            &mut windows,
+                            &mut diff,
+                            horizon,
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            prefix_sums(diff, horizon),
+                            want,
+                            "L {media_len}, {slots} slots, delay {d}, horizon {horizon}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

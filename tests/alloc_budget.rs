@@ -31,6 +31,11 @@
 //!   and one handle per tree: `optimal_forest` makes the same number of
 //!   allocations when `n` quadruples, and its bytes grow by at most
 //!   [`PLAN_BYTES_PER_EXTRA_TREE`] per extra tree.
+//! * **dynamic server** — a §5 run keeps one horizon vector: the
+//!   calling thread of `simulate_dynamic_with` (the materialization stage)
+//!   requests one `i64` difference array of `horizon + 1` minutes, which
+//!   the prefix sum turns into the report's profile in place, and at most
+//!   [`DYNAMIC_BYTES_BEYOND_ONE_HORIZON`] besides.
 //!
 //! The counters are per-thread, so the harness is immune to the test
 //! runner's own threads; each test observes only its own allocations.
@@ -39,6 +44,7 @@ use sm_core::{alloc_counter, consecutive_slots};
 use sm_offline::optimal_forest;
 use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
 use sm_serve::{serve_multi, MultiServeConfig, PolicyKind, TitleConfig};
+use sm_server::{plan_weighted, simulate_dynamic_with, Catalog, DynamicConfig, Epoch, PlannerMemo};
 use sm_sim::{simulate_streaming_slice, Attach, IncrementalEngine, SimConfig};
 use sm_workload::{deep_chain_forest, ArrivalProcess, PoissonProcess};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -102,6 +108,13 @@ const LOG_BYTES_PER_EXTRA_CHANGE_POINT: u64 = 64;
 /// the forest's tree list and one 8-byte start index. A tree that owned its
 /// own columns would cost at least one allocation more.
 const PLAN_BYTES_PER_EXTRA_TREE: u64 = 16;
+
+/// Heap bytes the calling thread of a 400-epoch dynamic run may request
+/// beyond one horizon vector: the epoch plans and breakdown, the run-local
+/// templates and window cache, and one window's transient dense stamp
+/// come to a few hundred KiB. A second horizon vector (1.9 MB here) does
+/// not fit.
+const DYNAMIC_BYTES_BEYOND_ONE_HORIZON: u64 = 1 << 20;
 
 /// One cold Delay Guaranteed streaming run; returns the allocations the
 /// run itself performed (workload construction excluded).
@@ -351,5 +364,40 @@ fn plan_forest_holds_two_shapes_and_a_handle_per_tree() {
         large_bytes <= small_bytes + PLAN_BYTES_PER_EXTRA_TREE * extra,
         "plan bytes grew {small_bytes} -> {large_bytes} over {extra} extra trees \
          (budget {PLAN_BYTES_PER_EXTRA_TREE} B each)"
+    );
+}
+
+#[test]
+fn dynamic_run_requests_one_horizon_vector() {
+    const EPOCHS: u64 = 400;
+    const EPOCH_MINUTES: u64 = 600;
+    const SIZES: [usize; 5] = [16, 20, 24, 28, 32];
+    const DURATIONS: [f64; 4] = [120.0, 90.0, 100.0, 150.0];
+    const CANDIDATES: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
+    let epochs: Vec<Epoch> = (0..EPOCHS)
+        .map(|i| Epoch {
+            start_minute: i * EPOCH_MINUTES,
+            catalog: Catalog::zipf(SIZES[i as usize % SIZES.len()], 1.0, &DURATIONS),
+        })
+        .collect();
+    // Two thirds of the biggest catalog's all-shortest-delay demand: the
+    // planner relaxes delays, and every epoch stays feasible.
+    let biggest = Catalog::zipf(SIZES[SIZES.len() - 1], 1.0, &DURATIONS);
+    let budget = plan_weighted(&biggest, u64::MAX, &CANDIDATES[..1])
+        .expect("an unconstrained plan exists")
+        .total_peak
+        * 2
+        / 3;
+    let horizon = EPOCHS * EPOCH_MINUTES;
+    let config = DynamicConfig::depth(2).with_memo(PlannerMemo::new());
+    let ckpt = alloc_counter::checkpoint();
+    let report = simulate_dynamic_with(&epochs, budget, &CANDIDATES, horizon, &config)
+        .expect("every epoch fits the budget");
+    let bytes = ckpt.bytes_since();
+    assert_eq!(report.per_minute.len() as u64, horizon);
+    let limit = 8 * (horizon + 1) + DYNAMIC_BYTES_BEYOND_ONE_HORIZON;
+    assert!(
+        bytes <= limit,
+        "a {horizon}-minute run requested {bytes} B on its calling thread, limit {limit} B"
     );
 }
