@@ -37,10 +37,11 @@
 //! `titles`, `rejected`, `delay_p50`, `delay_p99`, `delay_max` — and is
 //! CI-gated on `rejected` = 0 and the 0-allocation ingest floor.
 //!
-//! A further case drives the many-epoch dynamic server: the sequential
-//! reference spine plus the depth-K plan-ahead pipeline at K ∈ {1, 2, 4},
-//! with the K ≥ 2 runs sharing a cross-epoch `PlannerMemo` whose hit count
-//! lands in the JSON (`memo_hits`).
+//! A further case drives the many-epoch dynamic server: the depth-K
+//! plan-ahead pipeline at K ∈ {1, 2, 4}, with the K ≥ 2 runs sharing a
+//! cross-epoch `PlannerMemo` whose hit count lands in the JSON
+//! (`memo_hits`) and checked bit-identical against the memo-free K = 1
+//! run.
 //!
 //! `SM_SCALE_ARRIVALS` overrides the arrival count (CI smoke-runs a small
 //! N; the default is 10⁷). Besides the criterion timings, one dedicated
@@ -60,8 +61,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sm_core::{alloc_counter, consecutive_slots, MergeForest, MergeTree};
 use sm_online::DelayGuaranteedOnline;
 use sm_server::{
-    plan_weighted, simulate_dynamic, simulate_dynamic_sequential, simulate_dynamic_with, Catalog,
-    DynamicConfig, Epoch, PlannerMemo,
+    plan_weighted, simulate_dynamic, simulate_dynamic_with, Catalog, DynamicConfig, DynamicReport,
+    Epoch, PlannerMemo,
 };
 use sm_sim::{simulate_incremental, simulate_streaming_slice, SimConfig, StreamingSummary};
 use sm_workload::{deep_chain_forest, ArrivalProcess, FlashCrowd};
@@ -129,7 +130,8 @@ fn batched_star_forest(slots: &[i64]) -> (MergeForest, Vec<i64>) {
 struct CaseResult {
     name: String,
     /// Execution spine: `"events"` / `"incremental"` for the simulator
-    /// cases, `"pipelined"` / `"sequential"` for the dynamic-server cases.
+    /// cases, `"multi"` for the serve loop, `"pipelined"` for the
+    /// dynamic-server cases.
     engine: &'static str,
     /// Client arrivals for the simulator cases; *epochs* for the
     /// dynamic-server cases (see ARCHITECTURE.md for the schema).
@@ -529,44 +531,23 @@ fn bench_scale(c: &mut Criterion) {
         },
     );
 
-    // Many-epoch dynamic server: the depth-K cross-epoch pipeline against
-    // the sequential reference spine on the identical workload. Three
-    // plan-ahead depths are measured — K = 1 memo-free (the PR-4
-    // configuration) and K ∈ {2, 4} each with a fresh run-shared
-    // `PlannerMemo`. The cross-epoch reuse the memo exists for (the
-    // workload's catalogs cycle five sizes over a fixed duration menu, so
-    // most epochs re-plan lengths an earlier epoch already analyzed) shows
-    // up as the K ≥ 2 wall-time drop below K = 1; the recorded hit count
-    // confirms the memo was live but also includes intra-epoch lookups.
-    // Every run is checked bit-identical against the sequential baseline
-    // before its datapoint is recorded.
+    // Many-epoch dynamic server: the depth-K cross-epoch pipeline at three
+    // plan-ahead depths — K = 1 memo-free (the PR-4 configuration) and
+    // K ∈ {2, 4} each with a fresh run-shared `PlannerMemo`. The
+    // cross-epoch reuse the memo exists for (the workload's catalogs cycle
+    // five sizes over a fixed duration menu, so most epochs re-plan
+    // lengths an earlier epoch already analyzed) shows up as the K ≥ 2
+    // wall-time drop below K = 1; the recorded hit count confirms the memo
+    // was live but also includes intra-epoch lookups. The K = 1 run is the
+    // baseline: it supplies `total_units`, and every K ≥ 2 run is checked
+    // bit-identical against it before its datapoint is recorded.
     let epoch_count = (n / 20_000).clamp(4, 48);
     let (epochs, horizon, budget) = dynamic_workload(epoch_count, 600);
     let candidates = [1.0, 2.0, 4.0, 8.0, 16.0];
-    // Warm OS/allocator state so no spine pays a cold-start cost.
+    // Warm OS/allocator state so no run pays a cold-start cost.
     let _ = simulate_dynamic(&epochs, budget, &candidates, horizon)
         .expect("bench epochs must be plannable");
-    let ckpt = alloc_counter::checkpoint();
-    let t0 = Instant::now();
-    let seq = simulate_dynamic_sequential(&epochs, budget, &candidates, horizon)
-        .expect("bench epochs must be plannable");
-    let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let seq_allocs = ckpt.allocations_since();
-    let dynamic_units = seq.per_minute.iter().sum::<u64>() as i64;
-    results.push(CaseResult {
-        name: format!("server_dynamic_E{epoch_count}"),
-        engine: "sequential",
-        arrivals: epoch_count,
-        wall_ms: seq_ms,
-        peak_streams: seq.peak as u32,
-        total_units: dynamic_units,
-        memo_hits: 0,
-        max_open_trees: 0,
-        // Per-epoch, not per-arrival: dynamic cases count epochs (the
-        // planning spines allocate genuinely, on the driving thread).
-        allocations_per_arrival: seq_allocs / epoch_count.max(1) as u64,
-        extra: String::new(),
-    });
+    let mut baseline: Option<(DynamicReport, f64)> = None;
     for plan_ahead in [1usize, 2, 4] {
         let memo = (plan_ahead > 1).then(PlannerMemo::new);
         let config = DynamicConfig {
@@ -579,17 +560,17 @@ fn bench_scale(c: &mut Criterion) {
             .expect("bench epochs must be plannable");
         let piped_ms = t0.elapsed().as_secs_f64() * 1e3;
         let piped_allocs = ckpt.allocations_since();
-        if let Some(diff) = piped.deterministic_diff(&seq) {
-            panic!("K = {plan_ahead} diverges from the sequential spine: {diff}");
-        }
         let memo_hits = memo.as_ref().map(|m| m.hits()).unwrap_or(0);
+        let (k1, k1_ms) = baseline.get_or_insert_with(|| (piped.clone(), piped_ms));
+        if let Some(diff) = piped.deterministic_diff(k1) {
+            panic!("K = {plan_ahead} diverges from the K = 1 run: {diff}");
+        }
         println!(
-            "bench: scale/server_dynamic K = {plan_ahead}{} vs sequential: {:.2}x \
-             ({:.1} ms vs {:.1} ms over {} epochs, {} minutes, {} memo hits)",
+            "bench: scale/server_dynamic K = {plan_ahead}{}: {:.1} ms, {:.2}x the K = 1 run \
+             ({} epochs, {} minutes, {} memo hits)",
             if memo.is_some() { " + memo" } else { "" },
-            piped_ms / seq_ms.max(1e-9),
             piped_ms,
-            seq_ms,
+            piped_ms / k1_ms.max(1e-9),
             epoch_count,
             horizon,
             memo_hits
@@ -600,7 +581,7 @@ fn bench_scale(c: &mut Criterion) {
             arrivals: epoch_count,
             wall_ms: piped_ms,
             peak_streams: piped.peak as u32,
-            total_units: dynamic_units,
+            total_units: k1.per_minute.iter().sum::<u64>() as i64,
             memo_hits,
             max_open_trees: 0,
             allocations_per_arrival: piped_allocs / epoch_count.max(1) as u64,

@@ -4,9 +4,11 @@
 //! the steady state never violates it while the transition overlap is
 //! measured explicitly. The run uses the depth-2 plan-ahead pipeline with
 //! a shared cross-epoch [`PlannerMemo`] and goes through
-//! [`sm_experiments::simcheck::crosscheck_dynamic_with`], so the pipelined
-//! spine is verified bit-identical to the memo-free sequential reference
-//! before any number is printed.
+//! [`sm_experiments::simcheck::crosscheck_dynamic_with`], so it is verified
+//! bit-identical to the memo-free depth-1 run before any number is
+//! printed. The sm-server test
+//! `dynamic_binary_scenario_matches_the_reference` pins this exact run
+//! against the test-side forest-materializing server.
 
 use sm_experiments::output::{render_table, results_dir, write_csv};
 use sm_experiments::simcheck::crosscheck_dynamic_with;
@@ -29,7 +31,7 @@ fn main() {
     let memo = PlannerMemo::new();
     let config = DynamicConfig::depth(2).with_memo(memo.clone());
     let report = crosscheck_dynamic_with(&epochs, budget, &candidates, horizon, &config)
-        .unwrap_or_else(|e| panic!("pipelined/sequential cross-check failed: {e}"))
+        .unwrap_or_else(|e| panic!("depth-2 + memo / depth-1 cross-check failed: {e}"))
         .expect("both epochs must be plannable under the license");
 
     println!("Dynamic re-provisioning — catalog 4 -> 10 titles at minute 600, license {budget} streams\n");

@@ -1,19 +1,17 @@
-//! Event-engine cross-checks for the figure/table binaries.
+//! Cross-checks for the figure/table binaries.
 //!
 //! Every analytic number the experiments print has an executable
 //! counterpart: derive the forest the number describes, run it through the
 //! event-driven simulator ([`sm_sim::Engine::Events`]), and demand the
 //! measured bandwidth equals the closed form. The binaries call these
 //! before writing their CSVs, so a regression in either the theory code or
-//! the engine turns figure regeneration red.
+//! the engine turns figure regeneration red. [`crosscheck_dynamic_with`]
+//! checks a §5 dynamic run against the memo-free depth-1 run.
 
 use sm_core::consecutive_slots;
 use sm_offline::forest::optimal_forest;
 use sm_online::DelayGuaranteedOnline;
-use sm_server::{
-    simulate_dynamic_sequential, simulate_dynamic_with, DynamicConfig, DynamicError, DynamicReport,
-    Epoch,
-};
+use sm_server::{simulate_dynamic_with, DynamicConfig, DynamicError, DynamicReport, Epoch};
 use sm_sim::{simulate_with, SimConfig};
 
 /// Executes the optimal off-line forest for `(L, n)` on the event engine
@@ -52,36 +50,18 @@ pub fn crosscheck_online(media_len: u64, n: usize) -> Result<i64, String> {
     Ok(report.total_units)
 }
 
-/// Runs the §5 dynamic re-provisioning scenario through **both** server
-/// spines — the cross-epoch pipelined `simulate_dynamic` and the sequential
-/// reference — and demands bit-identical outcomes (per-minute profile,
-/// peaks, plans, per-epoch breakdown, or the same typed error; the
-/// wall-clock latency fields are exempt, they measure the run itself).
+/// Runs the §5 dynamic re-provisioning scenario under the caller's
+/// [`DynamicConfig`] and under the memo-free depth-1 pipeline, and demands
+/// bit-identical outcomes (per-minute profile, peaks, plans, per-epoch
+/// breakdown, or the same typed error; the wall-clock latency fields are
+/// exempt, they measure the run itself). The baseline carries no memo, so
+/// a stale memo entry or a depth-dependent divergence fails the check
+/// instead of agreeing with itself.
 ///
-/// The outer `Result` is the cross-check: `Err(String)` means the spines
+/// The outer `Result` is the cross-check: `Err(String)` means the two runs
 /// diverged. The inner `Result` is the agreed domain outcome — the
-/// pipelined report, or the `DynamicError` both spines returned (an
+/// caller's report, or the `DynamicError` both runs returned (an
 /// infeasible budget is a legitimate agreed answer, not a check failure).
-pub fn crosscheck_dynamic(
-    epochs: &[Epoch],
-    budget: u64,
-    candidates_minutes: &[f64],
-    horizon_minutes: u64,
-) -> Result<Result<DynamicReport, DynamicError>, String> {
-    crosscheck_dynamic_with(
-        epochs,
-        budget,
-        candidates_minutes,
-        horizon_minutes,
-        &DynamicConfig::default(),
-    )
-}
-
-/// [`crosscheck_dynamic`] under an explicit [`DynamicConfig`]: the
-/// pipelined spine runs with the caller's plan-ahead depth and (optional)
-/// shared memo, while the sequential reference stays **memo-free** — so a
-/// stale memo entry or a depth-dependent divergence would fail the check,
-/// not silently agree with itself.
 pub fn crosscheck_dynamic_with(
     epochs: &[Epoch],
     budget: u64,
@@ -89,15 +69,21 @@ pub fn crosscheck_dynamic_with(
     horizon_minutes: u64,
     config: &DynamicConfig,
 ) -> Result<Result<DynamicReport, DynamicError>, String> {
-    let piped = simulate_dynamic_with(epochs, budget, candidates_minutes, horizon_minutes, config);
-    let seq = simulate_dynamic_sequential(epochs, budget, candidates_minutes, horizon_minutes);
-    match (piped, seq) {
+    let got = simulate_dynamic_with(epochs, budget, candidates_minutes, horizon_minutes, config);
+    let baseline = simulate_dynamic_with(
+        epochs,
+        budget,
+        candidates_minutes,
+        horizon_minutes,
+        &DynamicConfig::depth(1),
+    );
+    match (got, baseline) {
         (Ok(a), Ok(b)) => match a.deterministic_diff(&b) {
             None => Ok(Ok(a)),
             Some(diff) => Err(format!("dynamic: {diff}")),
         },
         (Err(a), Err(b)) if a == b => Ok(Err(a)),
-        (a, b) => Err(format!("dynamic: spines disagree: {a:?} vs {b:?}")),
+        (a, b) => Err(format!("dynamic: runs disagree: {a:?} vs {b:?}")),
     }
 }
 
@@ -132,7 +118,8 @@ mod tests {
                 catalog: Catalog::zipf(6, 1.0, &[120.0, 90.0, 100.0]),
             },
         ];
-        let report = crosscheck_dynamic(&epochs, 40, &[1.0, 2.0, 5.0, 10.0], 900)
+        let config = DynamicConfig::depth(2);
+        let report = crosscheck_dynamic_with(&epochs, 40, &[1.0, 2.0, 5.0, 10.0], 900, &config)
             .unwrap_or_else(|e| panic!("{e}"))
             .expect("scenario is plannable under the budget");
         assert_eq!(report.epoch_plans.len(), 2);
@@ -167,10 +154,11 @@ mod tests {
             start_minute: 0,
             catalog: Catalog::zipf(8, 1.0, &[120.0]),
         }];
-        // Both spines agree the budget is infeasible: the cross-check
+        // Both runs agree the budget is infeasible: the cross-check
         // passes and surfaces the agreed typed error.
-        let outcome = crosscheck_dynamic(&epochs, 1, &[1.0, 2.0], 200)
-            .expect("agreeing spines are not a check failure");
+        let config = DynamicConfig::depth(2);
+        let outcome = crosscheck_dynamic_with(&epochs, 1, &[1.0, 2.0], 200, &config)
+            .expect("agreeing runs are not a check failure");
         assert_eq!(
             outcome.unwrap_err(),
             DynamicError::Infeasible {

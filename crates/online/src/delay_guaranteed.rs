@@ -10,7 +10,7 @@
 //! one truncated tree over the remaining arrivals; Theorem 22 shows
 //! `A(L,n)/F(L,n) ≤ 1 + 2L/n` for `L ≥ 7`, `n > L² + 2`.
 
-use sm_core::{consecutive_slots, MergeForest, MergeTree, ReceivingProgram};
+use sm_core::{MergeForest, MergeTree};
 use sm_offline::closed_form::ClosedForm;
 use sm_offline::tree_builder::optimal_merge_tree_with;
 
@@ -19,8 +19,10 @@ use crate::incremental::{ForestBuilder, MergeDecision};
 
 /// The on-line delay-guaranteed server.
 ///
-/// Feed it slots (one per guaranteed-delay interval); query costs, receiving
-/// programs and the materialized forest at any point. All per-slot work is
+/// Feed it slots (one per guaranteed-delay interval); query each slot's
+/// template position, costs, the stream schedule and the materialized
+/// forest at any point. A client's receiving program follows from
+/// [`Self::template`] (`ReceivingProgram::build`). All per-slot work is
 /// `O(1)` except the one-time `O(L)` setup — the simplicity the paper
 /// contrasts against the dyadic algorithm's per-arrival decisions.
 #[derive(Debug, Clone)]
@@ -33,8 +35,6 @@ pub struct DelayGuaranteedOnline {
     /// `i = 0..=F_h` — so the cost of the trailing partial tree is O(1);
     /// `prefix_costs[F_h]` is the template's own `Mcost`.
     prefix_costs: Vec<u64>,
-    /// Precomputed receiving programs for each position in the template.
-    programs: Vec<ReceivingProgram>,
     /// Slots processed so far.
     slots: u64,
 }
@@ -68,12 +68,11 @@ impl DelayGuaranteedOnline {
     }
 
     /// Core constructor: precomputes the optimal template of `tree_size`
-    /// arrivals and every derived table.
+    /// arrivals and its prefix costs.
     fn with_tree_size(media_len: u64, tree_size: u64) -> Self {
         let cf = ClosedForm::new();
         let size = index_to_usize(tree_size);
         let template = optimal_merge_tree_with(&cf, size);
-        let times = consecutive_slots(size);
         // Appending arrival `i` (the last node in preorder) gives it the
         // stream `i − p(i)` and lengthens each non-root proper ancestor's
         // stream by 2 (its last descendant moves from `i − 1` to `i`), so
@@ -87,15 +86,11 @@ impl DelayGuaranteedOnline {
             depth[i] = depth[p] + 1;
             prefix_costs[i + 1] = prefix_costs[i] + (i - p) as u64 + 2 * (depth[i] - 1);
         }
-        let programs = (0..size)
-            .map(|c| ReceivingProgram::build(&template, &times, media_len, c))
-            .collect();
         Self {
             media_len,
             tree_size,
             template,
             prefix_costs,
-            programs,
             slots: 0,
         }
     }
@@ -116,21 +111,20 @@ impl DelayGuaranteedOnline {
     }
 
     /// Processes the next slot; returns its placement.
-    pub fn on_slot(&mut self) -> SlotPlacement<'_> {
+    pub fn on_slot(&mut self) -> SlotPlacement {
         let t = self.slots;
         self.slots += 1;
         self.placement(t)
     }
 
     /// Placement of slot `t` (independent of how many slots were fed).
-    pub fn placement(&self, slot: u64) -> SlotPlacement<'_> {
+    pub fn placement(&self, slot: u64) -> SlotPlacement {
         let tree_index = slot / self.tree_size;
         let position = index_to_usize(slot % self.tree_size);
         SlotPlacement {
             tree_index,
             position,
             is_full_stream: position == 0,
-            program: &self.programs[position],
         }
     }
 
@@ -215,15 +209,13 @@ impl DelayGuaranteedOnline {
 
 /// Where a slot's clients land in the on-line algorithm's static structure.
 #[derive(Debug, Clone, Copy)]
-pub struct SlotPlacement<'a> {
+pub struct SlotPlacement {
     /// Which template instance (0-based).
     pub tree_index: u64,
     /// Position within the template (0 = the full stream).
     pub position: usize,
     /// Whether this slot starts a full stream.
     pub is_full_stream: bool,
-    /// The precomputed receiving program for this position.
-    pub program: &'a ReceivingProgram,
 }
 
 /// Convenience: `A(L, n)` without retaining the server.
@@ -234,7 +226,10 @@ pub fn online_full_cost(media_len: u64, n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_core::{full_cost, merge_cost, validate_forest, ValidationOptions};
+    use sm_core::{
+        consecutive_slots, full_cost, merge_cost, validate_forest, ReceivingProgram,
+        ValidationOptions,
+    };
     use sm_offline::forest::optimal_full_cost;
     use sm_sim::stream_schedule;
 
@@ -302,7 +297,7 @@ mod tests {
         let alg = DelayGuaranteedOnline::new(15);
         let times = consecutive_slots(8);
         for pos in 0..8 {
-            let prog = &alg.placement(pos as u64).program;
+            let prog = ReceivingProgram::build(alg.template(), &times, 15, pos);
             prog.verify(&times, 15).unwrap();
             prog.check_receive_two(&times).unwrap();
         }

@@ -5,8 +5,9 @@
 //!   the time horizon, start a full stream every `F_h` slots
 //!   (`F_{h+1} < L+2 ≤ F_{h+2}`) and fit arrivals into a *precomputed*
 //!   optimal merge tree of `F_h` arrivals. No on-line decisions at all:
-//!   receiving programs are table lookups (`O(1)` amortized per arrival),
-//!   and Theorems 21/22 bound its cost against the off-line optimum.
+//!   a slot's place in the template is a table lookup (`O(1)` per
+//!   arrival), its receiving program follows from the template, and
+//!   Theorems 21/22 bound its cost against the off-line optimum.
 //! * [`dyadic`] — the (α,β)-dyadic stream-merging algorithm of Coffman,
 //!   Jelenković and Momčilović \[9\], the comparison baseline of §4.2
 //!   (stack-based on-line construction, immediate or batched service).

@@ -15,15 +15,16 @@
 //! is built: [`DelayGuaranteedOnline::schedule_after`] reads a
 //! `(title, epoch)`'s streams straight off the template, and each run keeps
 //! one template per media length. Those streams, in slot units, are a fixed
-//! function of the media length and the window's slot count, so the
-//! pipelined spine stamps each distinct `(media_len, slots)` window once
-//! per run into its nonzero net per-slot deltas — a few dozen, against
-//! hundreds of streams. Every `(title, epoch)` with that window then adds
-//! those deltas, scaled by its delay and shifted to its epoch start, into
-//! one difference array. A step of the pipelined server therefore costs
-//! about as much as its windows' net deltas, not the streams it emits. The
-//! sequential spine still stamps stream by stream, so pinning the two
-//! spines together checks the window cache against an independent path.
+//! function of the media length and the window's slot count, so the server
+//! stamps each distinct `(media_len, slots)` window once per run into its
+//! nonzero net per-slot deltas — a few dozen, against hundreds of streams.
+//! Every `(title, epoch)` with that window then adds those deltas, scaled
+//! by its delay and shifted to its epoch start, into one difference array.
+//! A step therefore costs about as much as its windows' net deltas, not the
+//! streams it emits. The proptests in `crates/server/tests/proptests.rs`
+//! pin every report against a test-side server that materializes each
+//! `(title, epoch)` forest and counts its streams minute by minute, so the
+//! window cache is checked against an independent path.
 //!
 //! # The depth-K cross-epoch pipeline
 //!
@@ -41,13 +42,10 @@
 //! [`DynamicConfig::memo`] optionally threads a shared [`PlannerMemo`]
 //! through the planning stage: overlapping catalogs then pay for each
 //! distinct media length's steady-state analysis once per memo lifetime
-//! instead of once per epoch. [`simulate_dynamic_sequential`] keeps the
-//! original one-epoch-at-a-time spine as the reference (it honors the memo
-//! too, via [`simulate_dynamic_sequential_with`]): all spines and knob
-//! settings produce **bit-identical** reports (pinned by proptest in
-//! `crates/server/tests/proptests.rs` for `K ∈ {1, 2, 4}`, with and
-//! without a shared memo) up to the wall-clock latency fields of
-//! [`EpochBreakdown`], which measure the run itself.
+//! instead of once per epoch. All knob settings produce **bit-identical**
+//! reports (pinned by proptest in `crates/server/tests/proptests.rs` for
+//! `K ∈ {1, 2, 4}`, with and without a shared memo) up to the wall-clock
+//! latency fields of [`EpochBreakdown`], which measure the run itself.
 //!
 //! The report separates the steady-state peak (which the planner guarantees
 //! under the budget) from the transition peak (old + new streams briefly
@@ -57,7 +55,9 @@
 //! overlap is measurable rather than asserted.
 //!
 //! ```
-//! use sm_server::{simulate_dynamic, simulate_dynamic_sequential, Catalog, Epoch};
+//! use sm_server::{
+//!     simulate_dynamic, simulate_dynamic_with, Catalog, DynamicConfig, Epoch, PlannerMemo,
+//! };
 //!
 //! // Two epochs: the catalog doubles at minute 120 under the same budget.
 //! let epochs = [
@@ -69,10 +69,10 @@
 //! assert!(report.steady_peak <= 40);
 //! assert_eq!(report.per_epoch.len(), 2);
 //!
-//! // The pipelined spine is bit-identical to the sequential reference.
-//! let seq = simulate_dynamic_sequential(&epochs, 40, &[2.0, 5.0, 10.0], 240).unwrap();
-//! assert_eq!(report.per_minute, seq.per_minute);
-//! assert_eq!(report.peak, seq.peak);
+//! // Planning two epochs ahead with a shared memo changes no report field.
+//! let config = DynamicConfig::depth(2).with_memo(PlannerMemo::new());
+//! let ahead = simulate_dynamic_with(&epochs, 40, &[2.0, 5.0, 10.0], 240, &config).unwrap();
+//! assert_eq!(report.deterministic_diff(&ahead), None);
 //! ```
 
 use std::collections::HashMap;
@@ -84,7 +84,7 @@ use crate::memo::PlannerMemo;
 use crate::planner::{plan_weighted, plan_weighted_with, DelayPlan};
 use sm_core::pipeline;
 use sm_online::delay_guaranteed::DelayGuaranteedOnline;
-use sm_sim::{BandwidthProfile, SimError};
+use sm_sim::SimError;
 
 /// Knobs of the dynamic simulation: how far the planning stage may run
 /// ahead of materialization, and whether the steady-state analyses are
@@ -114,7 +114,7 @@ pub struct DynamicConfig {
     /// Channel depth of the cross-epoch pipeline: the planner may finish up
     /// to this many epochs before materialization consumes them. Must be at
     /// least 1 ([`simulate_dynamic_with`] returns [`DynamicError::Config`]
-    /// otherwise). Ignored by the sequential spine, which has no pipeline.
+    /// otherwise).
     pub plan_ahead: usize,
     /// Shared steady-state analysis cache threaded through the planning
     /// stage. `None` (the default) gives every epoch's plan a fresh memo —
@@ -171,8 +171,8 @@ pub struct EpochPlan {
 /// Per-epoch slice of the report: load peaks over the epoch's live window
 /// plus the wall-clock cost of its two pipeline stages.
 ///
-/// The peak fields are deterministic (bit-identical between the pipelined
-/// and sequential spines); `plan_ms` and `materialize_ms` measure the run
+/// The peak fields are deterministic (bit-identical at every
+/// [`DynamicConfig`]); `plan_ms` and `materialize_ms` measure the run
 /// itself and vary between executions.
 #[derive(Debug, Clone)]
 pub struct EpochBreakdown {
@@ -190,9 +190,8 @@ pub struct EpochBreakdown {
     /// Wall-clock milliseconds the planning stage spent on this epoch.
     pub plan_ms: f64,
     /// Wall-clock milliseconds the materialization stage spent binning
-    /// the epoch's streams on the minute grid: the pipelined spine adds
-    /// each title's cached window deltas (stamping a window only on its
-    /// first use in the run), the sequential spine stamps every stream.
+    /// the epoch's streams on the minute grid: it adds each title's cached
+    /// window deltas, stamping a window only on its first use in the run.
     pub materialize_ms: f64,
 }
 
@@ -219,9 +218,9 @@ impl DynamicReport {
     /// except the per-epoch `plan_ms` / `materialize_ms` latencies, which
     /// measure the run itself — and returns a description of the first
     /// divergence, or `None` when the reports are bit-identical. This is
-    /// the one canonical definition of "the pipelined and sequential spines
-    /// agree", shared by the unit tests, the proptest pin, and the
-    /// `sm-experiments` cross-check gate.
+    /// the one canonical definition of "two runs agree", shared by the
+    /// unit tests, the proptest pins against the test-side reference, the
+    /// scale bench, and the `sm-experiments` cross-check gate.
     pub fn deterministic_diff(&self, other: &Self) -> Option<String> {
         if self.per_minute != other.per_minute {
             return Some("per-minute profiles diverge".into());
@@ -295,9 +294,10 @@ pub enum DynamicError {
         /// First minute of the infeasible epoch.
         start_minute: u64,
     },
-    /// Materializing a title's schedule failed: its media length does not
-    /// fit the signed slot arithmetic ([`SimError::MediaLenOverflow`]),
-    /// checked before any template is built.
+    /// A title's schedule cannot be materialized: its media length at the
+    /// smallest candidate delay, the longest any plan can give it, does
+    /// not fit the signed slot arithmetic ([`SimError::MediaLenOverflow`]).
+    /// Checked before the epoch is planned.
     Schedule {
         /// Index into the `epochs` slice.
         epoch: usize,
@@ -345,9 +345,8 @@ struct EpochJob {
     t1: u64,
 }
 
-/// Validates the inputs shared by every spine and lists the epochs with a
-/// non-empty live window. Both spines call it first, so a malformed input
-/// fails with the same [`DynamicError::Config`] on either.
+/// Validates the run's inputs and lists the epochs with a non-empty live
+/// window.
 fn epoch_jobs(
     epochs: &[Epoch],
     candidates_minutes: &[f64],
@@ -406,6 +405,11 @@ fn epoch_jobs(
 /// steady-state analyses are shared across epochs (and runs); without one
 /// each epoch plans against a fresh cache — either way the chosen plan is
 /// bit-identical.
+///
+/// The planner analyzes every title at the smallest candidate delay, where
+/// its media length is longest, so the first title (in catalog order)
+/// whose length there overflows the signed slot axis fails the epoch
+/// before it is planned; every length a plan can choose then fits.
 fn plan_stage(
     epochs: &[Epoch],
     job: EpochJob,
@@ -415,6 +419,16 @@ fn plan_stage(
 ) -> Result<(DelayPlan, f64), DynamicError> {
     let t = Instant::now();
     let catalog = &epochs[job.epoch].catalog;
+    for title in catalog.titles() {
+        let media_len = title.media_len(candidates_minutes[0]);
+        if i64::try_from(media_len).is_err() {
+            return Err(DynamicError::Schedule {
+                epoch: job.epoch,
+                title: title.name.clone(),
+                source: SimError::MediaLenOverflow { media_len },
+            });
+        }
+    }
     let plan = match memo {
         Some(memo) => plan_weighted_with(catalog, budget, candidates_minutes, memo),
         None => plan_weighted(catalog, budget, candidates_minutes),
@@ -426,59 +440,16 @@ fn plan_stage(
     Ok((plan, t.elapsed().as_secs_f64() * 1e3))
 }
 
-/// Run-local Delay Guaranteed templates keyed by media length: each spine
-/// builds a length's template once per run. The sequential spine stamps
-/// every `(title, epoch)` from it, the pipelined spine every window.
+/// Run-local Delay Guaranteed templates keyed by media length: a run
+/// builds a length's template once, on the first window that needs it.
 type Templates = HashMap<u64, DelayGuaranteedOnline>;
 
-/// Run-local window cache of the pipelined spine: the sorted nonzero net
-/// slot deltas of each `(media_len, slots)` window, stamped once per run
-/// by [`window_deltas`] and added by every `(title, epoch)` that needs it.
-/// A window keeps at most `slots + media_len` entries for the whole run,
-/// even when no later epoch reuses it.
+/// Run-local window cache: the sorted nonzero net slot deltas of each
+/// `(media_len, slots)` window, stamped once per run by [`window_deltas`]
+/// and added by every `(title, epoch)` that needs it. A window keeps at
+/// most `slots + media_len` entries for the whole run, even when no later
+/// epoch reuses it.
 type Windows = HashMap<(u64, u64), Vec<(u64, i64)>>;
-
-/// Stamps one planned epoch's streams: the sequential spine's consumer
-/// stage, and the reference [`bin_epoch`] is pinned against. Each title's
-/// Delay Guaranteed schedule over the epoch's slots is read straight from
-/// its template and handed to `emit` as `(start, end)` minutes, titles in
-/// catalog order. Streams started before `job.t1` run to their natural
-/// end (possibly past it). The first title whose media length overflows
-/// the signed slot axis fails the epoch.
-fn stamp_epoch(
-    catalog: &Catalog,
-    plan: &DelayPlan,
-    job: EpochJob,
-    templates: &mut Templates,
-    mut emit: impl FnMut(u64, u64),
-) -> Result<(), DynamicError> {
-    for (title, &delay) in catalog.titles().iter().zip(&plan.delays_minutes) {
-        let d = delay as u64;
-        let slots = (job.t1 - job.t0) / d;
-        if slots == 0 {
-            // The epoch window is shorter than one delay slot: no stream of
-            // this title's grid starts inside it.
-            continue;
-        }
-        let media_len = title.media_len(delay);
-        if i64::try_from(media_len).is_err() {
-            return Err(DynamicError::Schedule {
-                epoch: job.epoch,
-                title: title.name.clone(),
-                source: SimError::MediaLenOverflow { media_len },
-            });
-        }
-        let template = templates
-            .entry(media_len)
-            .or_insert_with(|| DelayGuaranteedOnline::new(media_len));
-        // `for_each` drives the nested per-tree walk as plain loops.
-        template.schedule_after(slots).for_each(|(slot, length)| {
-            let start = job.t0 + slot * d;
-            emit(start, start + length * d);
-        });
-    }
-    Ok(())
-}
 
 /// The net change in concurrent streams at each slot of `template`'s
 /// schedule over its first `slots` slots — `+1` where a stream starts,
@@ -502,14 +473,15 @@ fn window_deltas(template: &DelayGuaranteedOnline, slots: u64) -> Vec<(u64, i64)
 }
 
 /// Bins one planned epoch into the difference array `diff` of a
-/// `horizon`-minute run: the pipelined spine's consumer stage. Titles are
-/// skipped or fail exactly as in [`stamp_epoch`], in catalog order; each
-/// other title adds its window's cached deltas, stamping the window on its
-/// first use in the run. A delta at slot `s` lands on minute
-/// `job.t0 + s · delay`, clamped to `horizon`, just as the sequential
-/// spine clips each stamped stream to the horizon: a stream that starts at
-/// or past the horizon, or an empty one, adds `+1` and `−1` on one index
-/// and nets to 0, and `diff[horizon]` is never read.
+/// `horizon`-minute run: the pipeline's consumer stage. Each title, in
+/// catalog order, adds its window's cached deltas, stamping the window on
+/// its first use in the run; a title whose delay slot is longer than the
+/// epoch window starts no stream in it. Streams started before `job.t1`
+/// run to their natural end, possibly past it. A delta at slot `s` lands
+/// on minute `job.t0 + s · delay`, clamped to `horizon`, which clips each
+/// stream to the horizon: a stream that starts at or past the horizon, or
+/// an empty one, adds `+1` and `−1` on one index and nets to 0, and
+/// `diff[horizon]` is never read.
 fn bin_epoch(
     catalog: &Catalog,
     plan: &DelayPlan,
@@ -518,7 +490,7 @@ fn bin_epoch(
     windows: &mut Windows,
     diff: &mut [i64],
     horizon: u64,
-) -> Result<(), DynamicError> {
+) {
     for (title, &delay) in catalog.titles().iter().zip(&plan.delays_minutes) {
         let d = delay as u64;
         let slots = (job.t1 - job.t0) / d;
@@ -526,13 +498,6 @@ fn bin_epoch(
             continue;
         }
         let media_len = title.media_len(delay);
-        if i64::try_from(media_len).is_err() {
-            return Err(DynamicError::Schedule {
-                epoch: job.epoch,
-                title: title.name.clone(),
-                source: SimError::MediaLenOverflow { media_len },
-            });
-        }
         let deltas = windows.entry((media_len, slots)).or_insert_with(|| {
             let template = templates
                 .entry(media_len)
@@ -543,7 +508,6 @@ fn bin_epoch(
             diff[(job.t0 + slot * d).min(horizon) as usize] += delta;
         }
     }
-    Ok(())
 }
 
 /// Folds the binned horizon into the report: global and per-epoch
@@ -614,19 +578,20 @@ fn assemble_report(
 
 /// Simulates the epochs against `budget` over `[0, horizon_minutes)` with
 /// the default knobs: depth-1 plan-ahead, no shared memo (see
-/// [`simulate_dynamic_with`]). The report is bit-identical to
-/// [`simulate_dynamic_sequential`] up to the latency fields.
+/// [`simulate_dynamic_with`]). The report is bit-identical to every other
+/// configuration's up to the latency fields.
 ///
 /// # Errors
 /// [`DynamicError::Config`] if epochs are empty, unsorted, or don't start
 /// at minute 0, if the horizon is 0, if the candidate delays are empty or
 /// not strictly increasing, or if any candidate delay is not a positive
 /// whole number of minutes (the minute grid needs integral slots);
-/// [`DynamicError::Infeasible`] if some epoch has no feasible plan;
-/// [`DynamicError::Schedule`] if a title's schedule cannot be
-/// materialized. Errors are reported in the same deterministic order as
-/// the sequential spine (inputs first; then epochs in order and, within an
-/// epoch, titles in catalog order).
+/// [`DynamicError::Schedule`] if a title's media length at the smallest
+/// candidate delay does not fit the signed slot axis;
+/// [`DynamicError::Infeasible`] if some epoch has no feasible plan. Errors
+/// come in one deterministic order: inputs first, then epochs in order;
+/// within an epoch, the first overflowing title in catalog order, then
+/// infeasibility.
 pub fn simulate_dynamic(
     epochs: &[Epoch],
     budget: u64,
@@ -646,13 +611,12 @@ pub fn simulate_dynamic(
 /// runs up to `config.plan_ahead` epochs ahead of materialization through
 /// the depth-K bounded pipeline, and `config.memo` optionally shares the
 /// steady-state analyses across epochs and runs. Every configuration is
-/// bit-identical to [`simulate_dynamic_sequential`] up to the latency
-/// fields.
+/// bit-identical up to the latency fields.
 ///
 /// # Errors
 /// Same as [`simulate_dynamic`]; additionally [`DynamicError::Config`] if
 /// `config.plan_ahead == 0` (a pipeline needs at least one slot of
-/// plan-ahead — use the sequential spine for no overlap at all).
+/// plan-ahead).
 pub fn simulate_dynamic_with(
     epochs: &[Epoch],
     budget: u64,
@@ -663,7 +627,7 @@ pub fn simulate_dynamic_with(
     if config.plan_ahead == 0 {
         return Err(DynamicError::Config {
             field: "plan_ahead",
-            reason: "must be at least 1 (use simulate_dynamic_sequential for no overlap)",
+            reason: "must be at least 1",
         });
     }
     let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes)?;
@@ -671,8 +635,7 @@ pub fn simulate_dynamic_with(
     // into one difference array — O(net deltas + horizon) per run, plus
     // one O(slots + media_len) stamp per distinct window — and the prefix
     // sum below turns that same allocation into the report's per-minute
-    // profile, count-identical to the sequential spine's sort-based
-    // sparse profile.
+    // profile.
     let mut diff = vec![0i64; horizon_minutes as usize + 1];
     let mut templates = Templates::new();
     let mut windows = Windows::new();
@@ -702,7 +665,7 @@ pub fn simulate_dynamic_with(
                 &mut windows,
                 &mut diff,
                 horizon_minutes,
-            )?;
+            );
             epoch_plans.push(EpochPlan {
                 start_minute: job.t0,
                 end_minute: job.t1,
@@ -737,90 +700,11 @@ fn prefix_sums(mut diff: Vec<i64>, horizon: u64) -> Vec<u64> {
         .collect()
 }
 
-/// The original sequential spine: plans and materializes one epoch at a
-/// time on the calling thread, accounting through the sort-based sparse
-/// [`BandwidthProfile`]. Kept as the reference implementation the pipelined
-/// [`simulate_dynamic`] is pinned against (identical report up to the
-/// latency fields), and as the fallback shape for profiling either stage in
-/// isolation.
-///
-/// # Errors
-/// Same as [`simulate_dynamic`].
-pub fn simulate_dynamic_sequential(
-    epochs: &[Epoch],
-    budget: u64,
-    candidates_minutes: &[f64],
-    horizon_minutes: u64,
-) -> Result<DynamicReport, DynamicError> {
-    simulate_dynamic_sequential_with(
-        epochs,
-        budget,
-        candidates_minutes,
-        horizon_minutes,
-        &DynamicConfig::default(),
-    )
-}
-
-/// [`simulate_dynamic_sequential`] honoring `config.memo` (the sequential
-/// spine has no pipeline, so `config.plan_ahead` is ignored): the reference
-/// spine for memo-carrying runs. Bit-identical to every other
-/// spine/configuration up to the latency fields.
-///
-/// # Errors
-/// Same as [`simulate_dynamic`].
-pub fn simulate_dynamic_sequential_with(
-    epochs: &[Epoch],
-    budget: u64,
-    candidates_minutes: &[f64],
-    horizon_minutes: u64,
-    config: &DynamicConfig,
-) -> Result<DynamicReport, DynamicError> {
-    let jobs = epoch_jobs(epochs, candidates_minutes, horizon_minutes)?;
-    let mut intervals: Vec<(i64, i64)> = Vec::new();
-    let mut templates = Templates::new();
-    let mut epoch_plans: Vec<EpochPlan> = Vec::with_capacity(jobs.len());
-    let mut latencies: Vec<(f64, f64)> = Vec::with_capacity(jobs.len());
-
-    for &job in &jobs {
-        let (plan, plan_ms) = plan_stage(
-            epochs,
-            job,
-            budget,
-            candidates_minutes,
-            config.memo.as_ref(),
-        )?;
-        let t = Instant::now();
-        let catalog = &epochs[job.epoch].catalog;
-        stamp_epoch(catalog, &plan, job, &mut templates, |s, e| {
-            intervals.push((s.min(horizon_minutes) as i64, e.min(horizon_minutes) as i64));
-        })?;
-        epoch_plans.push(EpochPlan {
-            start_minute: job.t0,
-            end_minute: job.t1,
-            plan,
-        });
-        latencies.push((plan_ms, t.elapsed().as_secs_f64() * 1e3));
-    }
-
-    let profile = BandwidthProfile::from_intervals(intervals);
-    let per_minute: Vec<u64> = profile
-        .window(0, horizon_minutes as i64)
-        .into_iter()
-        .map(u64::from)
-        .collect();
-    Ok(assemble_report(
-        epochs,
-        &jobs,
-        per_minute,
-        epoch_plans,
-        latencies,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Title;
+    use sm_sim::BandwidthProfile;
 
     fn catalog(n: usize) -> Catalog {
         Catalog::zipf(n, 1.0, &[100.0, 80.0])
@@ -834,25 +718,6 @@ mod tests {
         if let Some(diff) = a.deterministic_diff(b) {
             panic!("reports diverge: {diff}");
         }
-    }
-
-    #[test]
-    fn single_epoch_respects_budget_and_degenerates_to_sequential() {
-        let epochs = [Epoch {
-            start_minute: 0,
-            catalog: catalog(3),
-        }];
-        let budget = 30;
-        let report = simulate_dynamic(&epochs, budget, &CANDS, 800).unwrap();
-        assert!(report.peak <= report.epoch_plans[0].plan.total_peak);
-        assert!(report.epoch_plans[0].plan.total_peak <= budget);
-        assert_eq!(report.transition_peak, 0, "no switch, no transition");
-        assert_eq!(report.peak, report.steady_peak);
-        // One epoch: the pipeline runs inline and still matches the spine.
-        let seq = simulate_dynamic_sequential(&epochs, budget, &CANDS, 800).unwrap();
-        assert_reports_identical(&report, &seq);
-        assert_eq!(report.per_epoch.len(), 1);
-        assert_eq!(report.per_epoch[0].peak, report.peak);
     }
 
     #[test]
@@ -892,33 +757,6 @@ mod tests {
                 .max()
                 .unwrap()
         );
-    }
-
-    #[test]
-    fn pipelined_matches_sequential_on_multi_epoch_catalogs() {
-        let epochs = [
-            Epoch {
-                start_minute: 0,
-                catalog: catalog(2),
-            },
-            Epoch {
-                start_minute: 300,
-                catalog: catalog(6),
-            },
-            Epoch {
-                start_minute: 700,
-                catalog: catalog(4),
-            },
-        ];
-        for budget in [25u64, 40, 200] {
-            let piped = simulate_dynamic(&epochs, budget, &CANDS, 1100);
-            let seq = simulate_dynamic_sequential(&epochs, budget, &CANDS, 1100);
-            match (piped, seq) {
-                (Ok(a), Ok(b)) => assert_reports_identical(&a, &b),
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("spines disagree: {a:?} vs {b:?}"),
-            }
-        }
     }
 
     #[test]
@@ -968,95 +806,41 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("epoch 0"));
-        assert_eq!(
-            err,
-            simulate_dynamic_sequential(&epochs, 1, &CANDS, 500).unwrap_err()
-        );
     }
 
     #[test]
-    fn epoch_shorter_than_one_delay_slot_contributes_no_streams() {
-        // Epoch 1 lives for 3 minutes but every feasible delay is 5 or 10
-        // minutes — no slot of its grid starts inside the window, so only
-        // epoch 0's (and epoch 2's) streams exist.
-        let epochs = [
-            Epoch {
-                start_minute: 0,
-                catalog: catalog(2),
-            },
-            Epoch {
-                start_minute: 400,
-                catalog: catalog(8),
-            },
-            Epoch {
-                start_minute: 403,
-                catalog: catalog(2),
-            },
-        ];
-        let budget = plan_weighted(&catalog(8), u64::MAX, &[10.0])
-            .unwrap()
-            .total_peak;
-        let piped = simulate_dynamic(&epochs, budget, &[5.0, 10.0], 800).unwrap();
-        let seq = simulate_dynamic_sequential(&epochs, budget, &[5.0, 10.0], 800).unwrap();
-        assert_reports_identical(&piped, &seq);
-        // The sliver epoch still got a plan and a breakdown entry.
-        assert_eq!(piped.epoch_plans.len(), 3);
-        assert_eq!(piped.epoch_plans[1].start_minute, 400);
-        assert_eq!(piped.epoch_plans[1].end_minute, 403);
-    }
-
-    #[test]
-    fn retired_title_streams_straddle_two_transitions() {
-        // Epoch 0 serves a long title that is retired at minute 60; its
-        // committed streams (up to 200 minutes long) are still draining when
-        // the second switch at minute 120 happens — the old streams straddle
-        // both transition windows, and both spines must bin them alike.
-        let long_title = Catalog::new(vec![
-            Title {
-                name: "marathon".into(),
-                duration_minutes: 200.0,
-                weight: 3.0,
-            },
-            Title {
-                name: "short".into(),
-                duration_minutes: 40.0,
-                weight: 1.0,
-            },
-        ]);
-        let small = Catalog::new(vec![Title {
-            name: "short".into(),
-            duration_minutes: 40.0,
+    fn overflowing_media_length_is_a_schedule_error() {
+        // The planner analyzes every title at the smallest candidate delay,
+        // so the length is checked before planning: a 1e19-minute title
+        // would overflow its allocation and an endless one `theorem12_h`.
+        let endless = |duration_minutes| Title {
+            name: "endless".into(),
+            duration_minutes,
             weight: 1.0,
-        }]);
-        let epochs = [
-            Epoch {
+        };
+        for (duration, media_len) in [
+            (1e19, 10_000_000_000_000_000_000),
+            (f64::INFINITY, u64::MAX),
+        ] {
+            let overflow = DynamicError::Schedule {
+                epoch: 0,
+                title: "endless".into(),
+                source: SimError::MediaLenOverflow { media_len },
+            };
+            let epochs = [Epoch {
                 start_minute: 0,
-                catalog: long_title,
-            },
-            Epoch {
-                start_minute: 60,
-                catalog: small.clone(),
-            },
-            Epoch {
-                start_minute: 120,
-                catalog: small,
-            },
-        ];
-        let piped = simulate_dynamic(&epochs, 100, &CANDS, 400).unwrap();
-        let seq = simulate_dynamic_sequential(&epochs, 100, &CANDS, 400).unwrap();
-        assert_reports_identical(&piped, &seq);
-        // The marathon's root stream runs 200 minutes from minute 0: it is
-        // still live after the second switch at 120.
-        assert!(
-            piped.per_minute[150] > 0,
-            "retired title's streams must keep draining"
-        );
-        // Transition windows last one longest-media length (200 min) after
-        // each switch: epoch 1's whole window [60, 120) lies inside the
-        // first one, and epoch 2 is in transition until minute 320.
-        assert!(piped.transition_peak > 0);
-        assert_eq!(piped.per_epoch[1].steady_peak, 0);
-        assert!(piped.per_epoch[2].transition_peak > 0);
+                catalog: Catalog::new(vec![endless(duration)]),
+            }];
+            let err = simulate_dynamic(&epochs, 100, &[1.0], 100).unwrap_err();
+            assert_eq!(err, overflow);
+            // Within an epoch the overflow comes before infeasibility.
+            let epochs = [Epoch {
+                start_minute: 0,
+                catalog: Catalog::new(vec![catalog(1).titles()[0].clone(), endless(duration)]),
+            }];
+            let err = simulate_dynamic(&epochs, 1, &[1.0, 2.0], 100).unwrap_err();
+            assert_eq!(err, overflow);
+        }
     }
 
     #[test]
@@ -1075,7 +859,7 @@ mod tests {
                 catalog: catalog(4),
             },
         ];
-        let baseline = simulate_dynamic_sequential(&epochs, 40, &CANDS, 1100).unwrap();
+        let baseline = simulate_dynamic(&epochs, 40, &CANDS, 1100).unwrap();
         let shared = PlannerMemo::new();
         for plan_ahead in [1usize, 2, 4, 16] {
             for memo in [None, Some(shared.clone())] {
@@ -1084,10 +868,6 @@ mod tests {
                 assert_reports_identical(&got, &baseline);
             }
         }
-        // The sequential spine honors the memo too.
-        let config = DynamicConfig::default().with_memo(shared.clone());
-        let seq = simulate_dynamic_sequential_with(&epochs, 40, &CANDS, 1100, &config).unwrap();
-        assert_reports_identical(&seq, &baseline);
         assert!(shared.hits() > 0, "overlapping catalogs must hit the memo");
     }
 
@@ -1117,13 +897,9 @@ mod tests {
         );
     }
 
-    /// The `Config` field both spines name for these inputs, after
-    /// checking that they agree.
+    /// The `Config` field the server names for these inputs.
     fn config_error_field(epochs: &[Epoch], cands: &[f64], horizon: u64) -> &'static str {
-        let piped = simulate_dynamic(epochs, 100, cands, horizon).unwrap_err();
-        let seq = simulate_dynamic_sequential(epochs, 100, cands, horizon).unwrap_err();
-        assert_eq!(piped, seq, "the spines must fail alike");
-        match piped {
+        match simulate_dynamic(epochs, 100, cands, horizon).unwrap_err() {
             DynamicError::Config { field, .. } => field,
             other => panic!("expected a Config error, got {other:?}"),
         }
@@ -1204,9 +980,9 @@ mod tests {
         // window's deltas.
         let mut templates = Templates::new();
         let mut windows = Windows::new();
-        let mut reference_templates = Templates::new();
         for media_len in 1..=150u64 {
-            let f = DelayGuaranteedOnline::new(media_len).tree_size();
+            let reference = DelayGuaranteedOnline::new(media_len);
+            let f = reference.tree_size();
             for slots in [1, 2, f - 1, f, f + 1, 3 * f + 2, 600] {
                 for d in [1u64, 3, 16] {
                     let catalog = Catalog::new(vec![Title {
@@ -1232,11 +1008,13 @@ mod tests {
                         job.t1 + media_len * d / 2,
                         job.t1 + media_len * d + 1,
                     ] {
-                        let mut intervals = Vec::new();
-                        stamp_epoch(&catalog, &plan, job, &mut reference_templates, |s, e| {
-                            intervals.push((s.min(horizon) as i64, e.min(horizon) as i64));
-                        })
-                        .unwrap();
+                        // Each stream stamped on its own, clipped to the
+                        // horizon.
+                        let intervals = reference.schedule_after(slots).map(|(slot, length)| {
+                            let start = job.t0 + slot * d;
+                            let end = start + length * d;
+                            (start.min(horizon) as i64, end.min(horizon) as i64)
+                        });
                         let want: Vec<u64> = BandwidthProfile::from_intervals(intervals)
                             .window(0, horizon as i64)
                             .into_iter()
@@ -1251,8 +1029,7 @@ mod tests {
                             &mut windows,
                             &mut diff,
                             horizon,
-                        )
-                        .unwrap();
+                        );
                         assert_eq!(
                             prefix_sums(diff, horizon),
                             want,

@@ -41,10 +41,10 @@
 //! rebuilding its plan per step. [`dynamic`] pipelines *across* epochs with
 //! [`sm_core::pipeline`]: planning runs up to
 //! [`DynamicConfig::plan_ahead`](dynamic::DynamicConfig) epochs ahead of
-//! materialization, which stamps each title's streams straight from a
-//! run-local Delay Guaranteed template (no forest, no threads), with
-//! [`dynamic::simulate_dynamic_sequential`] kept as the bit-identical
-//! reference spine.
+//! materialization, which stamps each `(media length, slots)` window once
+//! per run straight from a run-local Delay Guaranteed template (no forest,
+//! no threads) and bins its net stream deltas. Its reference lives in the
+//! tests: a server that materializes every `(title, epoch)` forest.
 //!
 //! # Example
 //!
@@ -76,9 +76,8 @@ pub use admission::{
 };
 pub use catalog::{Catalog, Title};
 pub use dynamic::{
-    simulate_dynamic, simulate_dynamic_sequential, simulate_dynamic_sequential_with,
-    simulate_dynamic_with, DynamicConfig, DynamicError, DynamicReport, Epoch, EpochBreakdown,
-    EpochPlan,
+    simulate_dynamic, simulate_dynamic_with, DynamicConfig, DynamicError, DynamicReport, Epoch,
+    EpochBreakdown, EpochPlan,
 };
 pub use memo::PlannerMemo;
 pub use planner::{brute_force_plan, plan_weighted, plan_weighted_with, DelayPlan};

@@ -13,8 +13,7 @@
 //! [`PlannerMemo`] is a cheaply cloneable handle (an `Arc` around the
 //! cache) that callers thread through
 //! [`plan_weighted_with`](crate::planner::plan_weighted_with),
-//! [`simulate_dynamic_with`](crate::dynamic::simulate_dynamic_with) / the
-//! sequential spine (`crate::dynamic`, via
+//! [`simulate_dynamic_with`](crate::dynamic::simulate_dynamic_with) (via
 //! [`DynamicConfig`](crate::dynamic::DynamicConfig)), and
 //! [`aggregate_profile_with`](crate::admission::aggregate_profile_with):
 //! each distinct media length is analyzed **once per memo lifetime**, and

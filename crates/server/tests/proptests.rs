@@ -1,4 +1,6 @@
-//! Property-based tests for the multi-object server substrate.
+//! Property-based tests for the multi-object server substrate, and the
+//! dynamic server's fixed scenarios pinned against the test-side
+//! forest-materializing reference.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -6,9 +8,9 @@ use rand::SeedableRng;
 use sm_core::consecutive_slots;
 use sm_online::DelayGuaranteedOnline;
 use sm_server::{
-    plan_weighted, simulate_dynamic, simulate_dynamic_sequential, simulate_dynamic_sequential_with,
-    simulate_dynamic_with, simulate_requests, Catalog, DynamicConfig, DynamicError, DynamicReport,
-    Epoch, EpochBreakdown, EpochPlan, PlannerMemo, Title, Zipf,
+    plan_weighted, simulate_dynamic, simulate_dynamic_with, simulate_requests, Catalog,
+    DynamicConfig, DynamicError, DynamicReport, Epoch, EpochBreakdown, EpochPlan, PlannerMemo,
+    Title, Zipf,
 };
 use sm_sim::stream_schedule;
 
@@ -186,6 +188,29 @@ fn forest_materializing_reference(
     })
 }
 
+/// The baseline the pins in the `proptest!` block below call the
+/// sequential spine: the forest-materializing reference.
+fn simulate_dynamic_sequential(
+    epochs: &[Epoch],
+    budget: u64,
+    cands: &[f64],
+    horizon: u64,
+) -> Result<DynamicReport, DynamicError> {
+    forest_materializing_reference(epochs, budget, cands, horizon)
+}
+
+/// [`simulate_dynamic_sequential`] with a config, which it ignores: the
+/// reference plans every epoch without a memo.
+fn simulate_dynamic_sequential_with(
+    epochs: &[Epoch],
+    budget: u64,
+    cands: &[f64],
+    horizon: u64,
+    _config: &DynamicConfig,
+) -> Result<DynamicReport, DynamicError> {
+    forest_materializing_reference(epochs, budget, cands, horizon)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -329,4 +354,160 @@ proptest! {
         let max_planned = plan.delays_minutes.iter().fold(0.0f64, |a, &b| a.max(b));
         prop_assert!(report.max_wait <= max_planned + 1e-9);
     }
+}
+
+fn zipf_catalog(n: usize) -> Catalog {
+    Catalog::zipf(n, 1.0, &[100.0, 80.0])
+}
+
+const CANDS: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
+
+#[test]
+fn single_epoch_respects_budget_and_matches_the_reference() {
+    let epochs = [Epoch {
+        start_minute: 0,
+        catalog: zipf_catalog(3),
+    }];
+    let budget = 30;
+    let report = simulate_dynamic(&epochs, budget, &CANDS, 800).unwrap();
+    assert!(report.peak <= report.epoch_plans[0].plan.total_peak);
+    assert!(report.epoch_plans[0].plan.total_peak <= budget);
+    assert_eq!(report.transition_peak, 0, "no switch, no transition");
+    assert_eq!(report.peak, report.steady_peak);
+    // One epoch: the pipeline runs inline and still matches the reference.
+    let reference = forest_materializing_reference(&epochs, budget, &CANDS, 800).unwrap();
+    assert_dynamic_reports_identical(&report, &reference);
+    assert_eq!(report.per_epoch.len(), 1);
+    assert_eq!(report.per_epoch[0].peak, report.peak);
+}
+
+#[test]
+fn pipelined_matches_the_reference_on_multi_epoch_catalogs() {
+    let epochs = [
+        Epoch {
+            start_minute: 0,
+            catalog: zipf_catalog(2),
+        },
+        Epoch {
+            start_minute: 300,
+            catalog: zipf_catalog(6),
+        },
+        Epoch {
+            start_minute: 700,
+            catalog: zipf_catalog(4),
+        },
+    ];
+    for budget in [25u64, 40, 200] {
+        let piped = simulate_dynamic(&epochs, budget, &CANDS, 1100);
+        let reference = forest_materializing_reference(&epochs, budget, &CANDS, 1100);
+        assert_outcomes_identical(&format!("budget {budget}"), &piped, &reference);
+    }
+}
+
+#[test]
+fn epoch_shorter_than_one_delay_slot_contributes_no_streams() {
+    // Epoch 1 lives for 3 minutes but every feasible delay is 5 or 10
+    // minutes — no slot of its grid starts inside the window, so only
+    // epoch 0's (and epoch 2's) streams exist.
+    let epochs = [
+        Epoch {
+            start_minute: 0,
+            catalog: zipf_catalog(2),
+        },
+        Epoch {
+            start_minute: 400,
+            catalog: zipf_catalog(8),
+        },
+        Epoch {
+            start_minute: 403,
+            catalog: zipf_catalog(2),
+        },
+    ];
+    let budget = plan_weighted(&zipf_catalog(8), u64::MAX, &[10.0])
+        .unwrap()
+        .total_peak;
+    let piped = simulate_dynamic(&epochs, budget, &[5.0, 10.0], 800).unwrap();
+    let reference = forest_materializing_reference(&epochs, budget, &[5.0, 10.0], 800).unwrap();
+    assert_dynamic_reports_identical(&piped, &reference);
+    // The sliver epoch still got a plan and a breakdown entry.
+    assert_eq!(piped.epoch_plans.len(), 3);
+    assert_eq!(piped.epoch_plans[1].start_minute, 400);
+    assert_eq!(piped.epoch_plans[1].end_minute, 403);
+}
+
+#[test]
+fn retired_title_streams_straddle_two_transitions() {
+    // Epoch 0 serves a long title that is retired at minute 60; its
+    // committed streams (up to 200 minutes long) are still draining when
+    // the second switch at minute 120 happens — the old streams straddle
+    // both transition windows, and the server must bin them as the
+    // reference does.
+    let long_title = Catalog::new(vec![
+        Title {
+            name: "marathon".into(),
+            duration_minutes: 200.0,
+            weight: 3.0,
+        },
+        Title {
+            name: "short".into(),
+            duration_minutes: 40.0,
+            weight: 1.0,
+        },
+    ]);
+    let small = Catalog::new(vec![Title {
+        name: "short".into(),
+        duration_minutes: 40.0,
+        weight: 1.0,
+    }]);
+    let epochs = [
+        Epoch {
+            start_minute: 0,
+            catalog: long_title,
+        },
+        Epoch {
+            start_minute: 60,
+            catalog: small.clone(),
+        },
+        Epoch {
+            start_minute: 120,
+            catalog: small,
+        },
+    ];
+    let piped = simulate_dynamic(&epochs, 100, &CANDS, 400).unwrap();
+    let reference = forest_materializing_reference(&epochs, 100, &CANDS, 400).unwrap();
+    assert_dynamic_reports_identical(&piped, &reference);
+    // The marathon's root stream runs 200 minutes from minute 0: it is
+    // still live after the second switch at 120.
+    assert!(
+        piped.per_minute[150] > 0,
+        "retired title's streams must keep draining"
+    );
+    // Transition windows last one longest-media length (200 min) after
+    // each switch: epoch 1's whole window [60, 120) lies inside the
+    // first one, and epoch 2 is in transition until minute 320.
+    assert!(piped.transition_peak > 0);
+    assert_eq!(piped.per_epoch[1].steady_peak, 0);
+    assert!(piped.per_epoch[2].transition_peak > 0);
+}
+
+/// The `dynamic` experiment binary's run — 4 → 10 Zipf titles at minute
+/// 600 under a 48-stream budget, depth 2 with a memo — against the
+/// reference. The binary itself checks that run against depth 1 only.
+#[test]
+fn dynamic_binary_scenario_matches_the_reference() {
+    let epochs = [
+        Epoch {
+            start_minute: 0,
+            catalog: Catalog::zipf(4, 1.0, &[120.0, 90.0]),
+        },
+        Epoch {
+            start_minute: 600,
+            catalog: Catalog::zipf(10, 1.0, &[120.0, 90.0, 100.0]),
+        },
+    ];
+    let cands = [1.0, 2.0, 5.0, 10.0, 20.0];
+    let config = DynamicConfig::depth(2).with_memo(PlannerMemo::new());
+    let got = simulate_dynamic_with(&epochs, 48, &cands, 1440, &config).unwrap();
+    let reference = forest_materializing_reference(&epochs, 48, &cands, 1440).unwrap();
+    assert_dynamic_reports_identical(&got, &reference);
 }

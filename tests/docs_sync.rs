@@ -140,7 +140,6 @@ fn architecture_documents_the_runtime_pieces() {
         "license chain",
         "rejected == 0",
         "simulate_dynamic",
-        "simulate_dynamic_sequential",
         "parallel_map",
         "DynamicError",
         "EpochBreakdown",
@@ -251,23 +250,13 @@ fn committed_bench_trajectory_has_the_dynamic_datapoints() {
     assert!(
         cases.len() >= 8,
         "BENCH_scale.json should carry the three sim shapes, the incremental \
-         ingest run, the sequential dynamic baseline, and the pipelined \
+         ingest run, the multi-title serve run, and the pipelined \
          K ∈ {{1, 2, 4}} sweep"
     );
     let dynamic: Vec<&&str> = cases
         .iter()
         .filter(|l| l.contains("server_dynamic"))
         .collect();
-    let seq = dynamic
-        .iter()
-        .find(|l| l.contains("\"sequential\""))
-        .expect("BENCH_scale.json must carry the sequential dynamic baseline");
-    let seq_ms = json_number(seq, "wall_ms");
-    assert_eq!(
-        json_number(seq, "memo_hits"),
-        0.0,
-        "the sequential baseline runs memo-free"
-    );
     let k_line = |k: u32| {
         dynamic
             .iter()
@@ -278,32 +267,22 @@ fn committed_bench_trajectory_has_the_dynamic_datapoints() {
     };
     let (k1, k2, k4) = (k_line(1), k_line(2), k_line(4));
     let k1_ms = json_number(k1, "wall_ms");
-    for (k, line) in [(1u32, k1), (2, k2), (4, k4)] {
-        let ms = json_number(line, "wall_ms");
-        // The acceptance bar of the cross-epoch pipeline: the committed
-        // full-size run realizes the overlap (or at worst breaks even) at
-        // every plan-ahead depth.
-        assert!(
-            ms <= seq_ms,
-            "committed K = {k} datapoint regressed: pipelined {ms} ms > sequential {seq_ms} ms"
-        );
+    // K = 1 is the memo-free PR-4 configuration and the baseline; the
+    // K ≥ 2 runs carry the cross-epoch memo and must realize its reuse:
+    // recorded hits, and wall time at or below the depth-1 run's.
+    assert_eq!(json_number(k1, "memo_hits"), 0.0, "K = 1 runs memo-free");
+    for (k, line) in [(2u32, k2), (4, k4)] {
         // Identical workload ⇒ identical deterministic outputs.
         assert_eq!(
             json_number(line, "total_units"),
-            json_number(seq, "total_units"),
-            "K = {k} must report the sequential spine's stream-minutes"
+            json_number(k1, "total_units"),
+            "K = {k} must report the K = 1 run's stream-minutes"
         );
         assert_eq!(
             json_number(line, "peak_streams"),
-            json_number(seq, "peak_streams"),
-            "K = {k} must report the sequential spine's peak"
+            json_number(k1, "peak_streams"),
+            "K = {k} must report the K = 1 run's peak"
         );
-    }
-    // K = 1 is the memo-free PR-4 configuration; the K ≥ 2 runs carry the
-    // cross-epoch memo and must realize its reuse: recorded hits, and wall
-    // time at or below the depth-1 run's.
-    assert_eq!(json_number(k1, "memo_hits"), 0.0, "K = 1 runs memo-free");
-    for (k, line) in [(2u32, k2), (4, k4)] {
         assert!(
             json_number(line, "memo_hits") > 0.0,
             "K = {k} must record cross-epoch memo hits"
@@ -469,7 +448,7 @@ fn assert_scale_snapshot_schema(json: &str, what: &str) {
             );
         }
         assert!(
-            ["events", "incremental", "multi", "pipelined", "sequential"]
+            ["events", "incremental", "multi", "pipelined"]
                 .iter()
                 .any(|e| line.contains(&format!("\"engine\": \"{e}\""))),
             "{what}: unknown engine tag in {line}"
