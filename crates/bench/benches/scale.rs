@@ -20,22 +20,14 @@
 //!   arrivals batched into star trees — one full stream per occupied slot,
 //!   spike clients riding the batch.
 //!
-//! A `serve_incremental` case replays the Delay Guaranteed grid through
-//! the push-based incremental engine ([`sm_sim::simulate_incremental`]):
-//! the run must be bit-identical to the events engine, and its amortized
-//! `ns_per_arrival` (recorded in the JSON next to the engine's
-//! `max_open_trees` retention gauge) is CI-gated to within 1.5× of the
-//! batch baseline. Sorted input to the events engine replays through that
-//! same driver, so the two lines now time one driver, with and without
-//! the batch entry point around it.
-//!
 //! A `serve_multi` case drives the multi-title delay-planning serve loop
 //! (`sm_serve::serve_multi`): a three-title Poisson catalog behind a
 //! shared six-channel budget squeezed below unbounded demand. Its JSON
 //! line (engine tag `"multi"`) carries the catalog size, the
-//! zero-rejection gauge, and the planned start-up delay percentiles —
-//! `titles`, `rejected`, `delay_p50`, `delay_p99`, `delay_max` — and is
-//! CI-gated on `rejected` = 0 and the 0-allocation ingest floor.
+//! zero-rejection gauge, the planned start-up delay percentiles —
+//! `titles`, `rejected`, `delay_p50`, `delay_p99`, `delay_max` — and the
+//! titles' summed `max_open_trees` retention gauge, and is CI-gated on
+//! `rejected` = 0 and the 0-allocation ingest floor.
 //!
 //! A further case drives the many-epoch dynamic server: the depth-K
 //! plan-ahead pipeline at K ∈ {1, 2, 4}, with the K ≥ 2 runs sharing a
@@ -54,8 +46,8 @@
 //! `tests/alloc_budget.rs`): each case's dedicated run records
 //! `allocations_per_arrival` — heap allocations observed on the driving
 //! thread during the run, divided by arrivals and floored. The pooled
-//! events/incremental engines are allocation-free in steady state, so their
-//! O(log n) warm-up allocations floor to **0**; CI gates on exactly that.
+//! event engine is allocation-free in steady state, so its O(log n)
+//! warm-up allocations floor to **0**; CI gates on exactly that.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sm_core::{alloc_counter, consecutive_slots, MergeForest, MergeTree};
@@ -64,7 +56,7 @@ use sm_server::{
     plan_weighted, simulate_dynamic, simulate_dynamic_with, Catalog, DynamicConfig, DynamicReport,
     Epoch, PlannerMemo,
 };
-use sm_sim::{simulate_incremental, simulate_streaming_slice, SimConfig, StreamingSummary};
+use sm_sim::{simulate_streaming_slice, SimConfig};
 use sm_workload::{deep_chain_forest, ArrivalProcess, FlashCrowd};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -129,9 +121,8 @@ fn batched_star_forest(slots: &[i64]) -> (MergeForest, Vec<i64>) {
 /// One measured scale datapoint for `BENCH_scale.json`.
 struct CaseResult {
     name: String,
-    /// Execution spine: `"events"` / `"incremental"` for the simulator
-    /// cases, `"multi"` for the serve loop, `"pipelined"` for the
-    /// dynamic-server cases.
+    /// Execution spine: `"events"` for the simulator cases, `"multi"` for
+    /// the serve loop, `"pipelined"` for the dynamic-server cases.
     engine: &'static str,
     /// Client arrivals for the simulator cases; *epochs* for the
     /// dynamic-server cases (see ARCHITECTURE.md for the schema).
@@ -143,14 +134,15 @@ struct CaseResult {
     /// greedy lookups included — see the ARCHITECTURE.md schema note): 0
     /// for the simulator cases and every memo-free dynamic configuration.
     memo_hits: u64,
-    /// High-water mark of simultaneously retained merge trees: the
-    /// incremental engine's memory gauge, 0 for every other spine.
+    /// High-water mark of simultaneously retained merge trees, summed over
+    /// the serve loop's titles: the engine's memory gauge. 0 for the other
+    /// spines, which do not record it.
     max_open_trees: usize,
     /// Heap allocations observed on the driving thread during the measured
-    /// run, divided by `arrivals` and floored. The pooled
-    /// events/incremental engines allocate only O(log n) warm-up storage,
-    /// so this is 0 for them (CI-gated); the dynamic-server spines report
-    /// their genuine per-epoch allocation traffic.
+    /// run, divided by `arrivals` and floored. The pooled event engine
+    /// allocates only O(log n) warm-up storage, so this is 0 for it
+    /// (CI-gated); the dynamic-server spines report their genuine
+    /// per-epoch allocation traffic.
     allocations_per_arrival: u64,
     /// Pre-formatted optional JSON fields appended to this case's line
     /// (leading `, ` included). The multi-title serving case carries its
@@ -167,12 +159,12 @@ fn timed_case(
     forest: &MergeForest,
     times: &[i64],
     media_len: u64,
-) -> (CaseResult, StreamingSummary) {
+) -> CaseResult {
     let ckpt = alloc_counter::checkpoint();
     let t0 = Instant::now();
     let mut served = 0usize;
     let summary =
-        simulate_streaming_slice(forest, times, media_len, SimConfig::events(), |report| {
+        simulate_streaming_slice(forest, times, media_len, SimConfig::default(), |report| {
             served += 1;
             black_box(report.max_buffer);
         })
@@ -180,21 +172,18 @@ fn timed_case(
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let allocs = ckpt.allocations_since();
     assert_eq!(served, times.len());
-    (
-        CaseResult {
-            name: name.into(),
-            engine: "events",
-            arrivals: times.len(),
-            wall_ms,
-            peak_streams: summary.bandwidth.peak(),
-            total_units: summary.total_units,
-            memo_hits: 0,
-            max_open_trees: 0,
-            allocations_per_arrival: allocs / times.len().max(1) as u64,
-            extra: String::new(),
-        },
-        summary,
-    )
+    CaseResult {
+        name: name.into(),
+        engine: "events",
+        arrivals: times.len(),
+        wall_ms,
+        peak_streams: summary.bandwidth.peak(),
+        total_units: summary.total_units,
+        memo_hits: 0,
+        max_open_trees: 0,
+        allocations_per_arrival: allocs / times.len().max(1) as u64,
+        extra: String::new(),
+    }
 }
 
 /// Many-epoch dynamic-server workload: `epoch_count` catalog switches every
@@ -279,7 +268,7 @@ fn bench_scale(c: &mut Criterion) {
     let alg = DelayGuaranteedOnline::new(media_len);
     let forest = alg.forest_after(n);
     let times = consecutive_slots(n);
-    let (dg_case, dg_summary) = timed_case(
+    let dg_case = timed_case(
         format!("events_dg_L{media_len}"),
         &forest,
         &times,
@@ -292,7 +281,7 @@ fn bench_scale(c: &mut Criterion) {
                 black_box(&forest),
                 black_box(&times),
                 media_len,
-                SimConfig::events(),
+                SimConfig::default(),
                 |report| {
                     served += 1;
                     black_box(report.max_buffer);
@@ -304,71 +293,12 @@ fn bench_scale(c: &mut Criterion) {
         })
     });
 
-    // The push-based incremental engine ingests the identical grid one
-    // arrival at a time. Two properties are load-bearing (CI gates the
-    // smoke JSON on both): the run is bit-identical to the batch events
-    // engine, and the amortized ingest cost (`ns_per_arrival`) stays
-    // within 1.5x of it — push-based serving must not tax throughput.
-    let ckpt = alloc_counter::checkpoint();
-    let t0 = Instant::now();
-    let mut served = 0usize;
-    let inc = simulate_incremental(&forest, &times, media_len, SimConfig::events(), |report| {
-        served += 1;
-        black_box(report.max_buffer);
-    })
-    .expect("DG plan must ingest");
-    let inc_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let inc_allocs = ckpt.allocations_since();
-    assert_eq!(served, n);
-    assert_eq!(
-        inc.summary, dg_summary,
-        "incremental ingest must be bit-identical to the events engine"
-    );
-    println!(
-        "bench: scale/serve_incremental vs events wall-time ratio: {:.2}x \
-         ({:.1} ms vs {:.1} ms at n = {}, {} trees retained at peak)",
-        inc_ms / dg_case.wall_ms.max(1e-9),
-        inc_ms,
-        dg_case.wall_ms,
-        n,
-        inc.max_open_trees
-    );
-    results.push(CaseResult {
-        name: format!("serve_incremental_L{media_len}"),
-        engine: "incremental",
-        arrivals: n,
-        wall_ms: inc_ms,
-        peak_streams: inc.summary.bandwidth.peak(),
-        total_units: inc.summary.total_units,
-        memo_hits: 0,
-        max_open_trees: inc.max_open_trees,
-        allocations_per_arrival: inc_allocs / n.max(1) as u64,
-        extra: String::new(),
-    });
-    g.bench_function(format!("serve_incremental_L{media_len}_n{n}"), |b| {
-        b.iter(|| {
-            let mut served = 0usize;
-            let inc = simulate_incremental(
-                black_box(&forest),
-                black_box(&times),
-                media_len,
-                SimConfig::events(),
-                |report| {
-                    served += 1;
-                    black_box(report.max_buffer);
-                },
-            )
-            .expect("DG plan must ingest");
-            assert_eq!(served, n);
-            black_box(inc.summary.total_units)
-        })
-    });
     drop((forest, times));
 
     // Deep chains at the same arrival count: the longest receiving
     // programs, scored by the same closed forms as the balanced grid.
     let (forest, times) = deep_chain_forest(n, media_len);
-    let (chain_case, _) = timed_case(
+    let chain_case = timed_case(
         format!("events_deep_chain_L{media_len}"),
         &forest,
         &times,
@@ -381,7 +311,7 @@ fn bench_scale(c: &mut Criterion) {
                 black_box(&forest),
                 black_box(&times),
                 media_len,
-                SimConfig::events(),
+                SimConfig::default(),
                 |report| {
                     served += 1;
                     black_box(report.max_buffer);
@@ -414,7 +344,7 @@ fn bench_scale(c: &mut Criterion) {
         .collect();
     let (forest, times) = batched_star_forest(&slots);
     let clients = times.len();
-    let (crowd_case, _) = timed_case(
+    let crowd_case = timed_case(
         format!("events_flash_crowd_L{media_len}"),
         &forest,
         &times,
@@ -428,7 +358,7 @@ fn bench_scale(c: &mut Criterion) {
                 black_box(&forest),
                 black_box(&times),
                 media_len,
-                SimConfig::events(),
+                SimConfig::default(),
                 |report| {
                     served += 1;
                     black_box(report.min_slack);

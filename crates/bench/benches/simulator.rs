@@ -1,10 +1,10 @@
 //! Simulator throughput: executing full schedules (schedule derivation,
-//! client replay, bandwidth metering), dense vs event-driven.
+//! client replay, bandwidth metering) on the event-driven engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sm_core::consecutive_slots;
 use sm_offline::forest::optimal_forest;
-use sm_sim::{simulate_with, stream_schedule, BandwidthProfile, SimConfig};
+use sm_sim::{simulate, stream_schedule, BandwidthProfile};
 use std::hint::black_box;
 
 fn bench_simulate(c: &mut Criterion) {
@@ -13,21 +13,15 @@ fn bench_simulate(c: &mut Criterion) {
     for (media_len, n) in [(100u64, 1_000usize), (100, 5_000), (500, 2_000)] {
         let plan = optimal_forest(media_len, n);
         let times = consecutive_slots(n);
-        for (engine, config) in [
-            ("dense", SimConfig::dense()),
-            ("events", SimConfig::events()),
-        ] {
-            g.bench_function(format!("{engine}_optimal_L{media_len}_n{n}"), |b| {
-                b.iter(|| {
-                    black_box(simulate_with(
-                        black_box(&plan.forest),
-                        black_box(&times),
-                        media_len,
-                        config,
-                    ))
-                })
-            });
-        }
+        g.bench_function(format!("events_optimal_L{media_len}_n{n}"), |b| {
+            b.iter(|| {
+                black_box(simulate(
+                    black_box(&plan.forest),
+                    black_box(&times),
+                    media_len,
+                ))
+            })
+        });
     }
     g.finish();
 }

@@ -2,7 +2,7 @@
 //!
 //! Every analytic number the experiments print has an executable
 //! counterpart: derive the forest the number describes, run it through the
-//! event-driven simulator ([`sm_sim::Engine::Events`]), and demand the
+//! event-driven simulator ([`sm_sim::simulate`]), and demand the
 //! measured bandwidth equals the closed form. The binaries call these
 //! before writing their CSVs, so a regression in either the theory code or
 //! the engine turns figure regeneration red. [`crosscheck_dynamic_with`]
@@ -12,7 +12,7 @@ use sm_core::consecutive_slots;
 use sm_offline::forest::optimal_forest;
 use sm_online::DelayGuaranteedOnline;
 use sm_server::{simulate_dynamic_with, DynamicConfig, DynamicError, DynamicReport, Epoch};
-use sm_sim::{simulate_with, SimConfig};
+use sm_sim::simulate;
 
 /// Executes the optimal off-line forest for `(L, n)` on the event engine
 /// and checks the measured total against the plan's analytic cost.
@@ -20,7 +20,7 @@ use sm_sim::{simulate_with, SimConfig};
 pub fn crosscheck_offline(media_len: u64, n: usize) -> Result<i64, String> {
     let plan = optimal_forest(media_len, n);
     let times = consecutive_slots(n);
-    let report = simulate_with(&plan.forest, &times, media_len, SimConfig::events())
+    let report = simulate(&plan.forest, &times, media_len)
         .map_err(|e| format!("offline L = {media_len}, n = {n}: {e}"))?;
     if report.total_units != plan.cost as i64 {
         return Err(format!(
@@ -38,7 +38,7 @@ pub fn crosscheck_online(media_len: u64, n: usize) -> Result<i64, String> {
     let alg = DelayGuaranteedOnline::new(media_len);
     let forest = alg.forest_after(n);
     let times = consecutive_slots(n);
-    let report = simulate_with(&forest, &times, media_len, SimConfig::events())
+    let report = simulate(&forest, &times, media_len)
         .map_err(|e| format!("online L = {media_len}, n = {n}: {e}"))?;
     let analytic = alg.total_cost_after(n as u64);
     if report.total_units as u64 != analytic {

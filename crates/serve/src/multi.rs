@@ -4,9 +4,10 @@
 //! each pipeline batch and fans them into a single time-ordered stream
 //! with [`sm_core::merge_runs`] (ties resolve to the lower title index —
 //! deterministic, documented). The consumer owns one
-//! [`IncrementalEngine`] and one boxed [`IncrementalPolicy`] per title
-//! plus a single shared [`DelayPlanner`], and serves every arrival:
-//! overload becomes start-up delay, never rejection.
+//! [`IncrementalEngine`] and one built-in [`IncrementalPolicy`] per title
+//! (matched as an enum, not called through a trait object) plus a single
+//! shared [`DelayPlanner`], and serves every arrival: overload becomes
+//! start-up delay, never rejection.
 //!
 //! # Delay planning
 //!
@@ -115,24 +116,28 @@ impl PolicyKind {
     /// title with a client buffer bound gets the bounded template, whose
     /// trees hold at most `bound + 1` arrivals (the on-line mirror of
     /// Theorem 16), so no client outgrows its buffer.
-    fn build(self, media_len: u64, buffer_bound: Option<u64>) -> Box<dyn IncrementalPolicy> {
+    fn build(self, media_len: u64, buffer_bound: Option<u64>) -> Policy {
         match self {
-            Self::DelayGuaranteed => Box::new(match buffer_bound {
+            Self::DelayGuaranteed => Policy::DelayGuaranteed(match buffer_bound {
                 Some(bound) => DelayGuaranteedOnline::with_buffer_bound(media_len, bound),
                 None => DelayGuaranteedOnline::new(media_len),
             }),
-            Self::Dyadic => Box::new(DyadicMerger::new(
+            Self::Dyadic => Policy::Dyadic(Box::new(DyadicMerger::new(
                 DyadicConfig::golden_poisson(),
                 media_len as f64,
-            )),
+            ))),
         }
     }
+}
 
-    /// Whether the policy's engine clock is the dense template grid (one
-    /// tick per merge group) rather than real service slots.
-    fn dense_grid(self) -> bool {
-        matches!(self, Self::DelayGuaranteed)
-    }
+/// A title's active policy: one of the two built-ins, dispatched by
+/// `match`. The variant also fixes the title's engine clock.
+enum Policy {
+    /// Runs on the dense template grid: one engine tick per merge group.
+    DelayGuaranteed(DelayGuaranteedOnline),
+    /// Runs on real service slots. Boxed: its inline power table makes
+    /// the merger over ten times the template's size.
+    Dyadic(Box<DyadicMerger>),
 }
 
 /// A mid-run policy replacement, applied immediately before the title
@@ -358,9 +363,7 @@ struct TitleState {
     media: i64,
     buffer_bound: Option<u64>,
     engine: IncrementalEngine,
-    policy: Box<dyn IncrementalPolicy>,
-    /// `true` while the active policy runs on the dense template grid.
-    dense_grid: bool,
+    policy: Policy,
     swap: Option<PolicySwap>,
     /// Group count at the last swap: fresh policies number decisions from
     /// zero, so parent indices re-base by this offset.
@@ -466,11 +469,9 @@ where
                 title.media_len,
                 SimConfig {
                     buffer_bound: title.buffer_bound,
-                    ..SimConfig::events()
                 },
             )?,
             policy: title.policy.build(title.media_len, title.buffer_bound),
-            dense_grid: title.policy.dense_grid(),
             swap: title.swap,
             policy_base: 0,
             last_engine_time: -1,
@@ -552,16 +553,13 @@ where
                 state.delays.record((s - slot) as u64);
                 if let Some(swap) = state.swap.filter(|sw| sw.after_groups == state.groups) {
                     state.policy = swap.to.build(state.media_len, state.buffer_bound);
-                    state.dense_grid = swap.to.dense_grid();
                     state.policy_base = state.groups;
                     state.swap = None;
                 }
-                let engine_time = if state.dense_grid {
-                    state.last_engine_time + 1
-                } else {
-                    s
+                let (engine_time, decision) = match &mut state.policy {
+                    Policy::DelayGuaranteed(p) => (state.last_engine_time + 1, p.push(s as f64)),
+                    Policy::Dyadic(p) => (s, p.push(s as f64)),
                 };
-                let decision = state.policy.push(s as f64);
                 let attach = match decision.parent {
                     None => {
                         planner.commit(s + state.media);

@@ -20,10 +20,11 @@
 //!   streams than the budget allows.
 //! * Every served client's report is the dense oracle's: the same
 //!   reference records each title's engine pushes, folds them into a
-//!   forest, and replays it through the slot-stepped engine, which shares
-//!   no code with the incremental one — so the joiners batched under a
-//!   group head (co-arrivals, scored by the same closed forms as their
-//!   head) are pinned on served traffic.
+//!   forest, and replays it through the slot-stepped dense reference in
+//!   sm-sim's test support, which shares no code with the incremental
+//!   engine — so the joiners batched under a group head (co-arrivals,
+//!   scored by the same closed forms as their head) are pinned on served
+//!   traffic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -37,10 +38,11 @@ use sm_serve::{
     TitleConfig,
 };
 use sm_server::PlannerMemo;
-use sm_sim::{
-    simulate_with, Attach, ClientReport, IncrementalEngine, IncrementalSummary, SimConfig,
-};
+use sm_sim::{Attach, ClientReport, IncrementalEngine, IncrementalSummary, SimConfig};
 use sm_workload::{ArrivalProcess, PoissonProcess};
+
+#[path = "../../sim/tests/support/dense.rs"]
+mod dense;
 
 /// The serve loop's per-(batch, title) seed mixers.
 const BATCH_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -63,7 +65,7 @@ fn license_gating_reference(config: &MultiServeConfig) -> IncrementalSummary {
         );
         arrivals.extend(proc.generate(span).iter().map(|t| offset + t));
     }
-    let mut engine = IncrementalEngine::new(title.media_len, SimConfig::events()).unwrap();
+    let mut engine = IncrementalEngine::new(title.media_len, SimConfig::default()).unwrap();
     let mut policy = DyadicMerger::new(DyadicConfig::golden_poisson(), title.media_len as f64);
     let mut slot_reps: Vec<usize> = Vec::new();
     let mut cur: Option<(i64, usize)> = None;
@@ -183,7 +185,6 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
                 t.media_len,
                 SimConfig {
                     buffer_bound: t.buffer_bound,
-                    ..SimConfig::events()
                 },
             )
             .unwrap(),
@@ -308,9 +309,8 @@ fn dense_replay(title: &TitleConfig, pushes: &[(i64, Attach)]) -> Vec<ClientRepo
     let times: Vec<i64> = pushes.iter().map(|&(time, _)| time).collect();
     let config = SimConfig {
         buffer_bound: title.buffer_bound,
-        ..SimConfig::dense()
     };
-    simulate_with(&forest, &times, title.media_len, config)
+    dense::simulate(&forest, &times, title.media_len, config)
         .unwrap()
         .clients
 }

@@ -10,8 +10,8 @@
 //! the popularity-weighted expected delay `Σ p_i · D_i` subject to
 //! `Σ peak_i(D_i) ≤ budget` — a discrete water-filling: repeatedly push out
 //! the delay of whichever title buys the most bandwidth per unit of
-//! weighted-delay pain. [`brute_force_plan`] solves small instances exactly
-//! and the tests verify the greedy matches it.
+//! weighted-delay pain. The tests pin the greedy against an exhaustive
+//! search on small instances.
 //!
 //! The expensive part — one steady-state Delay Guaranteed analysis per
 //! distinct `(title, candidate-delay)` media length — goes through a
@@ -177,56 +177,55 @@ pub fn plan_weighted_with(
     ))
 }
 
-/// Exhaustive optimal planner for small instances (`candidates^titles`
-/// assignments): minimizes expected delay subject to the budget. Used by
-/// tests to validate the greedy planner; panics if the search space exceeds
-/// one million assignments.
-pub fn brute_force_plan(
-    catalog: &Catalog,
-    budget_streams: u64,
-    candidates_minutes: &[f64],
-) -> Option<DelayPlan> {
-    let k = catalog.len();
-    let c = candidates_minutes.len();
-    // sm-lint: allow(narrowing-cast) — k is the catalog size; the 10^6 space assert below rejects anything near 2^32
-    let space = (c as u128).checked_pow(k as u32).expect("space overflow");
-    assert!(space <= 1_000_000, "brute force space too large: {space}");
-    let memo = PlannerMemo::new();
-    let probs = catalog.probabilities();
-    let mut best: Option<DelayPlan> = None;
-    let mut choice = vec![0usize; k];
-    loop {
-        let plan = build_plan(catalog, candidates_minutes, &choice, &probs, &memo);
-        if plan.total_peak <= budget_streams
-            && best
-                .as_ref()
-                .map(|b| plan.expected_delay < b.expected_delay)
-                .unwrap_or(true)
-        {
-            best = Some(plan);
-        }
-        // Odometer increment.
-        let mut i = 0;
-        loop {
-            if i == k {
-                return best;
-            }
-            choice[i] += 1;
-            if choice[i] < c {
-                break;
-            }
-            choice[i] = 0;
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, Title};
     use proptest::prelude::*;
     use sm_online::capacity::steady_state_bandwidth;
+
+    /// Exhaustive optimal planner for small instances (`candidates^titles`
+    /// assignments): minimizes expected delay subject to the budget, to
+    /// validate the greedy planner. Panics if the search space exceeds one
+    /// million assignments.
+    fn brute_force_plan(
+        catalog: &Catalog,
+        budget_streams: u64,
+        candidates_minutes: &[f64],
+    ) -> Option<DelayPlan> {
+        let k = catalog.len();
+        let c = candidates_minutes.len();
+        let space = (c as u128).checked_pow(k as u32).expect("space overflow");
+        assert!(space <= 1_000_000, "brute force space too large: {space}");
+        let memo = PlannerMemo::new();
+        let probs = catalog.probabilities();
+        let mut best: Option<DelayPlan> = None;
+        let mut choice = vec![0usize; k];
+        loop {
+            let plan = build_plan(catalog, candidates_minutes, &choice, &probs, &memo);
+            if plan.total_peak <= budget_streams
+                && best
+                    .as_ref()
+                    .map(|b| plan.expected_delay < b.expected_delay)
+                    .unwrap_or(true)
+            {
+                best = Some(plan);
+            }
+            // Odometer increment.
+            let mut i = 0;
+            loop {
+                if i == k {
+                    return best;
+                }
+                choice[i] += 1;
+                if choice[i] < c {
+                    break;
+                }
+                choice[i] = 0;
+                i += 1;
+            }
+        }
+    }
 
     /// The greedy without a peak table: it rebuilds the whole plan,
     /// reading every title's peak from the memo, after each relaxation

@@ -1,7 +1,7 @@
 //! The discrete-event engine's batch entry points.
 //!
-//! Where the [`dense`](super::dense) engine sweeps every slot of every
-//! client's playback window, this engine advances time only at *events*:
+//! Where a slot-stepped engine sweeps every slot of every client's
+//! playback window, this engine advances time only at *events*:
 //! stream starts, stream ends, and per-client part-deadlines (each
 //! client's program ends with part `L` playing during `[t_c+L−1, t_c+L)`;
 //! the final deadline `t_c + L` is the event at which the client's whole
@@ -21,9 +21,10 @@
 //! when it changes, yielding the change-point [`BandwidthProfile`] directly
 //! — no per-slot allocation over the span ever happens.
 //!
-//! All of this reproduces the dense engine's measurements *bit for bit*
-//! (including which error fires first); the `engine_equivalence` proptest
-//! suite pins that, for the collected and the streaming API both.
+//! All of this reproduces the slot-stepped dense reference's measurements
+//! *bit for bit* (including which error fires first); the
+//! `engine_equivalence` proptest suite pins that, for the collected and
+//! the streaming API both.
 
 use super::incremental::replay;
 use super::{check_batch, ClientReport, SimConfig, SimReport};
@@ -69,8 +70,7 @@ pub(super) fn run(
 /// decrease), as soon as the client's program completes — nothing
 /// per-client is retained afterwards, so peak memory tracks the trees
 /// whose playback windows are open and the active streams rather than the
-/// whole arrival sequence. `config.buffer_bound` is honored;
-/// `config.engine` is ignored (this *is* the event engine).
+/// whole arrival sequence. `config.buffer_bound` is honored.
 ///
 /// Returns the whole-run aggregates. Input is checked as
 /// [`super::simulate_with`] checks it, before any client is emitted; past
@@ -115,7 +115,7 @@ mod tests {
         let forest = MergeForest::from_trees(trees).unwrap();
         let times: Vec<i64> = (0..n as i64).map(|i| i * 100).collect();
         let mut served = 0usize;
-        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::events(), |r| {
+        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::default(), |r| {
             assert_eq!(r.client, served, "deadline order is arrival order");
             served += 1;
         })
@@ -134,7 +134,7 @@ mod tests {
         let forest = MergeForest::single(MergeTree::chain(c));
         let times = consecutive_slots(c);
         let mut reports = Vec::new();
-        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::events(), |r| {
+        let summary = simulate_streaming_slice(&forest, &times, media, SimConfig::default(), |r| {
             reports.push(r)
         })
         .unwrap();

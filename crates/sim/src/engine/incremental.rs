@@ -5,9 +5,8 @@
 //! reports must flow out while the horizon is still growing.
 //! [`IncrementalEngine`] is the event engine built around that ingest
 //! direction, and it is also the one driver for batch input: every batch
-//! entry point, [`simulate_incremental`] and the [`events`](super::events)
-//! ones alike, checks that the arrival times never decrease and then
-//! replays them through it.
+//! entry point (see [`events`](super::events)) checks that the arrival
+//! times never decrease and then replays them through it.
 //!
 //! * **one open tree** — arrivals attach to the most recently opened tree
 //!   (the model's invariant: merging across closed trees is impossible
@@ -80,15 +79,16 @@
 //!
 //! The `engine_equivalence` proptest suite and its exhaustive small-tree
 //! grid pin this engine bit-identical (reports, emission order, summary,
-//! first error) to the dense oracle on every input the batch entry points
-//! accept.
+//! first error) to the suite's slot-stepped dense reference on every input
+//! the batch entry points accept, both through those entry points and
+//! pushed one arrival at a time.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::iter::Peekable;
 
 use super::events::{label, StreamingSummary};
-use super::{check_batch, ClientReport, SimConfig};
+use super::{ClientReport, SimConfig};
 use crate::error::SimError;
 use crate::metrics::ProfileBuilder;
 use crate::schedule::checked_media_len;
@@ -318,9 +318,8 @@ struct ClosedTree {
 /// Arrival-at-a-time serving engine; see the module docs for the design.
 ///
 /// Drive it with [`push`](Self::push) per arrival and
-/// [`finish`](Self::finish) once the horizon ends;
-/// [`simulate_incremental`] is the batch adapter over a ready-made
-/// `(forest, times)` pair.
+/// [`finish`](Self::finish) once the horizon ends. The batch entry points
+/// replay a ready-made `(forest, times)` pair through it.
 #[derive(Debug)]
 pub struct IncrementalEngine {
     media: i64,
@@ -355,8 +354,7 @@ pub struct IncrementalEngine {
 
 impl IncrementalEngine {
     /// A fresh engine for a media of `media_len` parts.
-    /// `config.buffer_bound` is honored; `config.engine` is ignored (this
-    /// *is* the incremental engine).
+    /// `config.buffer_bound` is honored.
     pub fn new(media_len: u64, config: SimConfig) -> Result<Self, SimError> {
         let media = checked_media_len(media_len)?;
         Ok(Self {
@@ -602,26 +600,6 @@ impl IncrementalEngine {
     }
 }
 
-/// Replays a batch `(forest, times)` pair through the push interface, in
-/// global arrival order. Its summary adds the retention gauge to what
-/// [`simulate_streaming_slice`](super::events::simulate_streaming_slice)
-/// returns.
-///
-/// Input is checked as [`super::simulate_with`] checks it, before any
-/// report is emitted, and an input error comes back as
-/// [`IngestError::Sim`]: in particular a `times` vector that ever
-/// decreases fails with [`SimError::TimesOutOfOrder`].
-pub fn simulate_incremental<F: FnMut(ClientReport)>(
-    forest: &MergeForest,
-    times: &[i64],
-    media_len: u64,
-    config: SimConfig,
-    emit: F,
-) -> Result<IncrementalSummary, IngestError> {
-    check_batch(forest, times, media_len)?;
-    Ok(replay(forest, times, media_len, config, emit)?)
-}
-
 /// The replay behind every batch entry point, over input that entry point
 /// has checked.
 pub(super) fn replay<F: FnMut(ClientReport)>(
@@ -659,149 +637,7 @@ pub(super) fn replay<F: FnMut(ClientReport)>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::simulate_with;
     use super::*;
-    use sm_core::{consecutive_slots, MergeTree};
-
-    fn fig4_forest() -> MergeForest {
-        MergeForest::single(
-            MergeTree::from_parents(&[
-                None,
-                Some(0),
-                Some(0),
-                Some(0),
-                Some(3),
-                Some(0),
-                Some(5),
-                Some(5),
-            ])
-            .unwrap(),
-        )
-    }
-
-    /// The replay against the slot-stepped dense oracle over the same
-    /// sorted input; pins summary, reports, emission order (arrival order
-    /// for sorted times), and the first error.
-    fn assert_matches_dense(forest: &MergeForest, times: &[i64], media_len: u64) {
-        let expected = simulate_with(forest, times, media_len, SimConfig::dense());
-        let mut inc = Vec::new();
-        let got = simulate_incremental(forest, times, media_len, SimConfig::default(), |r| {
-            inc.push(r)
-        });
-        match (expected, got) {
-            (Ok(report), Ok(isummary)) => {
-                assert_eq!(isummary.summary.bandwidth, report.bandwidth);
-                assert_eq!(isummary.summary.total_units, report.total_units);
-                assert_eq!(isummary.summary.clients, report.clients.len());
-                assert_eq!(inc, report.clients, "reports and emission order must pin");
-            }
-            (Err(e), Err(IngestError::Sim(ie))) => assert_eq!(ie, e),
-            (e, g) => panic!("engines disagree on outcome: {e:?} vs {g:?}"),
-        }
-    }
-
-    #[test]
-    fn fig4_pins_against_the_dense_oracle() {
-        let forest = fig4_forest();
-        assert_matches_dense(&forest, &consecutive_slots(8), 15);
-    }
-
-    #[test]
-    fn multi_tree_with_gaps_and_ties_pins() {
-        let t = MergeTree::from_parents(&[None, Some(0), Some(1), Some(0)]).unwrap();
-        let forest = MergeForest::from_trees(vec![t.clone(), t, MergeTree::singleton()]).unwrap();
-        // Ties within a tree, a tie across the tree boundary, and a gap.
-        let times = vec![0, 0, 2, 2, 2, 3, 3, 5, 40];
-        assert_matches_dense(&forest, &times, 12);
-    }
-
-    #[test]
-    fn tied_co_arrival_gains_its_stream_retroactively() {
-        // Arrival 1 ties with the root: until arrival 2 merges under it,
-        // its stream has length 0. Stream 1 must then retroactively start
-        // (length 2·7 − 5 − 5 = 4) — the case that forces stream lengths
-        // and bandwidth events to wait for tree closure.
-        let tree = MergeTree::from_parents(&[None, Some(0), Some(1)]).unwrap();
-        let forest = MergeForest::single(tree);
-        assert_matches_dense(&forest, &[5, 5, 7], 20);
-    }
-
-    #[test]
-    fn deep_chain_pins() {
-        let media = 40u64;
-        let c = (media / 2 + 1) as usize;
-        let forest = MergeForest::single(MergeTree::chain(c));
-        assert_matches_dense(&forest, &consecutive_slots(c), media);
-    }
-
-    #[test]
-    fn buffer_bound_error_pins() {
-        let forest = fig4_forest();
-        let times = consecutive_slots(8);
-        let cfg = SimConfig {
-            buffer_bound: Some(1),
-            ..SimConfig::dense()
-        };
-        let dense = simulate_with(&forest, &times, 15, cfg).unwrap_err();
-        let got = simulate_incremental(&forest, &times, 15, cfg, |_| {}).unwrap_err();
-        assert_eq!(got, IngestError::Sim(dense));
-    }
-
-    /// Every report of one tree through the engine, or its first error,
-    /// after pinning the run against the dense oracle.
-    fn tree_reports(
-        parents: &[Option<usize>],
-        times: &[i64],
-        media_len: u64,
-    ) -> Result<Vec<ClientReport>, IngestError> {
-        let forest = MergeForest::single(MergeTree::from_parents(parents).unwrap());
-        assert_matches_dense(&forest, times, media_len);
-        let mut reports = Vec::new();
-        simulate_incremental(&forest, times, media_len, SimConfig::default(), |r| {
-            reports.push(r)
-        })?;
-        Ok(reports)
-    }
-
-    fn report(client: usize, max_buffer: i64, max_concurrent: usize) -> ClientReport {
-        ClientReport {
-            client,
-            max_buffer,
-            max_concurrent,
-            min_slack: 0,
-        }
-    }
-
-    #[test]
-    fn closed_forms_match_the_worked_examples() {
-        // Client 2: t_c = 7, t_u = 5, t_r = 0, so m = 9 and d = 7. Its
-        // buffer peaks at min(d, L − d) = 3, not at d, and it receives two
-        // streams at once because t_c > t_u.
-        let got = tree_reports(&[None, Some(0), Some(1)], &[0, 5, 7], 10).unwrap();
-        assert_eq!(got, vec![report(0, 0, 1), report(1, 5, 2), report(2, 3, 2)]);
-        // Client 1 sits under the root at d = 5, so m = d. At L = 5 the
-        // root's segment is empty (m = L): one stream at a time, no buffer.
-        let got = tree_reports(&[None, Some(0)], &[0, 5], 5).unwrap();
-        assert_eq!(got, vec![report(0, 0, 1), report(1, 0, 1)]);
-        // At L = 4 part m = 5 lies outside the media.
-        let out_of_range = |part| {
-            Err(IngestError::Sim(SimError::Model(
-                ModelError::PartOutOfRange { part },
-            )))
-        };
-        assert_eq!(tree_reports(&[None, Some(0)], &[0, 5], 4), out_of_range(5));
-        // L = 0: a root and its co-arrival receive nothing (m = 0)…
-        let nothing = |client| ClientReport {
-            client,
-            max_buffer: 0,
-            max_concurrent: 0,
-            min_slack: i64::MAX,
-        };
-        let got = tree_reports(&[None, Some(0)], &[3, 3], 0).unwrap();
-        assert_eq!(got, vec![nothing(0), nothing(1)]);
-        // …and a later arrival needs part m = 1 of an empty media.
-        assert_eq!(tree_reports(&[None, Some(0)], &[3, 4], 0), out_of_range(1));
-    }
 
     #[test]
     fn out_of_order_push_is_rejected_and_harmless() {
@@ -894,11 +730,12 @@ mod tests {
     fn max_open_trees_tracks_overlapping_windows() {
         // Roots every slot with a long media: all windows overlap, so
         // every tree is still retained when the last one opens.
-        let n = 8usize;
-        let forest = MergeForest::from_trees(vec![MergeTree::singleton(); n]).unwrap();
-        let times: Vec<i64> = (0..n as i64).collect();
-        let summary =
-            simulate_incremental(&forest, &times, 1000, SimConfig::default(), |_| {}).unwrap();
-        assert_eq!(summary.max_open_trees, n);
+        let n = 8i64;
+        let mut eng = IncrementalEngine::new(1000, SimConfig::default()).unwrap();
+        for t in 0..n {
+            eng.push(t, Attach::Root, |_| {}).unwrap();
+        }
+        let summary = eng.finish(|_| {}).unwrap();
+        assert_eq!(summary.max_open_trees, n as usize);
     }
 }

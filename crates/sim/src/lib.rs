@@ -21,6 +21,12 @@
 //!
 //! A schedule passing [`simulate`] is, by construction, a feasible
 //! delay-guaranteed Media-on-Demand service plan.
+//!
+//! There is one engine. [`simulate`], [`simulate_with`] and
+//! [`simulate_streaming_slice`] are its batch entry points, and a serving
+//! loop drives it one arrival at a time through [`IncrementalEngine`]. The
+//! slot-stepped dense oracle it is pinned against is test support
+//! (`tests/support/dense.rs`), not public API.
 
 pub mod channels;
 pub mod continuous;
@@ -32,9 +38,8 @@ pub mod schedule;
 pub use channels::{assign_channels, ChannelPlan};
 pub use continuous::{verify_continuous, ContinuousError};
 pub use engine::{
-    simulate, simulate_incremental, simulate_streaming_slice, simulate_with, Attach, ClientReport,
-    Engine, IncrementalEngine, IncrementalSummary, IngestError, SimConfig, SimReport,
-    StreamingSummary,
+    simulate, simulate_streaming_slice, simulate_with, Attach, ClientReport, IncrementalEngine,
+    IncrementalSummary, IngestError, SimConfig, SimReport, StreamingSummary,
 };
 pub use error::SimError;
 pub use metrics::BandwidthProfile;

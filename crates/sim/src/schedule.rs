@@ -1,7 +1,7 @@
 //! Concrete broadcast schedules: the Fig.-3 view of a merge forest, one
-//! [`StreamSpec`] per arrival. The dense oracle and the test oracles read
-//! it; the event engines derive each tree's stream lengths themselves, once,
-//! when the tree closes.
+//! [`StreamSpec`] per arrival. The test-side dense oracle and the other
+//! test oracles read it; the event engine derives each tree's stream
+//! lengths itself, once, when the tree closes.
 
 use crate::error::SimError;
 use sm_core::MergeForest;

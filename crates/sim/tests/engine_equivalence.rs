@@ -1,21 +1,30 @@
-//! Oracle equivalence: the event-driven engine must reproduce the dense
-//! slot-stepped engine *bit for bit* — same totals, same bandwidth
-//! change-points, same per-client `max_buffer`/`max_concurrent`/`min_slack`,
-//! and the same first error on infeasible inputs — across randomized
-//! forests, arrival sequences, media lengths, and buffer bounds. The
-//! streaming API (`simulate_streaming_slice`) is pinned against the
-//! collected `simulate_with` path on every case, and so is the push-based
-//! incremental engine (`simulate_incremental`, the driver behind both):
-//! summary, reports, emission order, and first error. An exhaustive grid
-//! over every small tree and time vector pins the incremental engine's
-//! closed-form reports (with and without buffer bounds) on sorted times,
-//! and pins that every unsorted times vector fails at its first decrease.
+//! Oracle equivalence: the event-driven engine must reproduce the
+//! slot-stepped dense reference (`support/dense.rs`, test support that
+//! shares none of the engine's closed forms) *bit for bit* — same totals,
+//! same bandwidth change-points, same per-client
+//! `max_buffer`/`max_concurrent`/`min_slack`, and the same first error on
+//! infeasible inputs — across randomized forests, arrival sequences, media
+//! lengths, and buffer bounds. The streaming API
+//! (`simulate_streaming_slice`) is pinned against the collected
+//! `simulate_with` path on every case, and so is the push-based
+//! `IncrementalEngine` (the driver behind both), fed one arrival at a time
+//! as the serve loop feeds it: summary, reports, emission order, and first
+//! error. An exhaustive grid over every small tree and time vector pins the
+//! incremental engine's closed-form reports (with and without buffer
+//! bounds) on sorted times, and pins that every unsorted times vector fails
+//! at its first decrease. Fixed cases run the paper's Fig. 3/4 tree and
+//! the edge shapes on both batch simulators, and pin the push interface
+//! against the dense reference on the closed forms' worked examples and on
+//! buffer bounds up to `u64::MAX`.
+
+#[path = "support/dense.rs"]
+mod dense;
 
 use proptest::prelude::*;
-use sm_core::{consecutive_slots, MergeForest, MergeTree};
+use sm_core::{consecutive_slots, full_cost, required_buffer, MergeForest, MergeTree, ModelError};
 use sm_sim::{
-    simulate, simulate_incremental, simulate_streaming_slice, simulate_with, ClientReport,
-    IngestError, SimConfig, SimError, SimReport,
+    simulate, simulate_streaming_slice, simulate_with, Attach, ClientReport, IncrementalEngine,
+    IncrementalSummary, IngestError, SimConfig, SimError, SimReport,
 };
 
 fn run_both(
@@ -27,24 +36,9 @@ fn run_both(
     Result<SimReport, sm_sim::SimError>,
     Result<SimReport, sm_sim::SimError>,
 ) {
-    let dense = simulate_with(
-        forest,
-        times,
-        media_len,
-        SimConfig {
-            buffer_bound,
-            ..SimConfig::dense()
-        },
-    );
-    let events = simulate_with(
-        forest,
-        times,
-        media_len,
-        SimConfig {
-            buffer_bound,
-            ..SimConfig::events()
-        },
-    );
+    let config = SimConfig { buffer_bound };
+    let dense = dense::simulate(forest, times, media_len, config);
+    let events = simulate_with(forest, times, media_len, config);
     (dense, events)
 }
 
@@ -59,16 +53,10 @@ fn run_streaming(
     Vec<ClientReport>,
 ) {
     let mut emitted = Vec::new();
-    let summary = simulate_streaming_slice(
-        forest,
-        times,
-        media_len,
-        SimConfig {
-            buffer_bound,
-            ..SimConfig::events()
-        },
-        |r| emitted.push(r),
-    );
+    let summary =
+        simulate_streaming_slice(forest, times, media_len, SimConfig { buffer_bound }, |r| {
+            emitted.push(r)
+        });
     (summary, emitted)
 }
 
@@ -102,9 +90,37 @@ fn assert_streaming_matches(
     }
 }
 
-/// The push-based incremental engine replayed over the same arrivals must
-/// be bit-identical to the collected event-engine report: same summary,
-/// same reports in the same emission order, same first error.
+/// Pushes a time-ordered batch through `IncrementalEngine::push` one
+/// arrival at a time, as the serve loop does: a root opens a tree, and any
+/// other arrival merges under its parent's global index in that tree. Only
+/// model errors can stop a time-ordered batch.
+fn push_all(
+    forest: &MergeForest,
+    times: &[i64],
+    media_len: u64,
+    config: SimConfig,
+    mut emit: impl FnMut(ClientReport),
+) -> Result<IncrementalSummary, SimError> {
+    let mut engine = IncrementalEngine::new(media_len, config)?;
+    for (range, tree) in forest.iter_with_ranges() {
+        for local in 0..tree.len() {
+            let attach = match tree.parent(local) {
+                None => Attach::Root,
+                Some(p) => Attach::Under(range.start + p),
+            };
+            match engine.push(times[range.start + local], attach, &mut emit) {
+                Ok(()) => {}
+                Err(IngestError::Sim(e)) => return Err(e),
+                Err(e) => panic!("the push interface rejected a time-ordered batch: {e}"),
+            }
+        }
+    }
+    engine.finish(emit)
+}
+
+/// The push-based incremental engine fed the same arrivals must be
+/// bit-identical to the collected event-engine report: same summary, same
+/// reports in the same emission order, same first error.
 fn assert_incremental_matches(
     forest: &MergeForest,
     times: &[i64],
@@ -113,16 +129,9 @@ fn assert_incremental_matches(
     events: &Result<SimReport, SimError>,
 ) {
     let mut emitted = Vec::new();
-    let got = simulate_incremental(
-        forest,
-        times,
-        media_len,
-        SimConfig {
-            buffer_bound,
-            ..SimConfig::events()
-        },
-        |r| emitted.push(r),
-    );
+    let got = push_all(forest, times, media_len, SimConfig { buffer_bound }, |r| {
+        emitted.push(r)
+    });
     match (events, got) {
         (Ok(report), Ok(inc)) => {
             assert_eq!(inc.summary.bandwidth, report.bandwidth);
@@ -134,7 +143,7 @@ fn assert_incremental_matches(
                 "retention may never exceed the tree count"
             );
         }
-        (Err(batch_err), Err(IngestError::Sim(ingest_err))) => {
+        (Err(batch_err), Err(ingest_err)) => {
             assert_eq!(ingest_err, *batch_err, "first error must pin");
         }
         (batch, ingest) => {
@@ -368,14 +377,8 @@ fn out_of_order_times_fail_every_entry_point_before_any_report() {
     assert_eq!(dense, Err(expected.clone()));
     assert_eq!(events, Err(expected.clone()));
     let (summary, emitted) = run_streaming(&forest, &times, 10, None);
-    assert_eq!(summary, Err(expected.clone()));
+    assert_eq!(summary, Err(expected));
     assert!(emitted.is_empty(), "streaming emitted {emitted:?}");
-    let mut emitted = Vec::new();
-    let got = simulate_incremental(&forest, &times, 10, SimConfig::events(), |r| {
-        emitted.push(r)
-    });
-    assert_eq!(got, Err(IngestError::Sim(expected)));
-    assert!(emitted.is_empty(), "incremental emitted {emitted:?}");
 }
 
 /// Every parent array over `n` nodes: node `i` merges under any of `0..i`.
@@ -440,4 +443,338 @@ fn every_small_tree_and_time_vector_pins_events_to_dense() {
         }
     }
     assert_eq!((cases, bounded), (236_340, 57_888));
+}
+
+/// A batch simulator: the dense reference or `simulate_with`.
+type Batch = fn(&MergeForest, &[i64], u64, SimConfig) -> Result<SimReport, SimError>;
+
+/// The fixed cases below run on both batch simulators.
+const ENGINES: [(&str, Batch); 2] = [("dense", dense::simulate), ("events", simulate_with)];
+
+fn fig4_forest() -> MergeForest {
+    MergeForest::single(
+        MergeTree::from_parents(&[
+            None,
+            Some(0),
+            Some(0),
+            Some(0),
+            Some(3),
+            Some(0),
+            Some(5),
+            Some(5),
+        ])
+        .unwrap(),
+    )
+}
+
+#[test]
+fn fig3_executes_cleanly() {
+    let forest = fig4_forest();
+    let times = consecutive_slots(8);
+    for (_, run) in ENGINES {
+        let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
+        assert_eq!(report.total_units, 36);
+        assert_eq!(report.total_units, full_cost(&forest, &times, 15));
+        assert_eq!(report.clients.len(), 8);
+    }
+}
+
+#[test]
+fn measured_buffers_match_lemma15() {
+    let forest = fig4_forest();
+    let times = consecutive_slots(8);
+    for (engine, run) in ENGINES {
+        let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
+        let tree = &forest.trees()[0];
+        for cr in &report.clients {
+            assert_eq!(
+                cr.max_buffer,
+                required_buffer(tree, &times, 15, cr.client),
+                "client {} ({engine})",
+                cr.client
+            );
+        }
+    }
+}
+
+#[test]
+fn no_client_exceeds_two_streams() {
+    let forest = fig4_forest();
+    let times = consecutive_slots(8);
+    for (_, run) in ENGINES {
+        let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
+        for cr in &report.clients {
+            assert!(cr.max_concurrent <= 2);
+        }
+    }
+}
+
+#[test]
+fn stall_detected_when_media_too_short() {
+    // The Fig. 4 shape with L = 8: client 7's program needs parts past
+    // what the root can deliver in time.
+    let forest = fig4_forest();
+    let times = consecutive_slots(8);
+    for (engine, run) in ENGINES {
+        let err = run(&forest, &times, 8, SimConfig::default()).unwrap_err();
+        // Either a coverage failure or a stall, depending on which
+        // client trips first — both are model-consistency failures.
+        match err {
+            SimError::Model(_) | SimError::Stall { .. } | SimError::StreamTooShort { .. } => {}
+            other => panic!("unexpected error {other:?} ({engine})"),
+        }
+    }
+}
+
+#[test]
+fn buffer_bound_enforced() {
+    let forest = fig4_forest();
+    let times = consecutive_slots(8);
+    for (engine, run) in ENGINES {
+        let config = SimConfig {
+            buffer_bound: Some(3),
+        };
+        let err = run(&forest, &times, 15, config).unwrap_err();
+        assert!(matches!(err, SimError::BufferOverflow { .. }), "{engine}");
+    }
+}
+
+#[test]
+fn slack_is_zero_for_just_in_time_parts() {
+    // Clients receive their first parts exactly as they play them.
+    let forest = fig4_forest();
+    let times = consecutive_slots(8);
+    for (engine, run) in ENGINES {
+        let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
+        for cr in &report.clients {
+            assert_eq!(cr.min_slack, 0, "client {} ({engine})", cr.client);
+        }
+    }
+}
+
+#[test]
+fn bandwidth_profile_peaks_match_fig3() {
+    let forest = fig4_forest();
+    let times = consecutive_slots(8);
+    for (_, run) in ENGINES {
+        let report = run(&forest, &times, 15, SimConfig::default()).unwrap();
+        // At slot 7 streams A, D(3..8), F(5..14), H(7..9) are live -> 4
+        // concurrent; G lives only in slot 6..7.
+        assert!(report.bandwidth.peak() >= 4);
+        assert_eq!(report.bandwidth.total_units(), 36);
+    }
+}
+
+#[test]
+fn multi_tree_forest_simulates() {
+    let t = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
+    let forest = MergeForest::from_trees(vec![t.clone(), t]).unwrap();
+    let times = consecutive_slots(6);
+    for (_, run) in ENGINES {
+        let report = run(&forest, &times, 10, SimConfig::default()).unwrap();
+        assert_eq!(report.total_units, 2 * 10 + 3 + 3);
+    }
+}
+
+#[test]
+fn empty_forest_yields_empty_report() {
+    // Regression: zero arrivals used to be unconstructible/panicky; it
+    // must now produce an empty report on both engines.
+    let forest = MergeForest::empty();
+    for (_, run) in ENGINES {
+        let report = run(&forest, &[], 15, SimConfig::default()).unwrap();
+        assert_eq!(report.total_units, 0);
+        assert!(report.clients.is_empty());
+        assert!(report.bandwidth.is_empty());
+        assert_eq!(report.bandwidth.peak(), 0);
+    }
+}
+
+#[test]
+fn single_arrival_forest_simulates() {
+    let forest = MergeForest::single(MergeTree::singleton());
+    let times = [5i64];
+    for (_, run) in ENGINES {
+        let report = run(&forest, &times, 12, SimConfig::default()).unwrap();
+        assert_eq!(report.total_units, 12);
+        assert_eq!(report.clients.len(), 1);
+        let cr = &report.clients[0];
+        assert_eq!(cr.max_buffer, 0);
+        assert_eq!(cr.max_concurrent, 1);
+        assert_eq!(cr.min_slack, 0);
+        assert_eq!(report.bandwidth.peak(), 1);
+    }
+}
+
+#[test]
+fn zero_media_len_simulates_to_nothing() {
+    // Regression: L = 0 exercised the per-slot vectors' edge cases. A
+    // forest of singleton trees is the only feasible shape (no parts to
+    // deliver, so every receiving program is empty).
+    let trees = vec![MergeTree::singleton(); 3];
+    let forest = MergeForest::from_trees(trees).unwrap();
+    let times = [0i64, 4, 9];
+    for (_, run) in ENGINES {
+        let report = run(&forest, &times, 0, SimConfig::default()).unwrap();
+        assert_eq!(report.total_units, 0);
+        assert_eq!(report.clients.len(), 3);
+        for cr in &report.clients {
+            assert_eq!(cr.max_buffer, 0);
+            assert_eq!(cr.max_concurrent, 0);
+            assert_eq!(cr.min_slack, i64::MAX, "no parts -> vacuous slack");
+        }
+    }
+}
+
+#[test]
+fn decreasing_times_are_rejected_and_ties_simulate() {
+    // Sibling order follows index order; a later sibling may not
+    // arrive earlier.
+    let tree = MergeTree::from_parents(&[None, Some(0), Some(0)]).unwrap();
+    let forest = MergeForest::single(tree);
+    for (engine, run) in ENGINES {
+        let err = run(&forest, &[0, 5, 2], 40, SimConfig::default()).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::TimesOutOfOrder {
+                index: 2,
+                time: 2,
+                previous: 5
+            },
+            "{engine}"
+        );
+        let report = run(&forest, &[0, 2, 2], 40, SimConfig::default()).unwrap();
+        assert_eq!(report.clients.len(), 3, "{engine}");
+    }
+}
+
+#[test]
+fn media_len_overflow_is_rejected_up_front() {
+    let forest = MergeForest::single(MergeTree::singleton());
+    for (_, run) in ENGINES {
+        let err = run(&forest, &[0], u64::MAX, SimConfig::default()).unwrap_err();
+        assert!(matches!(err, SimError::MediaLenOverflow { .. }));
+    }
+}
+
+/// The push interface against the dense reference over the same sorted
+/// input; pins summary, reports, emission order (arrival order for sorted
+/// times), and the first error.
+fn assert_matches_dense(forest: &MergeForest, times: &[i64], media_len: u64, config: SimConfig) {
+    let expected = dense::simulate(forest, times, media_len, config);
+    let mut inc = Vec::new();
+    let got = push_all(forest, times, media_len, config, |r| inc.push(r));
+    match (expected, got) {
+        (Ok(report), Ok(isummary)) => {
+            assert_eq!(isummary.summary.bandwidth, report.bandwidth);
+            assert_eq!(isummary.summary.total_units, report.total_units);
+            assert_eq!(isummary.summary.clients, report.clients.len());
+            assert_eq!(inc, report.clients, "reports and emission order must pin");
+        }
+        (Err(e), Err(ie)) => assert_eq!(ie, e),
+        (e, g) => panic!("engines disagree on outcome: {e:?} vs {g:?}"),
+    }
+}
+
+#[test]
+fn fig4_pins_against_the_dense_oracle() {
+    let forest = fig4_forest();
+    assert_matches_dense(&forest, &consecutive_slots(8), 15, SimConfig::default());
+}
+
+#[test]
+fn multi_tree_with_gaps_and_ties_pins() {
+    let t = MergeTree::from_parents(&[None, Some(0), Some(1), Some(0)]).unwrap();
+    let forest = MergeForest::from_trees(vec![t.clone(), t, MergeTree::singleton()]).unwrap();
+    // Ties within a tree, a tie across the tree boundary, and a gap.
+    let times = vec![0, 0, 2, 2, 2, 3, 3, 5, 40];
+    assert_matches_dense(&forest, &times, 12, SimConfig::default());
+}
+
+#[test]
+fn tied_co_arrival_gains_its_stream_retroactively() {
+    // Arrival 1 ties with the root: until arrival 2 merges under it,
+    // its stream has length 0. Stream 1 must then retroactively start
+    // (length 2·7 − 5 − 5 = 4) — the case that forces stream lengths
+    // and bandwidth events to wait for tree closure.
+    let tree = MergeTree::from_parents(&[None, Some(0), Some(1)]).unwrap();
+    let forest = MergeForest::single(tree);
+    assert_matches_dense(&forest, &[5, 5, 7], 20, SimConfig::default());
+}
+
+#[test]
+fn deep_chain_pins() {
+    let media = 40u64;
+    let c = (media / 2 + 1) as usize;
+    let forest = MergeForest::single(MergeTree::chain(c));
+    assert_matches_dense(&forest, &consecutive_slots(c), media, SimConfig::default());
+}
+
+#[test]
+fn buffer_bound_error_pins() {
+    // Fig. 4's largest buffer is 3 parts, so a bound of 1 trips
+    // BufferOverflow. Bounds from 2^63 up do not fit an `i64`: no buffer
+    // can exceed them, and a wrapping cast would make them negative.
+    let forest = fig4_forest();
+    let times = consecutive_slots(8);
+    for bound in [1, 1 << 63, u64::MAX] {
+        let config = SimConfig {
+            buffer_bound: Some(bound),
+        };
+        assert_matches_dense(&forest, &times, 15, config);
+        let dense = dense::simulate(&forest, &times, 15, config);
+        assert_eq!(dense.is_err(), bound == 1, "bound {bound}: {dense:?}");
+    }
+}
+
+/// Every report of one tree through the push interface, or its first
+/// error, after pinning the run against the dense reference.
+fn tree_reports(
+    parents: &[Option<usize>],
+    times: &[i64],
+    media_len: u64,
+) -> Result<Vec<ClientReport>, SimError> {
+    let forest = MergeForest::single(MergeTree::from_parents(parents).unwrap());
+    assert_matches_dense(&forest, times, media_len, SimConfig::default());
+    let mut reports = Vec::new();
+    push_all(&forest, times, media_len, SimConfig::default(), |r| {
+        reports.push(r)
+    })?;
+    Ok(reports)
+}
+
+fn report(client: usize, max_buffer: i64, max_concurrent: usize) -> ClientReport {
+    ClientReport {
+        client,
+        max_buffer,
+        max_concurrent,
+        min_slack: 0,
+    }
+}
+
+#[test]
+fn closed_forms_match_the_worked_examples() {
+    // Client 2: t_c = 7, t_u = 5, t_r = 0, so m = 9 and d = 7. Its
+    // buffer peaks at min(d, L − d) = 3, not at d, and it receives two
+    // streams at once because t_c > t_u.
+    let got = tree_reports(&[None, Some(0), Some(1)], &[0, 5, 7], 10).unwrap();
+    assert_eq!(got, vec![report(0, 0, 1), report(1, 5, 2), report(2, 3, 2)]);
+    // Client 1 sits under the root at d = 5, so m = d. At L = 5 the
+    // root's segment is empty (m = L): one stream at a time, no buffer.
+    let got = tree_reports(&[None, Some(0)], &[0, 5], 5).unwrap();
+    assert_eq!(got, vec![report(0, 0, 1), report(1, 0, 1)]);
+    // At L = 4 part m = 5 lies outside the media.
+    let out_of_range = |part| Err(SimError::Model(ModelError::PartOutOfRange { part }));
+    assert_eq!(tree_reports(&[None, Some(0)], &[0, 5], 4), out_of_range(5));
+    // L = 0: a root and its co-arrival receive nothing (m = 0)…
+    let nothing = |client| ClientReport {
+        client,
+        max_buffer: 0,
+        max_concurrent: 0,
+        min_slack: i64::MAX,
+    };
+    let got = tree_reports(&[None, Some(0)], &[3, 3], 0).unwrap();
+    assert_eq!(got, vec![nothing(0), nothing(1)]);
+    // …and a later arrival needs part m = 1 of an empty media.
+    assert_eq!(tree_reports(&[None, Some(0)], &[3, 4], 0), out_of_range(1));
 }

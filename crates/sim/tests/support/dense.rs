@@ -4,15 +4,46 @@
 //! per-slot scratch vectors. Cost is `O(span × clients)` time and `O(L)`
 //! memory per client, which is fine for the paper-scale figures and makes
 //! it the easy-to-audit oracle the event engine is pinned against.
+//!
+//! Test support, built only from public `sm_sim` and `sm_core` items and
+//! sharing none of the event engine's closed forms. A test target includes
+//! it with `#[path = ".../sim/tests/support/dense.rs"] mod dense;`.
 
-use super::{ClientReport, SimConfig, SimReport};
-use crate::error::SimError;
-use crate::metrics::BandwidthProfile;
-use crate::schedule::{stream_schedule, StreamSpec};
-use sm_core::{MergeForest, ReceivingProgram};
+use sm_core::{MergeForest, ModelError, ReceivingProgram};
+use sm_sim::{
+    stream_schedule, BandwidthProfile, ClientReport, SimConfig, SimError, SimReport, StreamSpec,
+};
 
-/// Runs the dense engine. Inputs are pre-validated by `simulate_with`.
-pub(super) fn run(
+/// `sm_sim::simulate_with` on the dense engine. Checks the batch input
+/// contract first, in `simulate_with`'s order: one time per arrival, times
+/// that never decrease, and a media length that fits `i64`.
+pub fn simulate(
+    forest: &MergeForest,
+    times: &[i64],
+    media_len: u64,
+    config: SimConfig,
+) -> Result<SimReport, SimError> {
+    if times.len() != forest.total_arrivals() {
+        return Err(SimError::Model(ModelError::TimesLengthMismatch {
+            nodes: forest.total_arrivals(),
+            times: times.len(),
+        }));
+    }
+    if let Some(i) = times.windows(2).position(|w| w[1] < w[0]) {
+        return Err(SimError::TimesOutOfOrder {
+            index: i + 1,
+            time: times[i + 1],
+            previous: times[i],
+        });
+    }
+    if i64::try_from(media_len).is_err() {
+        return Err(SimError::MediaLenOverflow { media_len });
+    }
+    run(forest, times, media_len, config)
+}
+
+/// Runs the dense engine over input [`simulate`] has checked.
+fn run(
     forest: &MergeForest,
     times: &[i64],
     media_len: u64,
@@ -122,7 +153,7 @@ fn run_client(
         max_buffer = max_buffer.max(received - played);
     }
     if let Some(bound) = config.buffer_bound {
-        if max_buffer > bound as i64 {
+        if i64::try_from(bound).is_ok_and(|b| max_buffer > b) {
             return Err(SimError::BufferOverflow {
                 client: global,
                 needed: max_buffer,

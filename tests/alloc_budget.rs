@@ -124,7 +124,7 @@ fn events_run_allocations(n: usize) -> u64 {
     let times = consecutive_slots(n);
     let ckpt = alloc_counter::checkpoint();
     let mut served = 0usize;
-    simulate_streaming_slice(&forest, &times, MEDIA, SimConfig::events(), |report| {
+    simulate_streaming_slice(&forest, &times, MEDIA, SimConfig::default(), |report| {
         served += 1;
         black_box(report.max_buffer);
     })
@@ -186,7 +186,7 @@ fn incremental_push_steady_state_is_allocation_free() {
     }
     assert_eq!(attaches.len(), times.len());
 
-    let mut engine = IncrementalEngine::new(MEDIA, SimConfig::events()).expect("valid media len");
+    let mut engine = IncrementalEngine::new(MEDIA, SimConfig::default()).expect("valid media len");
     let mut served = 0usize;
     for i in 0..WARMUP {
         engine

@@ -124,11 +124,10 @@ fn architecture_documents_the_runtime_pieces() {
     let arch = read("ARCHITECTURE.md");
     for piece in [
         "engine::events",
-        "engine::dense",
         "engine::incremental",
+        "tests/support/dense.rs",
         "stream_schedule",
         "simulate_streaming_slice",
-        "simulate_incremental",
         "IncrementalEngine",
         "sm-serve",
         "serve_multi",
@@ -248,10 +247,9 @@ fn committed_bench_trajectory_has_the_dynamic_datapoints() {
     let json = read("BENCH_scale.json");
     let cases = bench_case_lines(&json);
     assert!(
-        cases.len() >= 8,
-        "BENCH_scale.json should carry the three sim shapes, the incremental \
-         ingest run, the multi-title serve run, and the pipelined \
-         K ∈ {{1, 2, 4}} sweep"
+        cases.len() >= 7,
+        "BENCH_scale.json should carry the three sim shapes, the multi-title \
+         serve run, and the pipelined K ∈ {{1, 2, 4}} sweep"
     );
     let dynamic: Vec<&&str> = cases
         .iter()
@@ -293,51 +291,6 @@ fn committed_bench_trajectory_has_the_dynamic_datapoints() {
             "K = {k} + memo regressed past the depth-1 run: {ms} ms > {k1_ms} ms"
         );
     }
-}
-
-#[test]
-fn committed_bench_trajectory_has_the_incremental_ingest_datapoint() {
-    let json = read("BENCH_scale.json");
-    let cases = bench_case_lines(&json);
-    let inc = cases
-        .iter()
-        .find(|l| l.contains("serve_incremental") && l.contains("\"incremental\""))
-        .expect("BENCH_scale.json must carry the serve_incremental datapoint");
-    let events = cases
-        .iter()
-        .find(|l| l.contains("events_dg") && l.contains("\"events\""))
-        .expect("BENCH_scale.json must carry the events_dg baseline");
-    assert!(
-        json_number(inc, "arrivals") >= 1_000_000.0,
-        "the committed serve_incremental run must be full-size (10^6 arrivals)"
-    );
-    // Same grid, push-based: identical deterministic outputs.
-    assert_eq!(
-        json_number(inc, "total_units"),
-        json_number(events, "total_units"),
-        "incremental ingest must transmit exactly what the events engine does"
-    );
-    assert_eq!(
-        json_number(inc, "peak_streams"),
-        json_number(events, "peak_streams"),
-        "incremental ingest must reproduce the events engine's peak"
-    );
-    // The acceptance bar of the push-based refactor: amortized ingest cost
-    // within 1.5x of the batch engine, and bounded tree retention.
-    let (inc_ns, events_ns) = (
-        json_number(inc, "ns_per_arrival"),
-        json_number(events, "ns_per_arrival"),
-    );
-    assert!(
-        inc_ns <= events_ns * 1.5,
-        "committed serve_incremental regressed: {inc_ns} ns/arrival > 1.5x \
-         the events baseline ({events_ns} ns/arrival)"
-    );
-    let retained = json_number(inc, "max_open_trees");
-    assert!(
-        (1.0..=64.0).contains(&retained),
-        "the DG grid keeps a handful of trees live, got {retained}"
-    );
 }
 
 #[test]
@@ -392,6 +345,13 @@ fn committed_bench_trajectory_has_the_serve_multi_datapoint() {
         json_number(multi, "memo_hits") > 0.0,
         "the per-title planned peaks must be served through the memo"
     );
+    // Each title's engine retains only its open tree and the closed trees
+    // whose clients still await their last part-deadline.
+    let retained = json_number(multi, "max_open_trees");
+    assert!(
+        (1.0..=64.0).contains(&retained),
+        "the serve loop keeps a handful of trees live, got {retained}"
+    );
     // The whole serving layer — workload generation and fan-in, delay
     // planning, per-title policy and engine, and the per-batch timing
     // with 1-in-64 push-latency sampling — amortizes to within 10x of
@@ -424,9 +384,9 @@ fn assert_scale_snapshot_schema(json: &str, what: &str) {
     }
     let cases = bench_case_lines(json);
     assert!(
-        cases.len() >= 8,
-        "{what}: expected the three sim shapes, the incremental ingest run, \
-         and four dynamic datapoints, got {}",
+        cases.len() >= 7,
+        "{what}: expected the three sim shapes, the multi-title serve run, \
+         and three dynamic datapoints, got {}",
         cases.len()
     );
     for line in cases {
@@ -448,7 +408,7 @@ fn assert_scale_snapshot_schema(json: &str, what: &str) {
             );
         }
         assert!(
-            ["events", "incremental", "multi", "pipelined"]
+            ["events", "multi", "pipelined"]
                 .iter()
                 .any(|e| line.contains(&format!("\"engine\": \"{e}\""))),
             "{what}: unknown engine tag in {line}"
@@ -479,7 +439,7 @@ fn committed_bench_trajectory_is_ten_million_arrivals_and_allocation_free() {
     );
     // Steady-state pushes are allocation-free on every engine spine that
     // claims it: the O(log n) warm-up allocations floor to 0 per arrival.
-    for case in ["events_dg", "serve_incremental", "events_deep_chain"] {
+    for case in ["events_dg", "events_deep_chain"] {
         assert_eq!(
             json_number(by_name(case), "allocations_per_arrival"),
             0.0,

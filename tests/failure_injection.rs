@@ -46,7 +46,6 @@ fn buffer_bound_violations_are_caught_by_the_simulator() {
         15,
         SimConfig {
             buffer_bound: Some(1),
-            ..SimConfig::default()
         },
     );
     assert!(err.is_err(), "buffer bound 1 must be violated");
@@ -57,7 +56,6 @@ fn buffer_bound_violations_are_caught_by_the_simulator() {
         15,
         SimConfig {
             buffer_bound: Some(7),
-            ..SimConfig::default()
         },
     )
     .unwrap();

@@ -9,6 +9,9 @@ use stream_merging::offline::general;
 use stream_merging::online::DelayGuaranteedOnline;
 use stream_merging::sim::{simulate, simulate_with, SimConfig};
 
+#[path = "../crates/sim/tests/support/dense.rs"]
+mod dense;
+
 #[test]
 fn optimal_forests_execute_across_grid() {
     for media_len in [2u64, 5, 8, 15, 21, 40] {
@@ -75,7 +78,6 @@ fn bounded_buffer_forests_respect_bound_in_simulation() {
             media_len,
             SimConfig {
                 buffer_bound: Some(buffer),
-                ..SimConfig::default()
             },
         )
         .unwrap_or_else(|e| panic!("L = {media_len}, n = {n}, B = {buffer}: {e}"));
@@ -115,13 +117,14 @@ fn peak_bandwidth_bounded_by_tree_heights() {
 
 #[test]
 fn dense_and_event_engines_agree_end_to_end() {
-    // The proptest suite pins equivalence on randomized inputs; this pins
-    // it on the paper's own plans, through the facade crate.
+    // The proptest suite pins the event engine to the test-side dense
+    // reference on randomized inputs; this pins it on the paper's own
+    // plans, through the facade crate.
     for (media_len, n) in [(15u64, 8usize), (40, 60), (100, 200)] {
         let plan = optimal_forest(media_len, n);
         let times = consecutive_slots(n);
-        let dense = simulate_with(&plan.forest, &times, media_len, SimConfig::dense()).unwrap();
-        let events = simulate_with(&plan.forest, &times, media_len, SimConfig::events()).unwrap();
+        let dense = dense::simulate(&plan.forest, &times, media_len, SimConfig::default()).unwrap();
+        let events = simulate(&plan.forest, &times, media_len).unwrap();
         assert_eq!(dense, events, "L = {media_len}, n = {n}");
     }
 }
