@@ -36,20 +36,20 @@
 //! run.
 //!
 //! `SM_SCALE_ARRIVALS` overrides the arrival count (CI smoke-runs a small
-//! N; the default is 10⁷). Besides the criterion timings, one dedicated
-//! measured run per case is appended to a machine-readable
-//! `BENCH_scale.json` (workspace root, or the `SM_BENCH_JSON` path) so the
-//! perf trajectory accumulates across commits.
+//! N; the default is 10⁷). The bench is a plain `main` (`harness = false`):
+//! each case runs once, measured, and the run's datapoints are written to a
+//! machine-readable `BENCH_scale.json` (workspace root, or the
+//! `SM_BENCH_JSON` path) so the perf trajectory accumulates across commits.
+//! A snapshot that cannot be written fails the run.
 //!
 //! The bench binary installs a counting `#[global_allocator]` (the
 //! workspace's only sanctioned `unsafe`, shared with
-//! `tests/alloc_budget.rs`): each case's dedicated run records
+//! `tests/alloc_budget.rs`): each case's measured run records
 //! `allocations_per_arrival` — heap allocations observed on the driving
 //! thread during the run, divided by arrivals and floored. The pooled
 //! event engine is allocation-free in steady state, so its O(log n)
 //! warm-up allocations floor to **0**; CI gates on exactly that.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use sm_core::{alloc_counter, consecutive_slots, MergeForest, MergeTree};
 use sm_online::DelayGuaranteedOnline;
 use sm_server::{
@@ -152,8 +152,8 @@ struct CaseResult {
     extra: String,
 }
 
-/// One dedicated timed streaming run (outside the criterion sampling),
-/// recording wall time and the whole-run aggregates.
+/// One timed streaming run, recording wall time and the whole-run
+/// aggregates.
 fn timed_case(
     name: impl Into<String>,
     forest: &MergeForest,
@@ -253,15 +253,16 @@ fn write_bench_json(results: &[CaseResult]) {
     out.push_str("  ]\n}\n");
     match std::fs::write(&path, out) {
         Ok(()) => println!("bench-json: wrote {} cases to {path}", results.len()),
-        Err(e) => eprintln!("bench-json: could not write {path}: {e}"),
+        Err(e) => {
+            eprintln!("bench-json: could not write {path}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
-fn bench_scale(c: &mut Criterion) {
+fn main() {
     let n = scale_arrivals();
     let media_len = 100u64;
-    let mut g = c.benchmark_group("scale");
-    g.sample_size(10);
     let mut results = Vec::new();
 
     // Delay Guaranteed grid: n slots, one client each (balanced trees).
@@ -274,25 +275,6 @@ fn bench_scale(c: &mut Criterion) {
         &times,
         media_len,
     );
-    g.bench_function(format!("events_dg_L{media_len}_n{n}"), |b| {
-        b.iter(|| {
-            let mut served = 0usize;
-            let summary = simulate_streaming_slice(
-                black_box(&forest),
-                black_box(&times),
-                media_len,
-                SimConfig::default(),
-                |report| {
-                    served += 1;
-                    black_box(report.max_buffer);
-                },
-            )
-            .expect("DG plan must execute");
-            assert_eq!(served, n);
-            black_box(summary.total_units)
-        })
-    });
-
     drop((forest, times));
 
     // Deep chains at the same arrival count: the longest receiving
@@ -304,24 +286,6 @@ fn bench_scale(c: &mut Criterion) {
         &times,
         media_len,
     );
-    g.bench_function(format!("events_deep_chain_L{media_len}_n{n}"), |b| {
-        b.iter(|| {
-            let mut served = 0usize;
-            let summary = simulate_streaming_slice(
-                black_box(&forest),
-                black_box(&times),
-                media_len,
-                SimConfig::default(),
-                |report| {
-                    served += 1;
-                    black_box(report.max_buffer);
-                },
-            )
-            .expect("deep chains are feasible by construction");
-            assert_eq!(served, n);
-            black_box(summary.total_units)
-        })
-    });
     drop((forest, times));
     println!(
         "bench: scale/deep_chain vs balanced wall-time ratio: {:.2}x \
@@ -343,7 +307,6 @@ fn bench_scale(c: &mut Criterion) {
         .map(|t| t.floor() as i64)
         .collect();
     let (forest, times) = batched_star_forest(&slots);
-    let clients = times.len();
     let crowd_case = timed_case(
         format!("events_flash_crowd_L{media_len}"),
         &forest,
@@ -351,24 +314,6 @@ fn bench_scale(c: &mut Criterion) {
         media_len,
     );
     results.push(crowd_case);
-    g.bench_function(format!("events_flash_crowd_L{media_len}_n{clients}"), |b| {
-        b.iter(|| {
-            let mut served = 0usize;
-            let summary = simulate_streaming_slice(
-                black_box(&forest),
-                black_box(&times),
-                media_len,
-                SimConfig::default(),
-                |report| {
-                    served += 1;
-                    black_box(report.min_slack);
-                },
-            )
-            .expect("batched flash-crowd plan must execute");
-            assert_eq!(served, clients);
-            black_box(summary.bandwidth.peak())
-        })
-    });
     // Multi-title delay-planning serve loop: a three-title Poisson catalog
     // behind a shared six-channel budget squeezed below unbounded demand
     // (the per-title steady-state peaks sum to ~27), so the planner must
@@ -449,17 +394,6 @@ fn bench_scale(c: &mut Criterion) {
             multi.delay.max_slots
         ),
     });
-    g.bench_function(
-        format!("serve_multi_T{}_n{n}", serve_config.titles.len()),
-        |b| {
-            b.iter(|| {
-                let report = sm_serve::serve_multi(black_box(&serve_config))
-                    .expect("a bounded budget is always feasible under delay planning");
-                assert_eq!(report.rejected, 0);
-                black_box(report.delay.max_slots)
-            })
-        },
-    );
 
     // Many-epoch dynamic server: the depth-K cross-epoch pipeline at three
     // plan-ahead depths — K = 1 memo-free (the PR-4 configuration) and
@@ -517,27 +451,7 @@ fn bench_scale(c: &mut Criterion) {
             allocations_per_arrival: piped_allocs / epoch_count.max(1) as u64,
             extra: String::new(),
         });
-        g.bench_function(
-            format!("server_dynamic_pipelined_E{epoch_count}_k{plan_ahead}"),
-            |b| {
-                b.iter(|| {
-                    let report = simulate_dynamic_with(
-                        black_box(&epochs),
-                        budget,
-                        &candidates,
-                        horizon,
-                        &config,
-                    )
-                    .expect("bench epochs must be plannable");
-                    black_box(report.peak)
-                })
-            },
-        );
     }
-    g.finish();
 
     write_bench_json(&results);
 }
-
-criterion_group!(benches, bench_scale);
-criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Asymptotic envelopes from the paper (Theorems 8, 13, 14, 19, 20),
-//! exposed as plain functions so tests, benches and experiment annotations
-//! can compare measured costs against the predicted growth.
+//! exposed as plain functions so tests and experiment annotations can
+//! compare measured costs against the predicted growth.
 
 use crate::closed_form::ClosedForm;
 use crate::receive_all;

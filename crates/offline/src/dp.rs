@@ -6,8 +6,9 @@
 //! ```
 //!
 //! where `h` is the arrival that merges *last* into the root. These routines
-//! exist to certify the closed forms (`closed_form`, `tree_builder`) and to
-//! quantify the paper's `O(n²) → O(n)` improvement in the benches.
+//! exist to certify the closed forms (`closed_form`, `tree_builder`): the
+//! tests check the two against each other, and the `tables` and `fig8`
+//! experiments check their printed closed-form values against the DPs.
 
 use sm_core::MergeTree;
 

@@ -72,22 +72,34 @@ fn readme_stub_list(readme: &str) -> BTreeSet<&str> {
     list.split('`').skip(1).step_by(2).collect()
 }
 
+/// The paths listed in the root manifest's `[workspace] members` array.
+fn workspace_members(manifest: &str) -> Vec<&str> {
+    manifest
+        .split("members = [")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("Cargo.toml must list its workspace members")
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .collect()
+}
+
 #[test]
 fn readme_workspace_map_matches_cargo_members() {
     let readme = read("README.md");
     let manifest = read("Cargo.toml");
     let mut crates_seen = 0;
     let mut stubs = BTreeSet::new();
-    for line in manifest.lines() {
-        let line = line.trim().trim_matches(|c| c == '"' || c == ',');
-        if let Some(dir) = line.strip_prefix("crates/") {
+    for member in workspace_members(&manifest) {
+        if let Some(dir) = member.strip_prefix("crates/") {
             let krate = format!("sm-{dir}");
             assert!(
                 readme.contains(&krate),
                 "README.md workspace map is missing workspace member `{krate}`"
             );
             crates_seen += 1;
-        } else if let Some(dir) = line.strip_prefix("third_party/") {
+        } else if let Some(dir) = member.strip_prefix("third_party/") {
             stubs.insert(dir);
         }
     }
@@ -97,6 +109,58 @@ fn readme_workspace_map_matches_cargo_members() {
         stubs,
         "README.md's stub list must name exactly the third_party/ workspace members"
     );
+}
+
+/// The target names of a manifest's `[[bench]]` sections, in order.
+fn bench_target_names(manifest: &str) -> Vec<&str> {
+    manifest
+        .split("[[bench]]")
+        .skip(1)
+        .map(|section| {
+            section
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("name = "))
+                .expect("every [[bench]] section names its target")
+                .trim_matches('"')
+        })
+        .collect()
+}
+
+#[test]
+fn every_bench_target_runs_in_ci_and_no_manifest_names_criterion() {
+    // A bench that CI only compiles (`--no-run`) measures nothing: every
+    // declared bench target needs a CI line that executes it.
+    let ci = read(".github/workflows/ci.yml");
+    let bench_manifest = read("crates/bench/Cargo.toml");
+    let benches = bench_target_names(&bench_manifest);
+    assert!(!benches.is_empty(), "sm-bench declares no [[bench]] target");
+    for name in benches {
+        let runs = ci.lines().any(|line| {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            !line.trim_start().starts_with('#')
+                && words.windows(2).any(|w| w == ["--bench", name])
+                && !words.contains(&"--no-run")
+        });
+        assert!(
+            runs,
+            "bench `{name}` is declared but no CI line runs `--bench {name}` without `--no-run`"
+        );
+    }
+    // The benches are plain `main`s: no manifest and no lockfile entry may
+    // bring a criterion harness back.
+    let root_manifest = read("Cargo.toml");
+    let mut files = vec!["Cargo.toml".to_string(), "Cargo.lock".to_string()];
+    files.extend(
+        workspace_members(&root_manifest)
+            .into_iter()
+            .map(|m| format!("{m}/Cargo.toml")),
+    );
+    for file in files {
+        assert!(
+            !read(&file).to_lowercase().contains("criterion"),
+            "{file} names criterion; the workspace carries no bench harness"
+        );
+    }
 }
 
 #[test]
