@@ -1,9 +1,8 @@
-//! Asymptotic envelopes from the paper (Theorems 8, 13, 14, 19, 20),
+//! Asymptotic envelopes from the paper (Theorems 8, 13, 14),
 //! exposed as plain functions so tests and experiment annotations can
 //! compare measured costs against the predicted growth.
 
 use crate::closed_form::ClosedForm;
-use crate::receive_all;
 use sm_fib::log_phi;
 
 /// Theorem 8 upper envelope: `M(n) ≤ n·log_φ n` (Eq. (9), for n ≥ 1).
@@ -46,11 +45,6 @@ pub fn batching_gain_predicted(media_len: u64) -> f64 {
         return 1.0;
     }
     media_len as f64 / log_phi(media_len as f64)
-}
-
-/// Theorems 19/20 measured merge-cost ratio `M(n)/Mω(n)`.
-pub fn receive_model_ratio(cf: &ClosedForm, n: u64) -> f64 {
-    receive_all::merge_cost_ratio(cf, n)
 }
 
 #[cfg(test)]

@@ -33,13 +33,6 @@ pub struct MergeDecision {
     pub parent: Option<usize>,
 }
 
-impl MergeDecision {
-    /// `true` iff the arrival starts a full (root) stream.
-    pub fn is_root(&self) -> bool {
-        self.parent.is_none()
-    }
-}
-
 /// An on-line merge policy as an explicit push-based state machine.
 ///
 /// Implementations must emit decisions whose `node` fields count up from 0
@@ -59,7 +52,6 @@ impl MergeDecision {
 /// // First arrival: nothing to merge into, so it roots tree 0.
 /// let first = policy.push(0.0);
 /// assert_eq!(first, MergeDecision { node: 0, tree: 0, parent: None });
-/// assert!(first.is_root());
 ///
 /// // A close follower merges under the root: its stream is truncated.
 /// let follower = policy.push(1.0);

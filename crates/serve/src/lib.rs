@@ -84,11 +84,11 @@
 //!
 //! # Multi-title quickstart
 //!
-//! Two titles share a four-channel budget; title 1 swaps its merge policy
-//! mid-run through the [`sm_online::IncrementalPolicy`] seam:
+//! Two titles share a four-channel budget; title 1 runs the Delay
+//! Guaranteed template instead of the default dyadic merger:
 //!
 //! ```
-//! use sm_serve::{serve_multi, MultiServeConfig, PolicyKind, PolicySwap, TitleConfig};
+//! use sm_serve::{serve_multi, MultiServeConfig, PolicyKind, TitleConfig};
 //!
 //! let config = MultiServeConfig {
 //!     budget: Some(4),
@@ -97,7 +97,6 @@
 //!             TitleConfig::new(64, 2.0),
 //!             TitleConfig {
 //!                 policy: PolicyKind::DelayGuaranteed,
-//!                 swap: Some(PolicySwap { after_groups: 40, to: PolicyKind::Dyadic }),
 //!                 ..TitleConfig::new(32, 3.0)
 //!             },
 //!         ],
@@ -120,8 +119,8 @@ use sm_sim::{IngestError, SimError};
 mod multi;
 
 pub use multi::{
-    serve_multi, serve_multi_with, MultiServeConfig, MultiServeReport, PolicyKind, PolicySwap,
-    TitleConfig, TitleReport,
+    serve_multi, serve_multi_with, MultiServeConfig, MultiServeReport, PolicyKind, TitleConfig,
+    TitleReport,
 };
 
 /// Largest accepted horizon: keeps `t.floor() as i64` exact (every f64

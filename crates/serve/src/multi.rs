@@ -3,11 +3,12 @@
 //! One producer thread draws an independent Poisson run per title for
 //! each pipeline batch and fans them into a single time-ordered stream
 //! with [`sm_core::merge_runs`] (ties resolve to the lower title index —
-//! deterministic, documented). The consumer owns one
-//! [`IncrementalEngine`] and one built-in [`IncrementalPolicy`] per title
-//! (matched as an enum, not called through a trait object) plus a single
-//! shared [`DelayPlanner`], and serves every arrival: overload becomes
-//! start-up delay, never rejection.
+//! deterministic, documented). The consumer feeds each arrival to a
+//! private `ServeCore`, which owns one [`IncrementalEngine`] and one
+//! built-in [`IncrementalPolicy`] per title (matched as an enum, not
+//! called through a trait object) plus a single shared [`DelayPlanner`],
+//! and serves every arrival: overload becomes start-up delay, never
+//! rejection.
 //!
 //! # Delay planning
 //!
@@ -34,18 +35,6 @@
 //! group to group, which is exactly what [`DyadicMerger`] requires of
 //! its clock.
 //!
-//! # The policy-swap seam
-//!
-//! [`PolicySwap`] replaces a title's policy with a freshly constructed
-//! one immediately **before** group number `after_groups` is decided.
-//! The fresh policy numbers its decisions from zero; the loop re-bases
-//! parent indices by the group count at the swap point, so any policy
-//! whose decision stream is a function of its own push history composes
-//! transparently. Swapping Delay Guaranteed → Delay Guaranteed at a
-//! tree boundary (a multiple of the template's `tree_size()`) is a
-//! no-op: the template restarts per tree, so the decision stream — and
-//! therefore the whole run — is bit-identical (pinned by test).
-//!
 //! # Two time bases
 //!
 //! The shared planner, the delay distributions, and the join rule all
@@ -54,13 +43,9 @@
 //! continuous-time, so dyadic groups are pushed at their real service
 //! slots. The Delay Guaranteed template is slot-*dense* — its contract is
 //! "arrival `k` is slot `k`", and its merge lengths are only feasible on
-//! that grid — so a Delay Guaranteed title advances its engine one tick
-//! per merge group (joiners ride the group's tick), exactly the §4.1 grid
-//! its guarantee is stated on. A policy swap switches the title's engine
-//! clock with the policy: dense ticks always continue one past the last
-//! push, and real service slots are never behind them (service slots
-//! strictly increase per group), so engine time stays nondecreasing
-//! across any swap in either direction.
+//! that grid — so a Delay Guaranteed title pushes each merge group at its
+//! group index (joiners ride the group's tick), exactly the §4.1 grid
+//! its guarantee is stated on.
 //!
 //! # Bookkeeping off the hot path
 //!
@@ -140,18 +125,6 @@ enum Policy {
     Dyadic(Box<DyadicMerger>),
 }
 
-/// A mid-run policy replacement, applied immediately before the title
-/// decides group number `after_groups` (0-based): that group and all
-/// later ones are decided by a freshly constructed `to` policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicySwap {
-    /// Group count at which the swap fires; if the run ends earlier the
-    /// swap never happens.
-    pub after_groups: usize,
-    /// The policy that takes over.
-    pub to: PolicyKind,
-}
-
 /// One title of a multi-title serving run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TitleConfig {
@@ -161,22 +134,18 @@ pub struct TitleConfig {
     pub mean_interarrival: f64,
     /// The on-line merge policy deciding this title's forest.
     pub policy: PolicyKind,
-    /// Optional mid-run policy swap through the
-    /// [`IncrementalPolicy`] seam.
-    pub swap: Option<PolicySwap>,
     /// Optional per-client buffer bound, forwarded to the engine. A Delay
     /// Guaranteed policy also builds its template to fit it.
     pub buffer_bound: Option<u64>,
 }
 
 impl TitleConfig {
-    /// A title under the default dyadic policy, no swap, no buffer bound.
+    /// A title under the default dyadic policy, no buffer bound.
     pub fn new(media_len: u64, mean_interarrival: f64) -> Self {
         Self {
             media_len,
             mean_interarrival,
             policy: PolicyKind::Dyadic,
-            swap: None,
             buffer_bound: None,
         }
     }
@@ -361,16 +330,8 @@ struct Group {
 struct TitleState {
     media_len: u64,
     media: i64,
-    buffer_bound: Option<u64>,
     engine: IncrementalEngine,
     policy: Policy,
-    swap: Option<PolicySwap>,
-    /// Group count at the last swap: fresh policies number decisions from
-    /// zero, so parent indices re-base by this offset.
-    policy_base: usize,
-    /// Last engine push time; dense ticks continue one past it, and a
-    /// post-swap real-time policy starts at or above it.
-    last_engine_time: i64,
     /// Group index of the open tree's root group.
     tree_base: usize,
     /// Engine-global heads of the open tree's groups: entry `i` heads
@@ -417,6 +378,158 @@ impl PushSampler {
     }
 }
 
+/// The serve loop's state between arrivals: each title's engine,
+/// policy and pending group, the shared planner and the push sampler.
+/// [`serve_multi_with`] feeds it the producer's arrivals one at a time.
+struct ServeCore {
+    titles: Vec<TitleState>,
+    planner: DelayPlanner,
+    sampler: PushSampler,
+}
+
+impl ServeCore {
+    /// A core with one fresh engine and policy per catalog title and an
+    /// empty planner over the config's budget.
+    fn new(config: &MultiServeConfig) -> Result<Self, ServeError> {
+        let mut titles = Vec::with_capacity(config.titles.len());
+        for title in &config.titles {
+            titles.push(TitleState {
+                media_len: title.media_len,
+                media: title.media_len as i64,
+                engine: IncrementalEngine::new(
+                    title.media_len,
+                    SimConfig {
+                        buffer_bound: title.buffer_bound,
+                    },
+                )?,
+                policy: title.policy.build(title.media_len, title.buffer_bound),
+                tree_base: 0,
+                tree_heads: Vec::new(),
+                cur: None,
+                groups: 0,
+                generated: 0,
+                delays: DelayHistogram::default(),
+            });
+        }
+        Ok(Self {
+            titles,
+            planner: DelayPlanner::new(config.budget),
+            sampler: PushSampler::default(),
+        })
+    }
+
+    /// Serves one arrival of `title` at time `t`: it joins the title's
+    /// pending group, or opens a new group that is planned, decided by the
+    /// title's policy and pushed into its engine. `on_report(title,
+    /// report)` fires for every client whose last deadline the push passes.
+    fn arrive(
+        &mut self,
+        t: f64,
+        title: usize,
+        on_report: &mut impl FnMut(usize, ClientReport),
+    ) -> Result<(), ServeError> {
+        let slot = slot_of(t);
+        let state = &mut self.titles[title];
+        state.generated += 1;
+        // The batching rule: arrivals no later than the pending group's
+        // service slot ride it as zero-length streams.
+        if let Some(group) = state.cur {
+            if slot <= group.service_slot {
+                state.delays.record((group.service_slot - slot) as u64);
+                self.sampler.time(|| {
+                    state
+                        .engine
+                        .push(group.engine_time, Attach::Under(group.head), &mut |r| {
+                            on_report(title, r)
+                        })
+                })?;
+                return Ok(());
+            }
+        }
+        // New group: plan its service slot against the shared budget
+        // *before* the policy decides — delay is granted exactly where the
+        // retired gauge declined.
+        let s = self.planner.plan(slot);
+        state.delays.record((s - slot) as u64);
+        let (engine_time, decision) = match &mut state.policy {
+            Policy::DelayGuaranteed(p) => (state.groups as i64, p.push(s as f64)),
+            Policy::Dyadic(p) => (s, p.push(s as f64)),
+        };
+        let attach = match decision.parent {
+            None => {
+                self.planner.commit(s + state.media);
+                state.tree_base = state.groups;
+                state.tree_heads.clear();
+                Attach::Root
+            }
+            Some(p) => {
+                self.planner.merge();
+                let head = p
+                    .checked_sub(state.tree_base)
+                    .and_then(|i| state.tree_heads.get(i));
+                Attach::Under(*head.ok_or(ServeError::PolicyDesync {
+                    node: decision.node,
+                    parent: p,
+                })?)
+            }
+        };
+        let global = state.engine.arrivals();
+        self.sampler.time(|| {
+            state
+                .engine
+                .push(engine_time, attach, &mut |r| on_report(title, r))
+        })?;
+        state.tree_heads.push(global);
+        state.cur = Some(Group {
+            service_slot: s,
+            engine_time,
+            head: global,
+        });
+        state.groups += 1;
+        Ok(())
+    }
+
+    /// Ends the run: drains every title's engine through `on_report` and
+    /// assembles the report. `batch_ns` is the ingest wall time behind the
+    /// mean latency; `memo` supplies each title's planned peak, and the
+    /// report counts those lookups' cache hits.
+    fn finish(
+        self,
+        memo: &PlannerMemo,
+        batch_ns: u64,
+        on_report: &mut impl FnMut(usize, ClientReport),
+    ) -> Result<MultiServeReport, ServeError> {
+        let hits_before = memo.hits();
+        let mut titles = Vec::with_capacity(self.titles.len());
+        let mut delay_all = DelayHistogram::default();
+        let mut served = 0usize;
+        for (title, state) in self.titles.into_iter().enumerate() {
+            let summary = state.engine.finish(&mut |r| on_report(title, r))?;
+            debug_assert_eq!(summary.summary.clients, state.generated);
+            served += state.generated;
+            delay_all.absorb(&state.delays);
+            titles.push(TitleReport {
+                media_len: state.media_len,
+                generated: state.generated,
+                served: state.generated,
+                groups: state.groups,
+                planned_peak: memo.peak(state.media_len),
+                delay: state.delays.stats(),
+                summary,
+            });
+        }
+        Ok(MultiServeReport {
+            generated: served,
+            served,
+            rejected: 0,
+            delay: delay_all.stats(),
+            titles,
+            latency: self.sampler.latency.stats(batch_ns, served),
+            memo_hits: memo.hits().saturating_sub(hits_before),
+        })
+    }
+}
+
 /// Runs a multi-title serving session with a private planner memo,
 /// discarding per-client reports. See [`serve_multi_with`] for the full
 /// form.
@@ -456,38 +569,9 @@ where
     F: FnMut(usize, ClientReport),
 {
     config.validate()?;
-    let hits_before = memo.hits();
     memo.seed(config.titles.iter().map(|t| t.media_len).collect());
-
-    let mut states = Vec::with_capacity(config.titles.len());
-    for title in &config.titles {
-        states.push(TitleState {
-            media_len: title.media_len,
-            media: title.media_len as i64,
-            buffer_bound: title.buffer_bound,
-            engine: IncrementalEngine::new(
-                title.media_len,
-                SimConfig {
-                    buffer_bound: title.buffer_bound,
-                },
-            )?,
-            policy: title.policy.build(title.media_len, title.buffer_bound),
-            swap: title.swap,
-            policy_base: 0,
-            last_engine_time: -1,
-            tree_base: 0,
-            tree_heads: Vec::new(),
-            cur: None,
-            groups: 0,
-            generated: 0,
-            delays: DelayHistogram::default(),
-        });
-    }
-
-    let mut planner = DelayPlanner::new(config.budget);
-    let mut sampler = PushSampler::default();
+    let mut core = ServeCore::new(config)?;
     let mut batch_ns = 0u64;
-    let mut generated = 0usize;
     let n_batches = (config.horizon / config.batch_slots).ceil() as usize;
     let (horizon, batch, seed) = (config.horizon, config.batch_slots, config.seed);
     let means: Vec<f64> = config.titles.iter().map(|t| t.mean_interarrival).collect();
@@ -526,107 +610,13 @@ where
         |_, arrivals| {
             let batch_start = Instant::now();
             for (t, k) in arrivals {
-                generated += 1;
-                let slot = slot_of(t);
-                let title = k as usize;
-                let state = &mut states[title];
-                state.generated += 1;
-                // The batching rule: arrivals no later than the pending
-                // group's service slot ride it as zero-length streams.
-                if let Some(group) = state.cur {
-                    if slot <= group.service_slot {
-                        state.delays.record((group.service_slot - slot) as u64);
-                        sampler.time(|| {
-                            state.engine.push(
-                                group.engine_time,
-                                Attach::Under(group.head),
-                                &mut |r| on_report(title, r),
-                            )
-                        })?;
-                        continue;
-                    }
-                }
-                // New group: plan its service slot against the shared
-                // budget *before* the policy decides — delay is granted
-                // exactly where the retired gauge declined.
-                let s = planner.plan(slot);
-                state.delays.record((s - slot) as u64);
-                if let Some(swap) = state.swap.filter(|sw| sw.after_groups == state.groups) {
-                    state.policy = swap.to.build(state.media_len, state.buffer_bound);
-                    state.policy_base = state.groups;
-                    state.swap = None;
-                }
-                let (engine_time, decision) = match &mut state.policy {
-                    Policy::DelayGuaranteed(p) => (state.last_engine_time + 1, p.push(s as f64)),
-                    Policy::Dyadic(p) => (s, p.push(s as f64)),
-                };
-                let attach = match decision.parent {
-                    None => {
-                        planner.commit(s + state.media);
-                        state.tree_base = state.groups;
-                        state.tree_heads.clear();
-                        Attach::Root
-                    }
-                    Some(p) => {
-                        planner.merge();
-                        let rebased = state.policy_base + p;
-                        let head = rebased
-                            .checked_sub(state.tree_base)
-                            .and_then(|i| state.tree_heads.get(i));
-                        Attach::Under(*head.ok_or(ServeError::PolicyDesync {
-                            node: state.policy_base + decision.node,
-                            parent: rebased,
-                        })?)
-                    }
-                };
-                let global = state.engine.arrivals();
-                sampler.time(|| {
-                    state
-                        .engine
-                        .push(engine_time, attach, &mut |r| on_report(title, r))
-                })?;
-                state.last_engine_time = engine_time;
-                state.tree_heads.push(global);
-                state.cur = Some(Group {
-                    service_slot: s,
-                    engine_time,
-                    head: global,
-                });
-                state.groups += 1;
+                core.arrive(t, k as usize, &mut on_report)?;
             }
             batch_ns = batch_ns.saturating_add(elapsed_ns(batch_start));
             Ok(())
         },
     )?;
-
-    let mut titles = Vec::with_capacity(states.len());
-    let mut delay_all = DelayHistogram::default();
-    let mut served = 0usize;
-    for (title, state) in states.into_iter().enumerate() {
-        let summary = state.engine.finish(&mut |r| on_report(title, r))?;
-        debug_assert_eq!(summary.summary.clients, state.generated);
-        served += state.generated;
-        delay_all.absorb(&state.delays);
-        titles.push(TitleReport {
-            media_len: state.media_len,
-            generated: state.generated,
-            served: state.generated,
-            groups: state.groups,
-            planned_peak: memo.peak(state.media_len),
-            delay: state.delays.stats(),
-            summary,
-        });
-    }
-    debug_assert_eq!(served, generated);
-    Ok(MultiServeReport {
-        generated,
-        served,
-        rejected: 0,
-        delay: delay_all.stats(),
-        titles,
-        latency: sampler.latency.stats(batch_ns, served),
-        memo_hits: memo.hits().saturating_sub(hits_before),
-    })
+    core.finish(memo, batch_ns, &mut on_report)
 }
 
 #[cfg(test)]
@@ -1012,6 +1002,119 @@ mod tests {
             })
             .sum();
         assert_eq!(explored, 227_272, "the walk's extent is pinned");
+    }
+
+    /// Media lengths of the two titles the core check drives: title 0
+    /// runs the Delay Guaranteed template, title 1 the dyadic merger.
+    const CORE_MEDIA: [u64; 2] = [3, 4];
+
+    /// Every order of arrivals within one slot: each sequence of title
+    /// indices with at most two arrivals per title (1 + 2 + 4 + 6 + 6).
+    fn slot_orders() -> Vec<Vec<usize>> {
+        (0..=4usize)
+            .flat_map(|len| {
+                (0..1usize << len).map(move |bits| (0..len).map(|i| bits >> i & 1).collect())
+            })
+            .filter(|order: &Vec<usize>| {
+                let ones: usize = order.iter().sum();
+                ones <= 2 && order.len() - ones <= 2
+            })
+            .collect()
+    }
+
+    /// Feeds `arrivals` (slot, title) through a fresh core under `budget`
+    /// and checks the loop's invariants after every arrival and after
+    /// `finish`.
+    fn check_core_run(budget: Option<usize>, arrivals: &[(i64, usize)], memo: &PlannerMemo) {
+        let titles = vec![
+            TitleConfig {
+                policy: PolicyKind::DelayGuaranteed,
+                ..TitleConfig::new(CORE_MEDIA[0], 1.0)
+            },
+            TitleConfig::new(CORE_MEDIA[1], 1.0),
+        ];
+        let config = MultiServeConfig {
+            budget,
+            ..MultiServeConfig::new(titles, 3.0)
+        };
+        let mut core = ServeCore::new(&config).unwrap();
+        let ctx = format!("{arrivals:?} under budget {budget:?}");
+        let mut reports = [0usize; 2];
+        // Every root window `[s, s + L)` opened so far, across both titles.
+        let mut windows: Vec<(i64, i64)> = Vec::new();
+        for &(slot, title) in arrivals {
+            let pending = core.titles[title].cur.map(|g| g.service_slot);
+            let groups = core.titles[title].groups;
+            if let Err(e) = core.arrive(slot as f64 + 0.5, title, &mut |k, _| reports[k] += 1) {
+                panic!("{ctx}: {e}");
+            }
+            let state = &core.titles[title];
+            let group = state.cur.unwrap();
+            assert!(
+                group.service_slot >= slot,
+                "{ctx}: planned before its arrival"
+            );
+            match pending {
+                Some(p) if slot <= p => {
+                    assert_eq!(state.groups, groups, "{ctx}: a joiner opened a group");
+                    assert_eq!(group.service_slot, p, "{ctx}: a joiner moved its group");
+                }
+                _ => {
+                    assert_eq!(state.groups, groups + 1, "{ctx}: no new group");
+                    assert!(
+                        pending.is_none_or(|p| group.service_slot > p),
+                        "{ctx}: service slots must strictly increase"
+                    );
+                    if state.tree_base + 1 == state.groups {
+                        let media = CORE_MEDIA[title] as i64;
+                        windows.push((group.service_slot, group.service_slot + media));
+                    }
+                }
+            }
+            assert_eq!(state.tree_heads.len(), state.groups - state.tree_base);
+            if let Some(b) = budget {
+                // The live count only rises at a window start.
+                for &(at, _) in &windows {
+                    let live = windows.iter().filter(|&&(s, e)| s <= at && at < e).count();
+                    assert!(live <= b, "{ctx}: {live} full streams live at {at}");
+                }
+            }
+        }
+        if let Err(e) = core.finish(memo, 0, &mut |k, _| reports[k] += 1) {
+            panic!("{ctx}: {e}");
+        }
+        for (title, &count) in reports.iter().enumerate() {
+            let arrived = arrivals.iter().filter(|&&(_, k)| k == title).count();
+            assert_eq!(count, arrived, "{ctx}: title {title}'s reports");
+        }
+    }
+
+    #[test]
+    fn every_short_two_title_arrival_sequence_keeps_the_loop_invariants() {
+        // Exhaustive through the real core: every arrival sequence of the
+        // two titles over slots 0, 1 and 2 (each arrival at `slot + 0.5`),
+        // up to two arrivals per title per slot in every order, under
+        // budgets none, 1, 2 and 3.
+        let orders = slot_orders();
+        assert_eq!(orders.len(), 19);
+        let memo = PlannerMemo::new();
+        let mut runs = 0usize;
+        for budget in [None, Some(1), Some(2), Some(3)] {
+            for first in &orders {
+                for second in &orders {
+                    for third in &orders {
+                        let arrivals: Vec<(i64, usize)> = [first, second, third]
+                            .into_iter()
+                            .zip(0..)
+                            .flat_map(|(order, slot)| order.iter().map(move |&k| (slot, k)))
+                            .collect();
+                        check_core_run(budget, &arrivals, &memo);
+                        runs += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(runs, 27_436, "the check's extent is pinned");
     }
 
     #[test]

@@ -5,15 +5,13 @@
 //!   reference loop is replicated inline here (same per-batch Poisson
 //!   seeding, same co-slot batching, same dyadic policy, no planning) and
 //!   the property test pins the two summaries against each other.
-//! * A mid-run Delay Guaranteed → Delay Guaranteed policy swap at a tree
-//!   boundary is a no-op: the run is bit-identical to the unswapped one.
 //! * Simultaneous arrivals across titles under a one-channel budget are
 //!   all served, with the contention showing up as nonzero delay.
 //! * Starving the shared budget grows delay but never creates a
 //!   rejection — the zero-rejection invariant under pressure.
 //! * Keeping only the open tree's group heads changes nothing: the multi
 //!   loop is pinned against a reference that keeps the whole-run
-//!   group→head table, over catalogs × budgets × mid-tree policy swaps.
+//!   group→head table, over catalogs × budgets × policies.
 //! * The shared budget holds across titles: at every root decision the
 //!   same reference audits that at most `budget` root windows `[s, s+L)`
 //!   are live, so the pinned real loop never runs more full-length
@@ -34,8 +32,7 @@ use proptest::prelude::*;
 use sm_core::{merge_runs, MergeForest, MergeTree};
 use sm_online::{DelayGuaranteedOnline, DyadicConfig, DyadicMerger, IncrementalPolicy};
 use sm_serve::{
-    serve_multi, serve_multi_with, DelayStats, MultiServeConfig, PolicyKind, PolicySwap,
-    TitleConfig,
+    serve_multi, serve_multi_with, DelayStats, MultiServeConfig, PolicyKind, TitleConfig,
 };
 use sm_server::PlannerMemo;
 use sm_sim::{Attach, ClientReport, IncrementalEngine, IncrementalSummary, SimConfig};
@@ -126,13 +123,9 @@ fn delay_stats(mut delays: Vec<u64>) -> DelayStats {
 /// One title of [`whole_run_reference`].
 struct RefTitle {
     media_len: u64,
-    buffer_bound: Option<u64>,
     engine: IncrementalEngine,
     policy: Box<dyn IncrementalPolicy>,
     dense_grid: bool,
-    swap: Option<PolicySwap>,
-    policy_base: usize,
-    last_engine_time: i64,
     /// Group index → engine-global head, kept for the whole run.
     slot_reps: Vec<usize>,
     /// Pending group: (service slot, engine time, head).
@@ -180,7 +173,6 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
         .iter()
         .map(|t| RefTitle {
             media_len: t.media_len,
-            buffer_bound: t.buffer_bound,
             engine: IncrementalEngine::new(
                 t.media_len,
                 SimConfig {
@@ -190,9 +182,6 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
             .unwrap(),
             policy: build_policy(t.policy, t.media_len, t.buffer_bound),
             dense_grid: t.policy == PolicyKind::DelayGuaranteed,
-            swap: t.swap,
-            policy_base: 0,
-            last_engine_time: -1,
             slot_reps: Vec::new(),
             cur: None,
             delays: Vec::new(),
@@ -227,14 +216,9 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
             }
         }
         st.delays.push((s - slot) as u64);
-        if let Some(swap) = st.swap.filter(|sw| sw.after_groups == st.slot_reps.len()) {
-            st.policy = build_policy(swap.to, st.media_len, st.buffer_bound);
-            st.dense_grid = swap.to == PolicyKind::DelayGuaranteed;
-            st.policy_base = st.slot_reps.len();
-            st.swap = None;
-        }
+        // A Delay Guaranteed group is pushed at its group index.
         let time = if st.dense_grid {
-            st.last_engine_time + 1
+            st.slot_reps.len() as i64
         } else {
             s
         };
@@ -259,13 +243,12 @@ fn whole_run_reference(config: &MultiServeConfig) -> Vec<RefOutcome> {
             Some(p) => {
                 // No full stream opens: the popped chain is still live.
                 chains.extend(popped.map(Reverse));
-                Attach::Under(st.slot_reps[st.policy_base + p])
+                Attach::Under(st.slot_reps[p])
             }
         };
         let global = st.engine.arrivals();
         st.engine.push(time, attach, |_| {}).unwrap();
         st.pushes.push((time, attach));
-        st.last_engine_time = time;
         st.slot_reps.push(global);
         st.cur = Some((s, time, global));
     }
@@ -315,36 +298,16 @@ fn dense_replay(title: &TitleConfig, pushes: &[(i64, Attach)]) -> Vec<ClientRepo
         .clients
 }
 
-/// A title of media length in `media`, with an arbitrary starting policy
-/// and, two times in three, a swap at an arbitrary (usually mid-tree)
-/// group count — to the other policy or to a fresh copy of the same one.
+/// A title of media length in `media` under an arbitrary policy.
 fn arb_title(media: Range<u64>) -> impl Strategy<Value = TitleConfig> {
-    (media, 0.3f64..4.0, 0u8..2, 0u8..3, 1usize..90).prop_map(
-        |(media_len, mean, from, swap, after_groups)| {
-            let kind = |x: u8| {
-                if x == 0 {
-                    PolicyKind::DelayGuaranteed
-                } else {
-                    PolicyKind::Dyadic
-                }
-            };
-            TitleConfig {
-                policy: kind(from),
-                swap: match swap {
-                    0 => None,
-                    1 => Some(PolicySwap {
-                        after_groups,
-                        to: kind(1 - from),
-                    }),
-                    _ => Some(PolicySwap {
-                        after_groups,
-                        to: kind(from),
-                    }),
-                },
-                ..TitleConfig::new(media_len, mean)
-            }
+    (media, 0.3f64..4.0, 0u8..2).prop_map(|(media_len, mean, kind)| TitleConfig {
+        policy: if kind == 0 {
+            PolicyKind::DelayGuaranteed
+        } else {
+            PolicyKind::Dyadic
         },
-    )
+        ..TitleConfig::new(media_len, mean)
+    })
 }
 
 proptest! {
@@ -418,37 +381,6 @@ proptest! {
         prop_assert_eq!(report.delay.max_slots, 0);
         prop_assert_eq!(&report.titles[0].summary, &license_gating_reference(&config));
     }
-
-    #[test]
-    fn dg_swap_at_a_tree_boundary_is_bit_identical_to_no_swap(
-        media_len in 4u64..40,
-        trees_before_swap in 1usize..6,
-        seed in 0u64..500,
-    ) {
-        let boundary = DelayGuaranteedOnline::new(media_len).tree_size() as usize;
-        let base = MultiServeConfig {
-            seed,
-            budget: Some(4),
-            ..MultiServeConfig::new(
-                vec![TitleConfig {
-                    policy: PolicyKind::DelayGuaranteed,
-                    ..TitleConfig::new(media_len, 1.0)
-                }],
-                400.0,
-            )
-        };
-        let mut swapped = base.clone();
-        swapped.titles[0].swap = Some(PolicySwap {
-            after_groups: trees_before_swap * boundary,
-            to: PolicyKind::DelayGuaranteed,
-        });
-        let plain_report = serve_multi(&base).unwrap();
-        let swap_report = serve_multi(&swapped).unwrap();
-        prop_assert_eq!(&plain_report.titles[0].summary, &swap_report.titles[0].summary);
-        prop_assert_eq!(plain_report.titles[0].groups, swap_report.titles[0].groups);
-        prop_assert_eq!(plain_report.titles[0].delay, swap_report.titles[0].delay);
-        prop_assert_eq!(plain_report.generated, swap_report.generated);
-    }
 }
 
 #[test]
@@ -519,36 +451,4 @@ fn starved_budget_grows_delay_but_never_rejects() {
         "three titles on one channel queue past one media length, got {}",
         starved.delay.max_slots
     );
-}
-
-#[test]
-fn cross_policy_swap_serves_everything() {
-    // DG → dyadic and dyadic → DG swaps off the boundary carry no
-    // bit-identity claim, but the seam must compose: every arrival is
-    // still served and the run stays deterministic.
-    for (from, to) in [
-        (PolicyKind::DelayGuaranteed, PolicyKind::Dyadic),
-        (PolicyKind::Dyadic, PolicyKind::DelayGuaranteed),
-    ] {
-        let config = MultiServeConfig {
-            budget: Some(3),
-            ..MultiServeConfig::new(
-                vec![TitleConfig {
-                    policy: from,
-                    swap: Some(PolicySwap {
-                        after_groups: 17,
-                        to,
-                    }),
-                    ..TitleConfig::new(24, 1.0)
-                }],
-                300.0,
-            )
-        };
-        let a = serve_multi(&config).unwrap();
-        let b = serve_multi(&config).unwrap();
-        assert_eq!(a.rejected, 0);
-        assert_eq!(a.served, a.generated);
-        assert!(a.titles[0].groups > 17, "the swap point must be reached");
-        assert_eq!(a.titles[0].summary, b.titles[0].summary);
-    }
 }

@@ -57,28 +57,13 @@ pub fn aggregate_profile(
     plan: &DelayPlan,
     horizon_minutes: u64,
 ) -> AggregateReport {
-    aggregate_profile_with(catalog, plan, horizon_minutes, &PlannerMemo::new())
-}
-
-/// [`aggregate_profile`] with a caller-owned [`PlannerMemo`]: each distinct
-/// media length is analyzed once per memo lifetime (the memo's seeding
-/// stage shards the unseen lengths across threads), so catalogs with
-/// repeated durations, repeated admission checks against overlapping
-/// catalogs, and an admission check after planning on the same memo all
-/// reuse earlier analyses. The report is **bit-identical** to
-/// [`aggregate_profile`]'s.
-pub fn aggregate_profile_with(
-    catalog: &Catalog,
-    plan: &DelayPlan,
-    horizon_minutes: u64,
-    memo: &PlannerMemo,
-) -> AggregateReport {
     assert_eq!(plan.delays_minutes.len(), catalog.len());
     assert!(horizon_minutes > 0);
-    // Each title's analysis is an independent schedule stamp: the memo
-    // shards the distinct unseen ones across threads (order-preserving, so
+    // Each title's analysis is an independent schedule stamp: a fresh
+    // memo shards the distinct ones across threads (order-preserving, so
     // the aggregate is bit-identical to a sequential sum), then every title
     // fetches its shared analysis and reads one period of its profile.
+    let memo = PlannerMemo::new();
     let jobs: Vec<(f64, u64)> = catalog
         .titles()
         .iter()
@@ -189,7 +174,7 @@ pub fn simulate_requests(
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, Title};
-    use crate::planner::{plan_weighted, plan_weighted_with};
+    use crate::planner::plan_weighted;
 
     fn catalog() -> Catalog {
         Catalog::new(vec![
@@ -219,43 +204,6 @@ mod tests {
         );
         assert!(agg.average <= agg.peak as f64);
         assert!(agg.peak > 0);
-    }
-
-    #[test]
-    fn memoized_aggregate_is_bit_identical_and_reuses_profiles() {
-        let catalog = catalog();
-        let plan = plan_weighted(&catalog, u64::MAX, &[2.0, 5.0]).unwrap();
-        let memo = PlannerMemo::new();
-        let fresh = aggregate_profile(&catalog, &plan, 500);
-        let memod = aggregate_profile_with(&catalog, &plan, 500, &memo);
-        assert_eq!(fresh, memod, "memo must not change the aggregate");
-        let derivations = memo.misses();
-        assert!(derivations > 0);
-        let again = aggregate_profile_with(&catalog, &plan, 500, &memo);
-        assert_eq!(fresh, again);
-        assert_eq!(
-            memo.misses(),
-            derivations,
-            "repeat admission checks must reuse the cached profiles"
-        );
-        assert!(memo.hits() > 0);
-    }
-
-    #[test]
-    fn planner_and_aggregate_share_one_analysis_per_length() {
-        let catalog = catalog();
-        let memo = PlannerMemo::new();
-        let plan = plan_weighted_with(&catalog, u64::MAX, &[2.0, 5.0], &memo).unwrap();
-        let planned = memo.misses();
-        assert!(planned > 0);
-        let agg = aggregate_profile_with(&catalog, &plan, 500, &memo);
-        assert_eq!(agg, aggregate_profile(&catalog, &plan, 500));
-        assert_eq!(
-            memo.misses(),
-            planned,
-            "the aggregate reuses the planner's analyses"
-        );
-        assert_eq!(memo.misses(), memo.distinct_lengths() as u64);
     }
 
     #[test]

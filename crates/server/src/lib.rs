@@ -71,9 +71,7 @@ pub mod memo;
 pub mod planner;
 pub mod zipf;
 
-pub use admission::{
-    aggregate_profile, aggregate_profile_with, simulate_requests, AggregateReport, RequestReport,
-};
+pub use admission::{aggregate_profile, simulate_requests, AggregateReport, RequestReport};
 pub use catalog::{Catalog, Title};
 pub use dynamic::{
     simulate_dynamic, simulate_dynamic_with, DynamicConfig, DynamicError, DynamicReport, Epoch,

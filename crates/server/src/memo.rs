@@ -12,12 +12,10 @@
 //!
 //! [`PlannerMemo`] is a cheaply cloneable handle (an `Arc` around the
 //! cache) that callers thread through
-//! [`plan_weighted_with`](crate::planner::plan_weighted_with),
+//! [`plan_weighted_with`](crate::planner::plan_weighted_with) and
 //! [`simulate_dynamic_with`](crate::dynamic::simulate_dynamic_with) (via
-//! [`DynamicConfig`](crate::dynamic::DynamicConfig)), and
-//! [`aggregate_profile_with`](crate::admission::aggregate_profile_with):
-//! each distinct media length is analyzed **once per memo lifetime**, and
-//! the planner and the admission layer share that one analysis. The
+//! [`DynamicConfig`](crate::dynamic::DynamicConfig)): each distinct media
+//! length is analyzed **once per memo lifetime**. The
 //! [`seed`](PlannerMemo::seed) bulk stage shards the analyses across
 //! threads with [`parallel_map`] — and only analyzes lengths the memo has
 //! not seen — while point lookups go through [`peak`](PlannerMemo::peak) /

@@ -163,6 +163,47 @@ fn every_bench_target_runs_in_ci_and_no_manifest_names_criterion() {
     }
 }
 
+/// The names the root manifest declares under `[workspace.dependencies]`.
+fn workspace_dependency_names(manifest: &str) -> Vec<&str> {
+    manifest
+        .split("[workspace.dependencies]")
+        .nth(1)
+        .expect("Cargo.toml must declare [workspace.dependencies]")
+        .lines()
+        .map(str::trim)
+        .take_while(|line| !line.starts_with('['))
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .filter_map(|line| line.split('=').next())
+        .map(str::trim)
+        .collect()
+}
+
+#[test]
+fn every_workspace_dependency_has_a_user() {
+    // An entry that no manifest inherits is dead configuration: the root
+    // package or a workspace member must use each one.
+    let root_manifest = read("Cargo.toml");
+    let mut manifests = vec![root_manifest.clone()];
+    manifests.extend(
+        workspace_members(&root_manifest)
+            .into_iter()
+            .map(|m| read(&format!("{m}/Cargo.toml"))),
+    );
+    let names = workspace_dependency_names(&root_manifest);
+    assert!(!names.is_empty(), "no [workspace.dependencies] entry found");
+    for name in names {
+        let inherited = manifests.iter().flat_map(|m| m.lines()).any(|line| {
+            let line = line.trim();
+            line.starts_with(&format!("{name}.workspace = true"))
+                || (line.starts_with(&format!("{name} = {{")) && line.contains("workspace = true"))
+        });
+        assert!(
+            inherited,
+            "[workspace.dependencies] entry `{name}` is inherited by no manifest"
+        );
+    }
+}
+
 #[test]
 fn readme_example_tour_names_real_examples() {
     let readme = read("README.md");
@@ -197,7 +238,7 @@ fn architecture_documents_the_runtime_pieces() {
         "serve_multi",
         "MultiServeConfig",
         "TitleConfig",
-        "PolicySwap",
+        "ServeCore",
         "DelayStats",
         "merge_runs",
         "license chain",
