@@ -64,8 +64,8 @@ pub use error::BroadcastError;
 pub use fast::fast_broadcasting;
 pub use harmonic::{harmonic_bandwidth, HarmonicPlan};
 pub use plan::{Segment, SegmentPlan};
-pub use pyramid::{max_feasible_alpha, pyramid_broadcasting};
-pub use skyscraper::{skyscraper_broadcasting, skyscraper_series};
+pub use pyramid::pyramid_broadcasting;
+pub use skyscraper::skyscraper_broadcasting;
 pub use staggered::staggered_broadcasting;
 pub use tradeoff::{static_tradeoff, SchemeRow};
 pub use verify::{client_schedule, verify_all_phases, ClientOutcome, PlanReport};

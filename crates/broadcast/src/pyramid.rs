@@ -14,14 +14,12 @@
 //!
 //! This module implements the parametric unit-rate pyramid: segment lengths
 //! `ℓ_0 = delay`, `ℓ_i = ⌊α·ℓ_{i−1}⌋` (the last segment truncated to fit the
-//! media), receive-all clients. [`max_feasible_alpha`] locates the largest
-//! sustainable α for a given geometry by binary search over the verifier —
-//! it converges to 2 from above as the media grows, quantifying *why* the
+//! media), receive-all clients. The verifier accepts α ≤ 2 and rejects
+//! steeper growth over long media (see the tests), which is *why* the
 //! doubling series is the canonical choice.
 
 use crate::error::BroadcastError;
 use crate::plan::{Segment, SegmentPlan};
-use crate::verify::check_deadlines;
 
 /// Builds the unit-rate pyramid plan for a media of `media_len` units, first
 /// segment (= guaranteed delay) of `delay` units, geometric factor `alpha`.
@@ -34,7 +32,8 @@ use crate::verify::check_deadlines;
 /// keeps its full grid period (the channel idles for the remainder of each
 /// cycle). The plan is *constructed* for any `alpha > 1`; whether it is
 /// *feasible* (every client phase meets every deadline) is decided by
-/// [`check_deadlines`] / [`verify_all_phases`](crate::verify::verify_all_phases)
+/// [`check_deadlines`](crate::verify::check_deadlines) /
+/// [`verify_all_phases`](crate::verify::verify_all_phases)
 /// — large α over long media will fail verification.
 pub fn pyramid_broadcasting(
     media_len: u64,
@@ -77,39 +76,10 @@ pub fn channels_for(media_len: u64, delay: u64, alpha: f64) -> Result<usize, Bro
     Ok(pyramid_broadcasting(media_len, delay, alpha)?.num_segments())
 }
 
-/// Largest geometric factor α (to within `tol`) whose pyramid plan verifies
-/// for every arrival phase in the receive-all model, found by binary search
-/// on `(1, 4]`.
-///
-/// Feasibility is decided by the exact analytic check
-/// ([`check_deadlines`], which covers plans whose hyperperiod is far too
-/// large to sweep), so the result accounts for integer-rounding slack —
-/// e.g. short media tolerate α > 2 while long media converge to 2.
-pub fn max_feasible_alpha(media_len: u64, delay: u64, tol: f64) -> f64 {
-    assert!(tol > 0.0);
-    let feasible = |alpha: f64| -> bool {
-        pyramid_broadcasting(media_len, delay, alpha)
-            .map(|plan| check_deadlines(&plan).is_ok())
-            .unwrap_or(false)
-    };
-    let (mut lo, mut hi) = (1.0 + tol, 4.0);
-    if !feasible(lo) {
-        return 1.0; // degenerate geometry
-    }
-    while hi - lo > tol {
-        let mid = 0.5 * (lo + hi);
-        if feasible(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::check_deadlines;
 
     #[test]
     fn alpha_two_reproduces_fast_broadcasting() {
@@ -146,19 +116,6 @@ mod tests {
         let k_15 = channels_for(400, 1, 1.5).unwrap();
         let k_20 = channels_for(400, 1, 2.0).unwrap();
         assert!(k_15 > k_20);
-    }
-
-    #[test]
-    fn max_feasible_alpha_brackets_two() {
-        // Short media: rounding slack admits α above 2 (ℓ_2 ≤ 1+prefix).
-        let a_short = max_feasible_alpha(15, 1, 0.01);
-        assert!(a_short >= 2.0, "short media: {a_short}");
-        // Longer media: the bound tightens towards 2.
-        let a_long = max_feasible_alpha(500, 1, 0.01);
-        assert!(
-            a_long >= 1.9 && a_long < a_short + 0.01,
-            "long media: {a_long}"
-        );
     }
 
     #[test]

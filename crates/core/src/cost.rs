@@ -112,18 +112,6 @@ fn forest_cost_with<T: TimeScalar>(
     total
 }
 
-/// The largest part number any client needs from each stream — equal to its
-/// length for non-roots, and to `min(L, …)`-free exact demand for the root:
-/// the root must broadcast parts `1..=L` whenever `z − r ≤ L − 1`.
-///
-/// Useful for checking that a tree's schedule never has to broadcast past
-/// the end of the media (`ℓ(x) ≤ L`), see `validate`.
-pub fn max_part_needed(tree: &MergeTree, times: &[i64], media_len: u64) -> Vec<i64> {
-    let mut out = lengths(tree, times);
-    out[0] = media_len as i64;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,15 +236,6 @@ mod tests {
         let forest = MergeForest::from_trees(vec![t7.clone(), t7]).unwrap();
         let times = consecutive_slots(14);
         assert_eq!(full_cost(&forest, &times, 15), 64);
-    }
-
-    #[test]
-    fn max_part_needed_includes_root_media() {
-        let t = fig4();
-        let times = consecutive_slots(8);
-        let parts = max_part_needed(&t, &times, 15);
-        assert_eq!(parts[0], 15);
-        assert_eq!(parts[5], 9);
     }
 
     #[test]

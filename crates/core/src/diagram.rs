@@ -12,7 +12,7 @@ use crate::tree::MergeTree;
 /// the part broadcast during slot `[t, t+1)`. Stream names are `A, B, C, …`
 /// by arrival order (matching the paper's figure), falling back to `#i` past
 /// 26 streams.
-pub fn render_tree(tree: &MergeTree, times: &[i64], media_len: u64) -> String {
+fn render_tree(tree: &MergeTree, times: &[i64], media_len: u64) -> String {
     let lens = lengths(tree, times);
     let origin = times[0];
     let mut out = String::new();

@@ -114,11 +114,6 @@ impl MergeForest {
         };
         (ti, g - self.starts[ti])
     }
-
-    /// Global indices of the roots (full-stream start slots).
-    pub fn root_arrivals(&self) -> Vec<usize> {
-        self.starts.clone()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +140,6 @@ mod tests {
         assert_eq!(f.num_trees(), 2);
         assert_eq!(f.total_arrivals(), 7);
         assert_eq!(f.sizes(), vec![3, 4]);
-        assert_eq!(f.root_arrivals(), vec![0, 3]);
         let ranges: Vec<_> = f.iter_with_ranges().map(|(r, _)| r).collect();
         assert_eq!(ranges, vec![0..3, 3..7]);
     }
@@ -181,7 +175,6 @@ mod tests {
         assert_eq!(f.num_trees(), 0);
         assert_eq!(f.total_arrivals(), 0);
         assert_eq!(f.sizes(), Vec::<usize>::new());
-        assert_eq!(f.root_arrivals(), Vec::<usize>::new());
         assert_eq!(f.iter_with_ranges().count(), 0);
     }
 }

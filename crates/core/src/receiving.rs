@@ -60,31 +60,12 @@ impl ReceivingProgram {
     /// # Panics
     /// Panics if `times.len() != tree.len()` or `client` is out of range.
     pub fn build(tree: &MergeTree, times: &[i64], media_len: u64, client: usize) -> Self {
-        let mut prog = Self {
-            client,
-            path: Vec::new(),
-            segments: Vec::new(),
-        };
-        prog.rebuild(tree, times, media_len, client);
-        prog
-    }
-
-    /// Rebuilds the program in place, reusing the `path`/`segments`
-    /// allocations — the hot-loop form of [`Self::build`] (identical
-    /// output) for callers evaluating many clients back to back.
-    ///
-    /// # Panics
-    /// Panics if `times.len() != tree.len()` or `client` is out of range.
-    pub fn rebuild(&mut self, tree: &MergeTree, times: &[i64], media_len: u64, client: usize) {
         assert_eq!(times.len(), tree.len());
-        self.client = client;
-        tree.path_from_root_into(client, &mut self.path);
-        let path = &self.path;
+        let path = tree.path_from_root(client);
         let k = path.len() - 1;
         let tk = times[path[k]];
         let media = media_len as i64;
-        self.segments.clear();
-        self.segments.reserve(path.len());
+        let mut segments = Vec::with_capacity(path.len());
         // j runs from the client's own stream (j = k) down to the root.
         for j in (0..=k).rev() {
             let tj = times[path[j]];
@@ -95,11 +76,16 @@ impl ReceivingProgram {
             } else {
                 2 * tk - tj - times[path[j - 1]]
             };
-            self.segments.push(StageSegment {
+            segments.push(StageSegment {
                 stream: path[j],
                 first_part: first,
                 last_part: last,
             });
+        }
+        Self {
+            client,
+            path,
+            segments,
         }
     }
 
@@ -112,13 +98,6 @@ impl ReceivingProgram {
     /// Total number of parts the program delivers.
     pub fn total_parts(&self) -> i64 {
         self.segments.iter().map(StageSegment::len).sum()
-    }
-
-    /// Number of slots during which the client receives two streams at once
-    /// (the paper: `min(x_k − x_0, L − (x_k − x_0))`).
-    pub fn dual_receive_slots(&self, times: &[i64], media_len: u64) -> i64 {
-        let span = times[*self.path.last().unwrap()] - times[self.path[0]];
-        span.min(media_len as i64 - span)
     }
 
     /// Verifies the program delivers exactly parts `1..=L`, contiguously and
@@ -172,7 +151,7 @@ impl ReceivingProgram {
     /// from which receive-two compliance can be checked explicitly.
     /// Returns, per slot offset from the client's arrival, how many streams
     /// are simultaneously being received.
-    pub fn concurrency_profile(&self, times: &[i64]) -> Vec<(i64, usize)> {
+    fn concurrency_profile(&self, times: &[i64]) -> Vec<(i64, usize)> {
         use std::collections::BTreeMap;
         let mut per_slot: BTreeMap<i64, usize> = BTreeMap::new();
         for seg in &self.segments {
@@ -305,17 +284,6 @@ mod tests {
         let times = consecutive_slots(8);
         let prog = ReceivingProgram::build(&t, &times, 6, 7);
         assert!(prog.verify(&times, 6).is_err());
-    }
-
-    #[test]
-    fn dual_receive_slots_matches_paper_formula() {
-        let t = fig4();
-        let times = consecutive_slots(8);
-        for c in 0..8 {
-            let prog = ReceivingProgram::build(&t, &times, 15, c);
-            let span = times[c] - times[0];
-            assert_eq!(prog.dual_receive_slots(&times, 15), span.min(15 - span));
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | Fig. 9 — on-line/off-line ratio vs horizon | [`fig9`] | `fig9` |
 //! | Fig. 11 — constant-rate intensity sweep | [`intensity`] | `fig11` |
 //! | Fig. 12 — Poisson intensity sweep | [`intensity`] | `fig12` |
-//! | Thms 14/19/20/22 — ratio tables | [`ratios`] | `ratios` |
+//! | Thms 14/19/20/22 — ratio tables, beside the bounds of Thms 8/13/21 | [`ratios`] | `ratios` |
 //! | §5 hybrid server on bursty traffic (extension) | [`hybrid_exp`] | `hybrid` |
 //! | Extended policy roster: ERMT/patching/batching (extension) | [`policies`] | `policies` |
 //! | Static broadcasting vs merging (§1 framing, extension) | [`broadcast_exp`] | `broadcast` |

@@ -9,12 +9,11 @@
 //!
 //! This crate provides the exact integer machinery those results need:
 //!
-//! * [`fib`] / [`fib_u128`] — exact Fibonacci numbers (iteratively, `O(k)`)
-//!   and [`fib_fast_doubling`] (`O(log k)`), with the paper's indexing
+//! * [`fib`] — exact Fibonacci numbers (iteratively, `O(k)`) and
+//!   [`fib_fast_doubling`] (`O(log k)`), with the paper's indexing
 //!   `F_0 = 0, F_1 = 1, F_2 = 1, …`;
-//! * [`FibTable`] — a precomputed table with rank queries
-//!   (`largest_index_le`, `smallest_index_ge`) used on the hot paths of the
-//!   closed-form algorithms;
+//! * [`FibTable`] — a precomputed table with the rank queries the closed
+//!   forms need (`largest_index_le`, `decompose`, `theorem12_h`);
 //! * [`zeckendorf()`] — the unique representation of `n` as a sum of
 //!   non-adjacent Fibonacci numbers (used by property tests and by the
 //!   diagnostics in `sm-experiments`);
@@ -26,5 +25,5 @@ pub mod seq;
 pub mod zeckendorf;
 
 pub use golden::{binet_approx, log_phi, PHI, PHI_HAT, SQRT5};
-pub use seq::{fib, fib_fast_doubling, fib_u128, is_fibonacci, FibTable, MAX_FIB_INDEX_U64};
+pub use seq::{fib, fib_fast_doubling, is_fibonacci, FibTable, MAX_FIB_INDEX_U64};
 pub use zeckendorf::{zeckendorf, ZeckendorfIter};

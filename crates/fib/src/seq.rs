@@ -5,9 +5,6 @@
 /// Largest `k` such that `F_k` fits in a `u64` (`F_94` overflows).
 pub const MAX_FIB_INDEX_U64: usize = 93;
 
-/// Largest `k` such that `F_k` fits in a `u128` (`F_187` overflows).
-pub const MAX_FIB_INDEX_U128: usize = 186;
-
 /// `F_k` as `u64`, computed iteratively.
 ///
 /// # Panics
@@ -23,27 +20,6 @@ pub fn fib(k: usize) -> u64 {
     // (a, b) = (F_{i-1}, F_i); never computes past F_k, so F_92 is reachable
     // without overflowing the debug-mode checked add.
     let (mut a, mut b) = (0u64, 1u64);
-    for _ in 1..k {
-        let next = a + b;
-        a = b;
-        b = next;
-    }
-    b
-}
-
-/// `F_k` as `u128`, computed iteratively.
-///
-/// # Panics
-/// Panics if `k > MAX_FIB_INDEX_U128`.
-pub fn fib_u128(k: usize) -> u128 {
-    assert!(
-        k <= MAX_FIB_INDEX_U128,
-        "F_{k} does not fit in u128 (max index {MAX_FIB_INDEX_U128})"
-    );
-    if k == 0 {
-        return 0;
-    }
-    let (mut a, mut b) = (0u128, 1u128);
     for _ in 1..k {
         let next = a + b;
         a = b;
@@ -154,19 +130,6 @@ impl FibTable {
         self.values.partition_point(|&f| f <= n) - 1
     }
 
-    /// The smallest `k ≥ 2` with `F_k ≥ n`.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds `F_92`.
-    #[inline]
-    pub fn smallest_index_ge(&self, n: u64) -> usize {
-        assert!(
-            n <= *self.values.last().unwrap(),
-            "n = {n} exceeds the largest u64 Fibonacci number"
-        );
-        self.values.partition_point(|&f| f < n).max(2)
-    }
-
     /// The paper's canonical decomposition `n = F_k + m` with
     /// `F_k ≤ n ≤ F_{k+1}` (largest such `k`) and `0 ≤ m < F_{k−1}`.
     ///
@@ -211,8 +174,7 @@ mod tests {
         // F_93 fits in u64; F_94 does not.
         let f93 = fib(MAX_FIB_INDEX_U64);
         assert_eq!(f93, 12_200_160_415_121_876_738);
-        assert_eq!(fib_u128(93), f93 as u128);
-        assert!(fib_u128(94) > u64::MAX as u128);
+        assert!(fib(92).checked_add(f93).is_none(), "F_94 = F_92 + F_93");
     }
 
     #[test]
@@ -300,16 +262,6 @@ mod tests {
             let h = t.theorem12_h(media_len);
             assert!(t.get(h + 1) < media_len + 2, "L = {media_len}");
             assert!(media_len + 2 <= t.get(h + 2), "L = {media_len}");
-        }
-    }
-
-    #[test]
-    fn smallest_index_ge_is_inverse() {
-        let t = FibTable::new();
-        for n in 1..=5_000u64 {
-            let k = t.smallest_index_ge(n);
-            assert!(t.get(k) >= n);
-            assert!(k == 2 || t.get(k - 1) < n);
         }
     }
 }

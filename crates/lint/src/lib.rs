@@ -5,7 +5,8 @@
 //! reviewer memory: no panic surface in the ingest hot paths, the PR-2
 //! "widening-only `as` casts" audit, no lock acquisition inside
 //! [`parallel_map`]/[`pipeline`] closures, all thread creation confined to
-//! `sm-core`, no silently discarded `Result`s. This crate mechanizes them
+//! `sm-core`, no silently discarded `Result`s, no `pub fn` that nothing
+//! outside its own file calls. This crate mechanizes them
 //! as lexical rules over a hand-rolled Rust [`lexer`] (no `syn` — the
 //! build environment is offline and this crate is dependency-free), run as
 //! `cargo run -p sm-lint -- --workspace` and as its own CI leg.
@@ -26,13 +27,15 @@
 //!
 //! # Scope model
 //!
-//! Rules see only *non-test library code*: files under a `tests/`,
-//! `benches/`, or `examples/` directory are skipped wholesale, and within
-//! a library file every item annotated `#[test]` / `#[cfg(test)]` (plus
+//! Rules report only on *non-test library code*: files under a `tests/`,
+//! `benches/`, or `examples/` directory are never linted, and within a
+//! library file every item annotated `#[test]` / `#[cfg(test)]` (plus
 //! everything lexically inside it) is masked out. `third_party/` vendored
-//! stubs, generated `target/` trees, dot-directories, and any directory
-//! whose `Cargo.toml` declares its own `[workspace]` (a separate
-//! workspace, such as the benchmark package) are never scanned.
+//! stubs, generated `target/` trees and dot-directories are never read.
+//! A directory whose `Cargo.toml` declares its own `[workspace]` (a
+//! separate workspace, such as the benchmark package) is never linted,
+//! but like the test files it is read into the [`NameIndex`] that
+//! `unreferenced-pub` judges callers by.
 //!
 //! [`parallel_map`]: ../sm_core/fn.parallel_map.html
 //! [`pipeline`]: ../sm_core/fn.pipeline.html
@@ -41,17 +44,19 @@ pub mod lexer;
 pub mod rules;
 
 use lexer::{lex, Lexed, TokenKind};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Ids of every shipped rule, in catalog order. `tests/docs_sync.rs` (in
 /// the facade crate) pins ARCHITECTURE.md's rule catalog against this list.
-pub const RULE_IDS: [&str; 5] = [
+pub const RULE_IDS: [&str; 6] = [
     "no-panic-surface",
     "narrowing-cast",
     "lock-discipline",
     "no-stray-threads",
     "swallowed-results",
+    "unreferenced-pub",
 ];
 
 /// Engine-level pseudo-rule id for waiver hygiene problems (malformed
@@ -147,7 +152,7 @@ impl<'a> SourceFile<'a> {
             .unwrap_or(false)
     }
 
-    pub fn snippet(&self, line: u32) -> String {
+    fn snippet(&self, line: u32) -> String {
         self.lines
             .get(line as usize - 1)
             .map(|l| l.trim().to_string())
@@ -177,6 +182,61 @@ pub fn is_test_path(path: &str) -> bool {
 /// `true` for library code: under a crate's `src/` (or the facade root's).
 pub fn is_library_path(path: &str) -> bool {
     !is_test_path(path) && (path.starts_with("src/") || path.contains("/src/"))
+}
+
+/// For each identifier, the workspace files whose code names it: the
+/// callers `unreferenced-pub` looks for. Built from tokens, so comments
+/// and strings never count. A `fn` definition and a `pub use` re-export
+/// name a function without calling it, so neither counts either.
+#[derive(Debug, Default)]
+pub struct NameIndex {
+    files: HashMap<String, Vec<String>>,
+}
+
+impl NameIndex {
+    /// Records every identifier the code of `src` names as used by `path`.
+    pub fn add(&mut self, path: &str, src: &str) {
+        let toks = lex(src).tokens;
+        let mut names = HashSet::new();
+        let mut i = 0;
+        while i < toks.len() {
+            let t = &toks[i];
+            if t.kind == TokenKind::Ident && t.text == "pub" {
+                let mut j = i + 1;
+                if toks.get(j).is_some_and(|t| t.text == "(") {
+                    j = toks[j..]
+                        .iter()
+                        .position(|t| t.text == ")")
+                        .map_or(toks.len(), |k| j + k + 1);
+                }
+                if toks.get(j).is_some_and(|t| t.text == "use") {
+                    i = toks[j..]
+                        .iter()
+                        .position(|t| t.text == ";")
+                        .map_or(toks.len(), |k| j + k + 1);
+                    continue;
+                }
+            }
+            let defined = i > 0 && toks[i - 1].text == "fn";
+            if t.kind == TokenKind::Ident && !defined {
+                names.insert(t.text);
+            }
+            i += 1;
+        }
+        for name in names {
+            self.files
+                .entry(name.to_string())
+                .or_default()
+                .push(path.to_string());
+        }
+    }
+
+    /// `true` when a file other than `path` names `ident` in code.
+    pub fn named_outside(&self, ident: &str, path: &str) -> bool {
+        self.files
+            .get(ident)
+            .is_some_and(|paths| paths.iter().any(|p| p != path))
+    }
 }
 
 /// Marks every line covered by a test-gated item: `#[test]`, `#[bench]`,
@@ -467,21 +527,17 @@ impl Report {
     }
 }
 
-/// Walks `root` and lints every non-test library file with the default
-/// rule set. `third_party/`, `target/`, dot-directories, and nested
+/// Walks `root` and lints every non-test library file with every shipped
+/// rule. `third_party/`, `target/` and dot-directories are skipped. Nested
 /// workspaces (subdirectories whose `Cargo.toml` declares `[workspace]`)
-/// are skipped.
+/// are read into the name index, since their code calls this
+/// workspace's, but are not linted.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
-    let rules = rules::default_rules();
-    let mut files = Vec::new();
-    walk(root, &mut files)?;
-    files.sort();
-    let mut report = Report {
-        findings: Vec::new(),
-        waivers: Vec::new(),
-        files_scanned: 0,
-    };
-    for path in files {
+    let mut walked = Vec::new();
+    walk(root, true, &mut walked)?;
+    walked.sort();
+    let mut sources = Vec::with_capacity(walked.len());
+    for (path, linted) in walked {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
@@ -489,8 +545,23 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let src = std::fs::read_to_string(&path)?;
-        let mut file_report = lint_source(&rel, &src, &rules);
+        sources.push((rel, std::fs::read_to_string(&path)?, linted));
+    }
+    let mut index = NameIndex::default();
+    for (rel, src, _) in &sources {
+        index.add(rel, src);
+    }
+    let rules = rules::workspace_rules(index);
+    let mut report = Report {
+        findings: Vec::new(),
+        waivers: Vec::new(),
+        files_scanned: 0,
+    };
+    for (rel, src, linted) in &sources {
+        if !linted {
+            continue;
+        }
+        let mut file_report = lint_source(rel, src, &rules);
         report.files_scanned += 1;
         report.findings.append(&mut file_report.findings);
         report.waivers.append(&mut file_report.waivers);
@@ -498,22 +569,22 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     Ok(report)
 }
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Collects every `.rs` file under `dir` with whether it is linted: files
+/// inside a nested workspace are not.
+fn walk(dir: &Path, linted: bool, out: &mut Vec<(PathBuf, bool)>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name.starts_with('.')
-                || matches!(&*name, "target" | "third_party")
-                || declares_own_workspace(&path)
-            {
+            if name.starts_with('.') || matches!(&*name, "target" | "third_party") {
                 continue;
             }
-            walk(&path, out)?;
+            let nested = declares_own_workspace(&path);
+            walk(&path, linted && !nested, out)?;
         } else if name.ends_with(".rs") {
-            out.push(path);
+            out.push((path, linted));
         }
     }
     Ok(())
@@ -620,7 +691,7 @@ mod tests {
     }
 
     #[test]
-    fn walk_skips_nested_workspaces() {
+    fn walk_reads_nested_workspaces_without_linting_them() {
         let root = std::env::temp_dir().join(format!("sm-lint-walk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let write = |rel: &str, body: &str| {
@@ -629,7 +700,7 @@ mod tests {
             std::fs::write(path, body).unwrap();
         };
         // The root declares the workspace being linted; `bench/` declares
-        // its own and is skipped, `crates/a/` is a member and is walked.
+        // its own and is read but not linted, `crates/a/` is a member.
         write("Cargo.toml", "[workspace]\nmembers = [\"crates/a\"]\n");
         write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
         write("crates/a/src/lib.rs", "pub fn f() {}\n");
@@ -642,14 +713,46 @@ mod tests {
             "fn main() { let x = 1usize as u32; }\n",
         );
         let mut files = Vec::new();
-        let walked = walk(&root, &mut files);
+        let walked = walk(&root, true, &mut files);
         let _ = std::fs::remove_dir_all(&root);
         walked.unwrap();
-        let rel: Vec<PathBuf> = files
+        let mut rel: Vec<(PathBuf, bool)> = files
             .iter()
-            .map(|p| p.strip_prefix(&root).unwrap().to_path_buf())
+            .map(|(p, linted)| (p.strip_prefix(&root).unwrap().to_path_buf(), *linted))
             .collect();
-        assert_eq!(rel, vec![PathBuf::from("crates/a/src/lib.rs")]);
+        rel.sort();
+        assert_eq!(
+            rel,
+            vec![
+                (PathBuf::from("bench/src/main.rs"), false),
+                (PathBuf::from("crates/a/src/lib.rs"), true),
+            ]
+        );
+    }
+
+    #[test]
+    fn name_index_skips_definitions_reexports_comments_and_strings() {
+        let mut index = NameIndex::default();
+        index.add(
+            "crates/a/src/lib.rs",
+            "pub use m::{reexported, also};\npub(crate) use m::crate_only;\nfn defined() {}\n",
+        );
+        index.add(
+            "crates/a/tests/t.rs",
+            "// in_comment\nfn t() { let s = \"in_string\"; called(); }\n",
+        );
+        for name in [
+            "reexported",
+            "also",
+            "crate_only",
+            "defined",
+            "in_comment",
+            "in_string",
+        ] {
+            assert!(!index.named_outside(name, "crates/x/src/lib.rs"), "{name}");
+        }
+        assert!(index.named_outside("called", "crates/x/src/lib.rs"));
+        assert!(!index.named_outside("called", "crates/a/tests/t.rs"));
     }
 
     #[test]

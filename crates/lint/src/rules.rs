@@ -1,15 +1,18 @@
 //! The shipped rule catalog. Each rule encodes one of the repo's actual
-//! hot-path contracts (see ARCHITECTURE.md → "sm-lint" for the catalog
-//! with rationale); all are deliberately *lexical* — they match scoped
+//! contracts, five on the hot paths and one on the public surface (see
+//! ARCHITECTURE.md → "sm-lint" for the catalog with rationale); all are
+//! deliberately *lexical* — they match scoped
 //! token patterns, not types — so what they can and cannot see is spelled
 //! out per rule. Adding a rule = implement [`Rule`], add it to
-//! [`default_rules`] and [`crate::RULE_IDS`], document it, and give it
+//! [`default_rules`] (or, if it needs the whole workspace, to
+//! [`workspace_rules`]) and [`crate::RULE_IDS`], document it, and give it
 //! one failing and one passing fixture under `tests/fixtures/`.
 
 use crate::lexer::{Token, TokenKind};
-use crate::{is_library_path, is_test_path, Rule, SourceFile};
+use crate::{is_library_path, is_test_path, NameIndex, Rule, SourceFile};
 
-/// The five shipped rules, in catalog order.
+/// The five per-file rules, in catalog order: each judges a file by its
+/// own tokens, so they can lint a lone file.
 pub fn default_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(NoPanicSurface),
@@ -18,6 +21,15 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoStrayThreads),
         Box::new(SwallowedResults),
     ]
+}
+
+/// All six shipped rules, in catalog order: the per-file ones, then
+/// `unreferenced-pub`, which judges each file against `index`, the names
+/// the rest of the workspace uses.
+pub fn workspace_rules(index: NameIndex) -> Vec<Box<dyn Rule>> {
+    let mut rules = default_rules();
+    rules.push(Box::new(UnreferencedPub { index }));
+    rules
 }
 
 fn text<'a>(toks: &'a [Token<'_>], i: usize) -> &'a str {
@@ -390,6 +402,61 @@ impl Rule for SwallowedResults {
                  a reason"
                     .to_string(),
             ));
+        }
+        out
+    }
+}
+
+/// **unreferenced-pub** — every public function earns its place: a
+/// `pub fn` (free or inherent; `pub(crate)` and narrower are not public)
+/// in non-test library code must be named by the code of some other file
+/// in the [`NameIndex`]. The index holds every walked file, tests,
+/// examples and benches included, and the nested benchmark workspace,
+/// which calls the library too. A function only its own file calls should
+/// be private; one only tests call belongs under `#[cfg(test)]`. Lexical
+/// like the rest: a name shared by two functions counts for both.
+pub struct UnreferencedPub {
+    index: NameIndex,
+}
+
+/// Words that may sit between `pub` and `fn`.
+const FN_QUALIFIERS: [&str; 4] = ["const", "async", "unsafe", "extern"];
+
+impl Rule for UnreferencedPub {
+    fn id(&self) -> &'static str {
+        "unreferenced-pub"
+    }
+
+    fn applies(&self, path: &str) -> bool {
+        is_library_path(path)
+    }
+
+    fn check(&self, file: &SourceFile<'_>) -> Vec<(u32, String)> {
+        let toks = &file.lexed.tokens;
+        let mut out = Vec::new();
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokenKind::Ident || t.text != "pub" || file.is_test_line(t.line) {
+                continue;
+            }
+            let mut j = i + 1;
+            while FN_QUALIFIERS.contains(&text(toks, j))
+                || toks.get(j).is_some_and(|t| t.kind == TokenKind::Str)
+            {
+                j += 1;
+            }
+            if text(toks, j) != "fn" {
+                continue;
+            }
+            let name = text(toks, j + 1);
+            if !self.index.named_outside(name, &file.path) {
+                out.push((
+                    t.line,
+                    format!(
+                        "`pub fn {name}` has no caller outside this file — make it private, \
+                         move it under #[cfg(test)], delete it, or waive with a reason"
+                    ),
+                ));
+            }
         }
         out
     }

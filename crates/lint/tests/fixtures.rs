@@ -4,6 +4,11 @@
 //! match the declared set *exactly* — no extras, no misses — so each
 //! fixture doubles as a failing or passing example of its rule.
 //!
+//! A fixture alone is linted with the per-file rules. One that declares
+//! other files of its virtual workspace, a line at a time
+//! (`//@ other: <path>: <source line>`), is linted with every rule,
+//! `unreferenced-pub` judging it against the names those files use.
+//!
 //! Marker grammar (trailing on any line):
 //!
 //! ```text
@@ -12,8 +17,9 @@
 //! //~^ …               same, but one line up (one line per `^`)
 //! ```
 
-use sm_lint::lint_source;
-use sm_lint::rules::default_rules;
+use sm_lint::rules::{default_rules, workspace_rules};
+use sm_lint::{lint_source, NameIndex};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn fixtures_dir() -> PathBuf {
@@ -23,13 +29,27 @@ fn fixtures_dir() -> PathBuf {
 /// `(line, rule, waived)` triple used for both expected and actual sides.
 type Expectation = (u32, String, bool);
 
-fn parse_directives(name: &str, src: &str) -> (String, Vec<Expectation>) {
+/// A fixture's directives: its virtual path, the other files of its
+/// virtual workspace (path → source), and its expected findings.
+type Directives = (String, BTreeMap<String, String>, Vec<Expectation>);
+
+fn parse_directives(name: &str, src: &str) -> Directives {
     let mut path = None;
+    let mut others: BTreeMap<String, String> = BTreeMap::new();
     let mut expected = Vec::new();
     for (idx, line) in src.lines().enumerate() {
         let lineno = idx as u32 + 1;
         if let Some(rest) = line.trim().strip_prefix("//@ path:") {
             path = Some(rest.trim().to_string());
+        }
+        if let Some(rest) = line.trim().strip_prefix("//@ other:") {
+            let (other, body) = rest
+                .trim()
+                .split_once(": ")
+                .unwrap_or_else(|| panic!("{name}:{lineno}: `//@ other:` needs `<path>: <line>`"));
+            let file = others.entry(other.to_string()).or_default();
+            file.push_str(body);
+            file.push('\n');
         }
         if let Some(pos) = line.find("//~") {
             let rest = &line[pos + 3..];
@@ -52,6 +72,7 @@ fn parse_directives(name: &str, src: &str) -> (String, Vec<Expectation>) {
     }
     (
         path.unwrap_or_else(|| panic!("{name}: fixture missing `//@ path:` directive")),
+        others,
         expected,
     )
 }
@@ -73,8 +94,17 @@ fn fixtures_match_their_expectations() {
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
         let src = std::fs::read_to_string(&fixture).expect("readable fixture");
-        let (virtual_path, mut expected) = parse_directives(&name, &src);
-        let report = lint_source(&virtual_path, &src, &rules);
+        let (virtual_path, others, mut expected) = parse_directives(&name, &src);
+        let report = if others.is_empty() {
+            lint_source(&virtual_path, &src, &rules)
+        } else {
+            let mut index = NameIndex::default();
+            index.add(&virtual_path, &src);
+            for (path, body) in &others {
+                index.add(path, body);
+            }
+            lint_source(&virtual_path, &src, &workspace_rules(index))
+        };
         let mut actual: Vec<Expectation> = report
             .findings
             .iter()

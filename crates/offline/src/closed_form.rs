@@ -49,16 +49,6 @@ impl ClosedForm {
         val as u64
     }
 
-    /// The marginal cost `M(n+1) − M(n)` (Observation 5): equals `k − 1`
-    /// for `F_k ≤ n < F_{k+1}`.
-    pub fn merge_cost_increment(&self, n: u64) -> u64 {
-        assert!(n >= 1);
-        // The canonical (largest) k satisfies F_k <= n < F_{k+1}, exactly
-        // the bracket Observation 5 needs.
-        let k = self.table.largest_index_le(n);
-        (k - 1) as u64
-    }
-
     /// `I(n)`: the inclusive interval `[lo, hi]` of arrivals that can merge
     /// last into the root of an optimal merge tree (Theorem 3).
     ///
@@ -78,17 +68,9 @@ impl ClosedForm {
         }
     }
 
-    /// `r(n) = max I(n)`: the split used by the `O(n)` tree construction
-    /// (Theorem 7). `r(1) = 0` by convention.
-    pub fn max_last_merge(&self, n: u64) -> u64 {
-        if n <= 1 {
-            return 0;
-        }
-        self.last_merge_interval(n).1
-    }
-
-    /// The table `r(1), …, r(n)` via the paper's O(n) recurrence
-    /// (proof of Theorem 7):
+    /// The table `r(1), …, r(n)` of `r(i) = max I(i)`, the split used by the
+    /// `O(n)` tree construction, via the paper's O(n) recurrence (proof of
+    /// Theorem 7):
     ///
     /// ```text
     /// r(1) = 0, r(2) = 1,
@@ -127,6 +109,29 @@ pub fn last_merge_interval(n: u64) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::dp;
+
+    /// The references the tests hold the closed forms to.
+    impl ClosedForm {
+        /// The marginal cost `M(n+1) − M(n)` (Observation 5): equals `k − 1`
+        /// for `F_k ≤ n < F_{k+1}`.
+        fn merge_cost_increment(&self, n: u64) -> u64 {
+            assert!(n >= 1);
+            // The canonical (largest) k satisfies F_k <= n < F_{k+1}, exactly
+            // the bracket Observation 5 needs.
+            let k = self.table.largest_index_le(n);
+            (k - 1) as u64
+        }
+
+        /// `r(n) = max I(n)`, read off [`Self::last_merge_interval`]: the
+        /// reference for [`Self::max_last_merge_table`]. `r(1) = 0` by
+        /// convention.
+        fn max_last_merge(&self, n: u64) -> u64 {
+            if n <= 1 {
+                return 0;
+            }
+            self.last_merge_interval(n).1
+        }
+    }
 
     #[test]
     fn matches_paper_table() {

@@ -32,7 +32,7 @@ pub struct OptimalForestPlan {
 }
 
 /// `F(L, n, s)` by Lemma 9. Purely arithmetic — does not check that tree
-/// sizes fit the media (`p ≤ L`); see [`s_is_feasible`].
+/// sizes fit the media (`p ≤ L`).
 pub fn full_cost_given_s(cf: &ClosedForm, media_len: u64, n: u64, s: u64) -> u64 {
     assert!(s >= 1 && s <= n, "need 1 <= s <= n (got s = {s}, n = {n})");
     let p = n / s;
@@ -42,7 +42,7 @@ pub fn full_cost_given_s(cf: &ClosedForm, media_len: u64, n: u64, s: u64) -> u64
 
 /// Whether `s` full streams yield feasible trees: every tree must satisfy
 /// `span ≤ L − 1`, i.e. size ≤ `L`.
-pub fn s_is_feasible(media_len: u64, n: u64, s: u64) -> bool {
+fn s_is_feasible(media_len: u64, n: u64, s: u64) -> bool {
     if s < 1 || s > n {
         return false;
     }
@@ -53,7 +53,7 @@ pub fn s_is_feasible(media_len: u64, n: u64, s: u64) -> bool {
 }
 
 /// `s₀ = ⌈n/L⌉`: the minimum possible number of full streams.
-pub fn min_streams(media_len: u64, n: u64) -> u64 {
+fn min_streams(media_len: u64, n: u64) -> u64 {
     n.div_ceil(media_len)
 }
 
@@ -114,7 +114,7 @@ pub fn optimal_forest(media_len: u64, n: usize) -> OptimalForestPlan {
 /// Builds the balanced forest for a *given* `s` (the placement step of
 /// Theorem 10). Each of the two tree sizes is built once; the forest holds
 /// `s` handles to those two shapes.
-pub fn forest_with_s(cf: &ClosedForm, media_len: u64, n: usize, s: u64) -> OptimalForestPlan {
+fn forest_with_s(cf: &ClosedForm, media_len: u64, n: usize, s: u64) -> OptimalForestPlan {
     assert!(s >= 1 && s <= n as u64);
     let forest = balanced_forest(n, s as usize, |size| optimal_merge_tree_with(cf, size));
     let cost = full_cost_given_s(cf, media_len, n as u64, s);

@@ -12,7 +12,6 @@
 //! surprising punchline (Theorems 19/20): receive-all saves only a factor
 //! `log_φ 2 ≈ 1.44` over receive-two.
 
-use crate::closed_form::ClosedForm;
 use crate::forest::balanced_forest;
 use sm_core::{MergeForest, MergeTree};
 
@@ -37,21 +36,6 @@ pub fn merge_cost_table_dp(n: usize) -> Vec<u64> {
             + (i - 1) as u64;
     }
     m
-}
-
-/// The optimal last-merge splits in the receive-all model.
-///
-/// The paper states the split is optimal "if and only if `h = ⌊n/2⌋` or
-/// `⌈n/2⌉`"; the *if* direction (all their induction needs) holds, but the
-/// *only-if* does not — e.g. `n = 6` admits the optimal splits `{2, 3, 4}`
-/// since `Mω(2)+Mω(4) = Mω(3)+Mω(3) = 6`. Tests pin down both facts.
-pub fn optimal_splits_dp(n: usize) -> Vec<usize> {
-    assert!(n >= 2);
-    let m = merge_cost_table_dp(n);
-    let best = m[n];
-    (1..n)
-        .filter(|&h| m[h] + m[n - h] + (n - 1) as u64 == best)
-        .collect()
 }
 
 /// An optimal receive-all merge tree: balanced binary splits at `⌈n/2⌉`
@@ -149,15 +133,26 @@ pub fn optimal_forest(media_len: u64, n: usize) -> (MergeForest, u64) {
     )
 }
 
-/// The merge-cost ratio `M(n)/Mω(n)` of Theorem 19 (→ `log_φ 2 ≈ 1.44`).
-pub fn merge_cost_ratio(cf: &ClosedForm, n: u64) -> f64 {
-    cf.merge_cost(n) as f64 / merge_cost(n) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::closed_form::ClosedForm;
     use sm_core::{consecutive_slots, receive_all_merge_cost};
+
+    /// The optimal last-merge splits in the receive-all model.
+    ///
+    /// The paper states the split is optimal "if and only if `h = ⌊n/2⌋` or
+    /// `⌈n/2⌉`"; the *if* direction (all their induction needs) holds, but the
+    /// *only-if* does not — e.g. `n = 6` admits the optimal splits `{2, 3, 4}`
+    /// since `Mω(2)+Mω(4) = Mω(3)+Mω(3) = 6`. The tests below pin both facts.
+    fn optimal_splits_dp(n: usize) -> Vec<usize> {
+        assert!(n >= 2);
+        let m = merge_cost_table_dp(n);
+        let best = m[n];
+        (1..n)
+            .filter(|&h| m[h] + m[n - h] + (n - 1) as u64 == best)
+            .collect()
+    }
 
     #[test]
     fn paper_table_of_momega() {
@@ -243,7 +238,8 @@ mod tests {
     fn theorem19_ratio_converges() {
         let cf = ClosedForm::new();
         let limit = sm_fib::golden::receive_two_over_receive_all_limit();
-        let r = merge_cost_ratio(&cf, 100_000_000);
+        let n = 100_000_000;
+        let r = cf.merge_cost(n) as f64 / merge_cost(n) as f64;
         assert!((r - limit).abs() < 0.05, "ratio {r}, limit {limit}");
         // And the asymptotic envelope of Eq. (21): Mω(n) = n·log2(n) + O(n).
         let n = 1u64 << 26;

@@ -20,7 +20,7 @@ use crate::incremental::{ForestBuilder, MergeDecision};
 /// The on-line delay-guaranteed server.
 ///
 /// Feed it slots (one per guaranteed-delay interval); query each slot's
-/// template position, costs, the stream schedule and the materialized
+/// merge decision, costs, the stream schedule and the materialized
 /// forest at any point. A client's receiving program follows from
 /// [`Self::template`] (`ReceivingProgram::build`). All per-slot work is
 /// `O(1)` except the one-time `O(L)` setup — the simplicity the paper
@@ -110,22 +110,9 @@ impl DelayGuaranteedOnline {
         &self.template
     }
 
-    /// Processes the next slot; returns its placement.
-    pub fn on_slot(&mut self) -> SlotPlacement {
-        let t = self.slots;
+    /// Processes the next slot.
+    pub fn on_slot(&mut self) {
         self.slots += 1;
-        self.placement(t)
-    }
-
-    /// Placement of slot `t` (independent of how many slots were fed).
-    pub fn placement(&self, slot: u64) -> SlotPlacement {
-        let tree_index = slot / self.tree_size;
-        let position = index_to_usize(slot % self.tree_size);
-        SlotPlacement {
-            tree_index,
-            position,
-            is_full_stream: position == 0,
-        }
     }
 
     /// The [`MergeDecision`] the on-line algorithm commits to for slot `t`:
@@ -134,12 +121,13 @@ impl DelayGuaranteedOnline {
     /// Pure (`&self`) — the stateful form is the crate's
     /// [`IncrementalPolicy`](crate::incremental::IncrementalPolicy) `push`.
     pub fn decision_at(&self, slot: u64) -> MergeDecision {
-        let p = self.placement(slot);
-        let base = index_to_usize(p.tree_index * self.tree_size);
+        let tree = slot / self.tree_size;
+        let position = index_to_usize(slot % self.tree_size);
+        let base = index_to_usize(tree * self.tree_size);
         MergeDecision {
             node: index_to_usize(slot),
-            tree: index_to_usize(p.tree_index),
-            parent: self.template.parent(p.position).map(|lp| base + lp),
+            tree: index_to_usize(tree),
+            parent: self.template.parent(position).map(|lp| base + lp),
         }
     }
 
@@ -207,17 +195,6 @@ impl DelayGuaranteedOnline {
     }
 }
 
-/// Where a slot's clients land in the on-line algorithm's static structure.
-#[derive(Debug, Clone, Copy)]
-pub struct SlotPlacement {
-    /// Which template instance (0-based).
-    pub tree_index: u64,
-    /// Position within the template (0 = the full stream).
-    pub position: usize,
-    /// Whether this slot starts a full stream.
-    pub is_full_stream: bool,
-}
-
 /// Convenience: `A(L, n)` without retaining the server.
 pub fn online_full_cost(media_len: u64, n: u64) -> u64 {
     DelayGuaranteedOnline::new(media_len).total_cost_after(n)
@@ -283,10 +260,11 @@ mod tests {
     fn incremental_feed_matches_closed_form() {
         let mut alg = DelayGuaranteedOnline::new(15);
         for t in 0..100u64 {
-            let p = alg.on_slot();
-            assert_eq!(p.tree_index, t / 8);
-            assert_eq!(p.position as u64, t % 8);
-            assert_eq!(p.is_full_stream, t % 8 == 0);
+            alg.on_slot();
+            let d = alg.decision_at(t);
+            assert_eq!(d.node as u64, t);
+            assert_eq!(d.tree as u64, t / 8);
+            assert_eq!(d.parent.is_none(), t % 8 == 0);
         }
         assert_eq!(alg.slots_seen(), 100);
         assert_eq!(alg.total_cost(), alg.total_cost_after(100));

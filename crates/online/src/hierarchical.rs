@@ -93,7 +93,7 @@ impl HierarchicalMerger {
     /// ERMT with the dyadic-style cutoff β = 1/2. Note that unlike the
     /// dyadic algorithm, ERMT keeps *extending* streams inside its window,
     /// so a wide window is expensive under dense arrivals — prefer
-    /// [`Self::ermt_tuned`] when the arrival rate is known.
+    /// [`ermt_tuned_cost`] when the arrival rate is known.
     pub fn ermt(media_len: f64) -> Self {
         Self::new(
             MergePolicy::EarliestReachable,
@@ -108,7 +108,7 @@ impl HierarchicalMerger {
     /// full stream beat merging" tradeoff governs both policies, and inside
     /// the window ERMT's trees strictly improve on patching's stars (the
     /// tests check this dominance).
-    pub fn ermt_tuned(media_len: f64, rate: f64) -> Self {
+    fn ermt_tuned(media_len: f64, rate: f64) -> Self {
         let cutoff = crate::patching::optimal_threshold(media_len, rate);
         Self::new(MergePolicy::EarliestReachable, media_len, cutoff)
     }

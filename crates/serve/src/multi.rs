@@ -220,9 +220,11 @@ pub struct TitleReport {
     pub served: usize,
     /// Merge groups opened (policy decisions made) for this title.
     pub groups: usize,
-    /// The planner memo's steady-state bandwidth peak for this media
-    /// length — the per-length analysis [`PlannerMemo`] caches, reported
-    /// so the operator can read planned peak next to observed delay.
+    /// The Delay Guaranteed steady-state bandwidth peak for this title's
+    /// media length: the per-length analysis [`PlannerMemo`] caches,
+    /// reported so the operator can read planned peak next to observed
+    /// delay. It is the Delay Guaranteed peak whatever the title's
+    /// policy, so for a dyadic title it is not that title's own peak.
     pub planned_peak: u32,
     /// Planned start-up delay distribution over this title's arrivals.
     pub delay: DelayStats,

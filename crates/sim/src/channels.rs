@@ -8,8 +8,8 @@
 //! of concurrently live streams (the clique number).
 //!
 //! This gives the reproduction a concrete server front-end: after planning
-//! a forest, [`assign_channels`] emits the per-channel broadcast timetable
-//! a real multicast head-end would follow, and proves the plan fits a
+//! a forest, [`assign_channels`] puts each stream on the channel a real
+//! multicast head-end would broadcast it on, and proves the plan fits a
 //! channel budget iff the budget covers the measured peak.
 
 use crate::schedule::StreamSpec;
@@ -30,24 +30,6 @@ pub struct ChannelPlan {
     pub assignments: Vec<ChannelSlot>,
     /// Number of channels used (optimal: equals peak concurrency).
     pub channels_used: u32,
-}
-
-impl ChannelPlan {
-    /// The timetable of one channel: `(start, end, stream_index)` triples,
-    /// sorted by start time.
-    pub fn channel_timetable(&self, specs: &[StreamSpec], channel: u32) -> Vec<(i64, i64, usize)> {
-        let mut rows: Vec<(i64, i64, usize)> = self
-            .assignments
-            .iter()
-            .filter(|a| a.channel == channel)
-            .map(|a| {
-                let s = &specs[a.stream_index];
-                (s.start, s.end(), a.stream_index)
-            })
-            .collect();
-        rows.sort_unstable();
-        rows
-    }
 }
 
 /// Assigns streams to channels with the greedy sweep (optimal for interval
@@ -110,33 +92,33 @@ pub fn assign_channels(specs: &[StreamSpec]) -> ChannelPlan {
     }
 }
 
-/// Checks a plan: no two streams on one channel may overlap in time.
-pub fn verify_plan(specs: &[StreamSpec], plan: &ChannelPlan) -> Result<(), (usize, usize)> {
-    let mut by_channel: std::collections::HashMap<u32, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, a) in plan.assignments.iter().enumerate() {
-        if specs[i].length > 0 {
-            by_channel.entry(a.channel).or_default().push(i);
-        }
-    }
-    for streams in by_channel.values() {
-        let mut sorted: Vec<usize> = streams.clone();
-        sorted.sort_by_key(|&i| specs[i].start);
-        for w in sorted.windows(2) {
-            if specs[w[0]].end() > specs[w[1]].start {
-                return Err((w[0], w[1]));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::BandwidthProfile;
     use crate::schedule::stream_schedule;
     use sm_core::consecutive_slots;
+
+    /// Checks a plan: no two streams on one channel may overlap in time.
+    fn verify_plan(specs: &[StreamSpec], plan: &ChannelPlan) -> Result<(), (usize, usize)> {
+        let mut by_channel: std::collections::HashMap<u32, Vec<usize>> =
+            std::collections::HashMap::new();
+        for (i, a) in plan.assignments.iter().enumerate() {
+            if specs[i].length > 0 {
+                by_channel.entry(a.channel).or_default().push(i);
+            }
+        }
+        for streams in by_channel.values() {
+            let mut sorted: Vec<usize> = streams.clone();
+            sorted.sort_by_key(|&i| specs[i].start);
+            for w in sorted.windows(2) {
+                if specs[w[0]].end() > specs[w[1]].start {
+                    return Err((w[0], w[1]));
+                }
+            }
+        }
+        Ok(())
+    }
 
     fn spec(node: usize, start: i64, length: i64) -> StreamSpec {
         StreamSpec {
@@ -183,16 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn timetable_is_sorted_and_gap_free_of_overlaps() {
+    fn freed_channels_are_reused() {
         let specs = [spec(0, 0, 4), spec(1, 1, 2), spec(2, 4, 3), spec(3, 5, 1)];
         let plan = assign_channels(&specs);
         verify_plan(&specs, &plan).unwrap();
-        for ch in 0..plan.channels_used {
-            let tt = plan.channel_timetable(&specs, ch);
-            for w in tt.windows(2) {
-                assert!(w[0].1 <= w[1].0);
-            }
-        }
+        assert_eq!(plan.channels_used, 2);
     }
 
     #[test]

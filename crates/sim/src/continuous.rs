@@ -23,7 +23,7 @@ use sm_core::{cost, MergeForest};
 
 /// One client's continuous receiving interval from one stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PositionInterval {
+struct PositionInterval {
     /// Local index of the source stream.
     pub stream: usize,
     /// Exclusive lower media position.
@@ -56,7 +56,7 @@ pub enum ContinuousError {
 }
 
 /// Builds the position intervals of one client (tree-local index).
-pub fn position_intervals(
+fn position_intervals(
     tree: &sm_core::MergeTree,
     times: &[f64],
     media_len: f64,

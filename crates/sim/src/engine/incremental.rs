@@ -20,20 +20,25 @@
 //!   push sequence this engine accepts (nondecreasing times, each parent
 //!   pushed before its children) a client `c`'s whole report follows from
 //!   three arrival times: its own `t_c`, its root's `t_r`, and its top's
-//!   `t_u` (for the root itself, `u = c = r`). Let `m = 2t_c − t_u − t_r`
+//!   `t_u` (for the root itself, `u = c = r`). All three are known when
+//!   `c` attaches, so `push` checks them there. Let `m = 2t_c − t_u − t_r`
 //!   (the last part `c` takes from a non-root stream) and `d = t_c − t_r`.
-//!   - If `m > L`, the error is [`ModelError::PartOutOfRange`]: the first
-//!     `2t_c − t_{x_j} − t_{x_{j+1}}` above `L` on the walk up from `c`.
-//!     These values never decrease up the path, and this walk runs on the
-//!     error path only.
+//!   - If `m > L`, the push fails with [`ModelError::PartOutOfRange`]:
+//!     the first `2t_c − t_{x_j} − t_{x_{j+1}}` above `L` on the walk up
+//!     from `c`. These values never decrease up the path, and this walk
+//!     runs on the error path only.
 //!   - If `L = 0` (so `m = 0`), no part is received: `max_buffer` 0,
 //!     `max_concurrent` 0, `min_slack` `i64::MAX`.
 //!   - Otherwise `max_buffer = min(d, L − d)` and `min_slack = 0`;
 //!     `max_concurrent` is 2 when `t_c > t_u`, or when both `t_u > t_r`
 //!     and `m < L`, and 1 in every other case. A buffer bound below
-//!     `max_buffer` gives [`SimError::BufferOverflow`].
+//!     `max_buffer` fails the push with [`SimError::BufferOverflow`].
 //!
-//!   *Why no other check can fail on a push.* Take the path
+//!   A root has `m = d = 0`, so it never fails. As `t_u ≥ t_r`,
+//!   `m ≤ 2d`, so a push reads `t_u` only when `2d > L` or the buffer
+//!   passes the bound.
+//!
+//!   *Why no other check can fail.* Take the path
 //!   `x_0 = c, …, x_k = r` and set `x_{−1} = c`. Segment `j` is parts
 //!   `2t_c − t_{x_{j−1}} − t_{x_j} + 1 ..= 2t_c − t_{x_j} − t_{x_{j+1}}` of
 //!   `x_j`'s stream, and the root's segment ends at `L`. The segments run
@@ -54,7 +59,10 @@
 //!   arrival, so each report is emitted the moment the client's last
 //!   part-deadline `t_c + L` falls strictly before the ingest clock.
 //!   Reports stream out through `emit` in deadline order (ties by arrival
-//!   index), and the first violating deadline is the error;
+//!   index), which is arrival order. A client whose report would fail was
+//!   already rejected by its own push, so firing a deadline never fails,
+//!   and the batch entry points stop at the first failing client in
+//!   arrival order, as a deadline-order error would;
 //! * **stream lengths at tree closure** — a stream's length grows while
 //!   descendants can still attach (a tied co-arrival even gains its
 //!   stream retroactively), so no length is kept during ingest. Times never
@@ -179,65 +187,29 @@ struct TreeStorage {
 
 impl TreeStorage {
     /// Lemma 1's closed-form report of local client `c`, global index
-    /// `base + c` (see the module docs).
-    fn report(
-        &self,
-        base: usize,
-        c: usize,
-        media: i64,
-        bound: Option<u64>,
-    ) -> Result<ClientReport, SimError> {
-        let t_c = self.times[c];
-        let t_r = self.times[0];
-        let t_u = self.times[self.tops[c] as usize];
-        let m = 2 * t_c - t_u - t_r;
-        if m > media {
-            let part = self.first_part_past(c, media);
-            return Err(SimError::Model(ModelError::PartOutOfRange { part }));
-        }
+    /// `base + c` (see the module docs). `push` checked at attach that it
+    /// does not fail.
+    fn report(&self, base: usize, c: usize, media: i64) -> ClientReport {
         let client = base + c;
         if media == 0 {
-            return Ok(ClientReport {
+            return ClientReport {
                 client,
                 max_buffer: 0,
                 max_concurrent: 0,
                 min_slack: i64::MAX,
-            });
+            };
         }
+        let t_c = self.times[c];
+        let t_r = self.times[0];
+        let t_u = self.times[self.tops[c] as usize];
+        let m = 2 * t_c - t_u - t_r;
         let d = t_c - t_r;
-        let max_buffer = d.min(media - d);
-        if let Some(bound) = bound {
-            if i64::try_from(bound).is_ok_and(|b| max_buffer > b) {
-                return Err(SimError::BufferOverflow {
-                    client,
-                    needed: max_buffer,
-                    bound,
-                });
-            }
-        }
         let two = t_c > t_u || (t_u > t_r && m < media);
-        Ok(ClientReport {
+        ClientReport {
             client,
-            max_buffer,
+            max_buffer: d.min(media - d),
             max_concurrent: if two { 2 } else { 1 },
             min_slack: 0,
-        })
-    }
-
-    /// The part `PartOutOfRange` names for local client `c`: the first
-    /// segment end `2t_c − t_x − t_{p(x)}` above `media` on the walk up
-    /// from `c`. The top's end is `m`, so the walk stops there at the
-    /// latest.
-    fn first_part_past(&self, c: usize, media: i64) -> i64 {
-        let t_c = self.times[c];
-        let mut node = c;
-        loop {
-            let up = self.parents[node] as usize;
-            let part = 2 * t_c - self.times[node] - self.times[up];
-            if part > media || up == 0 {
-                return part;
-            }
-            node = up;
         }
     }
 
@@ -296,6 +268,73 @@ impl OpenTree {
             };
             Ok((label(local)?, top))
         }))
+    }
+
+    /// Fails exactly when the report of an arrival at `time` with labels
+    /// from [`Self::labels`], global index `client`, would: a part past
+    /// `media` or a buffer past `bound` (see the module docs). The common
+    /// path reads only the root's time; the rest is [`Self::check_full`].
+    #[inline]
+    fn check(
+        &self,
+        client: usize,
+        time: i64,
+        labels: (u32, u32),
+        media: i64,
+        bound: Option<u64>,
+    ) -> Result<(), SimError> {
+        let d = time - self.cols.times[0];
+        let rest = media - d;
+        let passed = bound.filter(|&b| i64::try_from(b).is_ok_and(|b| d.min(rest) > b));
+        // `m = 2t_c − t_u − t_r` is at most `2d`, as `t_u ≥ t_r`; `d > rest`
+        // is `2d > L` without forming `2d`.
+        if d > rest || passed.is_some() {
+            return self.check_full(client, time, labels, d, media, passed);
+        }
+        Ok(())
+    }
+
+    /// [`Self::check`] for an arrival `d` past its root that may fail: one
+    /// past half the media, or one whose buffer passes the bound `passed`.
+    #[cold]
+    fn check_full(
+        &self,
+        client: usize,
+        time: i64,
+        (parent, top): (u32, u32),
+        d: i64,
+        media: i64,
+        passed: Option<u64>,
+    ) -> Result<(), SimError> {
+        let times = &self.cols.times;
+        // Directly under the root, the arrival is its own top.
+        let t_u = if top as usize == times.len() {
+            time
+        } else {
+            times[top as usize]
+        };
+        // `m = (t_c − t_u) + d`, compared without forming `2t_c`.
+        if time - t_u > media - d {
+            // The first segment end `2t_c − t_x − t_{p(x)}` above `media`
+            // on the walk up from the arrival; the top's end is `m`, so
+            // the walk stops there at the latest.
+            let mut part = time - times[parent as usize];
+            let mut node = parent as usize;
+            while part <= media && node != 0 {
+                let up = self.cols.parents[node] as usize;
+                part = (time - times[node]) + (time - times[up]);
+                node = up;
+            }
+            return Err(SimError::Model(ModelError::PartOutOfRange { part }));
+        }
+        match passed {
+            Some(bound) => Err(SimError::BufferOverflow {
+                client,
+                needed: d.min(media - d),
+                bound,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Attaches an arrival at `time` with labels from [`Self::labels`].
@@ -384,11 +423,12 @@ impl IncrementalEngine {
 
     /// Trees currently retained: the open one plus closed trees whose
     /// clients are still inside their playback windows.
-    pub fn open_trees(&self) -> usize {
+    fn open_trees(&self) -> usize {
         self.closed.len() + usize::from(self.open.is_some())
     }
 
-    /// High-water mark of [`open_trees`](Self::open_trees) so far.
+    /// High-water mark so far of the trees retained: the open one plus
+    /// closed trees whose clients are still inside their playback windows.
     pub fn max_open_trees(&self) -> usize {
         self.max_open_trees
     }
@@ -399,10 +439,12 @@ impl IncrementalEngine {
     /// Times must be nondecreasing (ties welcome — simultaneous arrivals
     /// are the model's bread and butter); a backwards push is rejected
     /// with [`IngestError::OutOfOrder`] and changes nothing. A rejected
-    /// attach ([`IngestError::ParentNotOpen`], or a tree outgrowing its
-    /// `u32` labels) likewise leaves the engine as it was — no report is
-    /// emitted and no tree retired — so a serving loop can drop the
-    /// request and carry on.
+    /// attach ([`IngestError::ParentNotOpen`], a tree outgrowing its `u32`
+    /// labels, or a client whose report would fail: a part past the media,
+    /// [`ModelError::PartOutOfRange`], or a buffer past the bound,
+    /// [`SimError::BufferOverflow`]) likewise leaves the engine as it was —
+    /// no report is emitted and no tree retired — so a serving loop can
+    /// drop the request and carry on.
     pub fn push<F: FnMut(ClientReport)>(
         &mut self,
         time: i64,
@@ -421,15 +463,18 @@ impl IncrementalEngine {
                     node: self.n,
                     parent,
                 };
-                let labels = self
-                    .open
-                    .as_ref()
-                    .and_then(|open| open.labels(parent))
-                    .ok_or(not_open)?;
-                Some(labels.map_err(|e| IngestError::Sim(SimError::Model(e)))?)
+                let Some(open) = self.open.as_ref() else {
+                    return Err(not_open);
+                };
+                let labels = open
+                    .labels(parent)
+                    .ok_or(not_open)?
+                    .map_err(SimError::Model)?;
+                open.check(self.n, time, labels, self.media, self.config.buffer_bound)?;
+                Some(labels)
             }
         };
-        self.fire_deadlines(Some(time), &mut emit)?;
+        self.fire_deadlines(Some(time), &mut emit);
         match labels {
             None => {
                 self.close_open(Some(time));
@@ -451,11 +496,13 @@ impl IncrementalEngine {
 
     /// Ends the horizon: fires every pending deadline, closes the open
     /// tree, drains the bandwidth events, and returns the aggregates.
+    /// Every client was checked when it was pushed, so no report fails
+    /// here.
     pub fn finish<F: FnMut(ClientReport)>(
         mut self,
         mut emit: F,
     ) -> Result<IncrementalSummary, SimError> {
-        self.fire_deadlines(None, &mut emit)?;
+        self.fire_deadlines(None, &mut emit);
         self.close_open(None);
         Ok(IncrementalSummary {
             summary: StreamingSummary {
@@ -472,11 +519,7 @@ impl IncrementalEngine {
     /// lies strictly before `before` — or all of them when `before` is
     /// `None`. Served-out closed trees are dropped from the front as the
     /// cursor passes them.
-    fn fire_deadlines<F: FnMut(ClientReport)>(
-        &mut self,
-        before: Option<i64>,
-        emit: &mut F,
-    ) -> Result<(), SimError> {
+    fn fire_deadlines<F: FnMut(ClientReport)>(&mut self, before: Option<i64>, emit: &mut F) {
         while self.ci < self.n {
             // The next unserved client always lives in the *front* closed
             // tree (earlier trees were dropped exactly when served out),
@@ -486,15 +529,15 @@ impl IncrementalEngine {
                 (None, Some(t)) => (t.base, &t.cols),
                 (None, None) => {
                     debug_assert!(false, "client {} has no retained tree", self.ci);
-                    return Ok(());
+                    return;
                 }
             };
             debug_assert!((base..base + cols.times.len()).contains(&self.ci));
             let local = self.ci - base;
             if before.is_some_and(|h| cols.times[local] + self.media >= h) {
-                return Ok(());
+                return;
             }
-            emit(cols.report(base, local, self.media, self.config.buffer_bound)?);
+            emit(cols.report(base, local, self.media));
             self.ci += 1;
             if let Some(front) = self.closed.front_mut() {
                 front.remaining -= 1;
@@ -505,7 +548,6 @@ impl IncrementalEngine {
                 }
             }
         }
-        Ok(())
     }
 
     /// Closes the open tree (if any): its stream lengths are now final, so
@@ -684,6 +726,72 @@ mod tests {
         eng.push(10, Attach::Root, |r: ClientReport| emitted.push(r.client))
             .unwrap();
         assert_eq!(emitted, vec![0]);
+    }
+
+    #[test]
+    fn infeasible_attach_is_rejected_and_harmless() {
+        let mut emitted = Vec::new();
+        // L = 3: client 1 under root 0 at 5 would need part 5.
+        let mut eng = IncrementalEngine::new(3, SimConfig::default()).unwrap();
+        eng.push(0, Attach::Root, |r: ClientReport| emitted.push(r.client))
+            .unwrap();
+        let err = eng
+            .push(5, Attach::Under(0), |r: ClientReport| {
+                emitted.push(r.client)
+            })
+            .unwrap_err();
+        let part_out = ModelError::PartOutOfRange { part: 5 };
+        assert_eq!(err, IngestError::Sim(SimError::Model(part_out)));
+        assert!(emitted.is_empty(), "a rejected push emitted {emitted:?}");
+        assert_eq!(eng.arrivals(), 1);
+        for t in [10, 11, 20] {
+            eng.push(t, Attach::Root, |r: ClientReport| emitted.push(r.client))
+                .unwrap();
+        }
+        let summary = eng.finish(|r| emitted.push(r.client)).unwrap();
+        assert_eq!(emitted, vec![0, 1, 2, 3]);
+        assert_eq!(summary.summary.total_units, 4 * 3);
+
+        // L = 10, bound 1: client 1 under root 0 at 3 would buffer
+        // min(3, 10 − 3) = 3 parts.
+        emitted.clear();
+        let config = SimConfig {
+            buffer_bound: Some(1),
+        };
+        let mut eng = IncrementalEngine::new(10, config).unwrap();
+        eng.push(0, Attach::Root, |r: ClientReport| emitted.push(r.client))
+            .unwrap();
+        let err = eng
+            .push(3, Attach::Under(0), |r: ClientReport| {
+                emitted.push(r.client)
+            })
+            .unwrap_err();
+        let overflow = SimError::BufferOverflow {
+            client: 1,
+            needed: 3,
+            bound: 1,
+        };
+        assert_eq!(err, IngestError::Sim(overflow));
+        assert!(emitted.is_empty(), "a rejected push emitted {emitted:?}");
+        for t in [30, 31] {
+            eng.push(t, Attach::Root, |r: ClientReport| emitted.push(r.client))
+                .unwrap();
+        }
+        let summary = eng.finish(|r| emitted.push(r.client)).unwrap();
+        assert_eq!(emitted, vec![0, 1, 2]);
+        assert_eq!(summary.summary.total_units, 3 * 10);
+    }
+
+    #[test]
+    fn far_attach_is_rejected_without_overflow() {
+        // `2t_c` would overflow here; the check never forms it.
+        let far = 1i64 << 62;
+        let mut eng = IncrementalEngine::new(10, SimConfig::default()).unwrap();
+        eng.push(0, Attach::Root, |_| {}).unwrap();
+        let err = eng.push(far, Attach::Under(0), |_| {}).unwrap_err();
+        let part_out = ModelError::PartOutOfRange { part: far };
+        assert_eq!(err, IngestError::Sim(SimError::Model(part_out)));
+        assert_eq!(eng.finish(|_| {}).unwrap().summary.clients, 1);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! error. An exhaustive grid over every small tree and time vector pins the
 //! incremental engine's closed-form reports (with and without buffer
 //! bounds) on sorted times, and pins that every unsorted times vector fails
-//! at its first decrease. Fixed cases run the paper's Fig. 3/4 tree and
+//! at its first decrease; a second pass slips an infeasible push into each
+//! feasible run of that grid and pins that its rejection leaves no trace.
+//! Fixed cases run the paper's Fig. 3/4 tree and
 //! the edge shapes on both batch simulators, and pin the push interface
 //! against the dense reference on the closed forms' worked examples and on
 //! buffer bounds up to `u64::MAX`.
@@ -443,6 +445,132 @@ fn every_small_tree_and_time_vector_pins_events_to_dense() {
         }
     }
     assert_eq!((cases, bounded), (236_340, 57_888));
+}
+
+/// The latest attach after the prefix `times` of one tree (its parents
+/// `parents`), no later than `next`, whose client would fail: a part past
+/// the media (`m = 2t − t_u − t_r > L`) or a buffer `min(d, L − d)` past
+/// `bound`. After the last arrival (`next` is `None`) one always exists:
+/// a client under the root past `t_r + L`.
+fn infeasible_attach(
+    parents: &[Option<usize>],
+    times: &[i64],
+    next: Option<i64>,
+    media_len: u64,
+    bound: Option<u64>,
+) -> Option<(i64, usize)> {
+    let media = media_len as i64;
+    let (t_r, last) = (times[0], times[times.len() - 1]);
+    let Some(next) = next else {
+        return Some((last + media + 1, 0));
+    };
+    for time in (last..=next).rev() {
+        for parent in 0..times.len() {
+            // The root's child on the client's path; under the root, the
+            // client itself.
+            let mut top = parent;
+            while top != 0 && parents[top] != Some(0) {
+                top = parents[top].unwrap();
+            }
+            let t_u = if top == 0 { time } else { times[top] };
+            let d = time - t_r;
+            let overflow = bound.is_some_and(|b| d.min(media - d) > b as i64);
+            if 2 * time - t_u - t_r > media || overflow {
+                return Some((time, parent));
+            }
+        }
+    }
+    None
+}
+
+#[test]
+fn a_rejected_infeasible_push_leaves_no_trace() {
+    // Every feasible run of the exhaustive small-tree grid (no buffer
+    // bound, then bounds 0..=3) is replayed once for each point where the
+    // clock admits an infeasible `Under` push: before an arrival whose
+    // time window allows one, and always after the last arrival. The
+    // dense reference confirms the slipped client fails, with the error
+    // the push must return. The run must then emit the same reports, in
+    // the same order, and finish with the same summary as without it.
+    let mut runs = 0usize;
+    let mut slipped = 0usize;
+    for n in 1..=5usize {
+        for parents in all_parent_arrays(n) {
+            let forest = MergeForest::single(MergeTree::from_parents(&parents).unwrap());
+            let attach = |i: usize| parents[i].map_or(Attach::Root, Attach::Under);
+            for code in 0..4usize.pow(n as u32) {
+                let times: Vec<i64> = (0..n)
+                    .map(|i| (code / 4usize.pow(i as u32) % 4) as i64)
+                    .collect();
+                if !times.is_sorted() {
+                    continue;
+                }
+                for media_len in 0..=8u64 {
+                    for buffer_bound in [None, Some(0), Some(1), Some(2), Some(3)] {
+                        let config = SimConfig { buffer_bound };
+                        let mut clean = Vec::new();
+                        let Ok(summary) =
+                            push_all(&forest, &times, media_len, config, |r| clean.push(r))
+                        else {
+                            continue;
+                        };
+                        runs += 1;
+                        for k in 1..=n {
+                            let next = times.get(k).copied();
+                            let Some((time, parent)) = infeasible_attach(
+                                &parents[..k],
+                                &times[..k],
+                                next,
+                                media_len,
+                                buffer_bound,
+                            ) else {
+                                continue;
+                            };
+                            let mut slipped_parents = parents[..k].to_vec();
+                            slipped_parents.push(Some(parent));
+                            let mut slipped_times = times[..k].to_vec();
+                            slipped_times.push(time);
+                            let slipped_forest = MergeForest::single(
+                                MergeTree::from_parents(&slipped_parents).unwrap(),
+                            );
+                            let expected =
+                                dense::simulate(&slipped_forest, &slipped_times, media_len, config)
+                                    .expect_err("the dense reference rejects the slipped client");
+                            let slip = |engine: &mut IncrementalEngine| {
+                                let mut during = Vec::new();
+                                let err = engine
+                                    .push(time, Attach::Under(parent), |r| during.push(r))
+                                    .unwrap_err();
+                                assert_eq!(err, IngestError::Sim(expected.clone()));
+                                assert!(during.is_empty(), "the rejected push emitted {during:?}");
+                            };
+                            let mut engine = IncrementalEngine::new(media_len, config).unwrap();
+                            let mut emitted = Vec::new();
+                            for (i, &t) in times.iter().enumerate() {
+                                if i == k {
+                                    slip(&mut engine);
+                                }
+                                engine.push(t, attach(i), |r| emitted.push(r)).unwrap();
+                            }
+                            if k == n {
+                                slip(&mut engine);
+                            }
+                            let got = engine.finish(|r| emitted.push(r)).unwrap();
+                            let case = format!(
+                                "parents {parents:?}, times {times:?}, L = {media_len}, \
+                                 bound {buffer_bound:?}, slipped ({time}, {parent}) before {k}"
+                            );
+                            assert_eq!(emitted, clean, "{case}");
+                            assert_eq!(got, summary, "{case}");
+                            slipped += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // One slip after the last arrival per run, 4 043 before an arrival.
+    assert_eq!((runs, slipped), (33_526, 37_569));
 }
 
 /// A batch simulator: the dense reference or `simulate_with`.

@@ -14,7 +14,7 @@
 //! stream length `2(c − 1 − x) + 1`, and client `k`'s program takes parts
 //! `[2(k − j), 2(k − j) + 1]` from ancestor `j ≥ 1` and parts `2k..=L` from
 //! the root — every deadline is met exactly (zero slack) as long as
-//! `L ≥ 2(c − 1)`. [`max_feasible_chain`] is that bound; the generator
+//! `L ≥ 2(c − 1)`. `max_feasible_chain` is that bound; the generator
 //! tiles arrivals with chains of exactly that length.
 
 use std::iter;
@@ -23,12 +23,12 @@ use sm_core::{consecutive_slots, MergeForest, MergeTree};
 
 /// Longest chain feasible for media length `media_len` under consecutive
 /// arrivals: `c = L/2 + 1`, from the root-segment condition `L ≥ 2(c − 1)`.
-pub fn max_feasible_chain(media_len: u64) -> usize {
+fn max_feasible_chain(media_len: u64) -> usize {
     (media_len / 2) as usize + 1
 }
 
 /// A forest of maximal-depth feasible merge chains over `n` consecutive
-/// arrivals: every tree is a chain of [`max_feasible_chain`]`(media_len)`
+/// arrivals: every tree is a chain of `max_feasible_chain(media_len)`
 /// arrivals (the last tree takes the remainder), paired with the matching
 /// `consecutive_slots` arrival times. The full-length chain is built once
 /// and every full tree is a handle to it.

@@ -58,7 +58,7 @@ impl FlashCrowd {
     }
 
     /// Peak instantaneous rate (arrivals per time unit, inside the spike).
-    pub fn peak_rate(&self) -> f64 {
+    fn peak_rate(&self) -> f64 {
         self.burst_factor / self.base_gap
     }
 }

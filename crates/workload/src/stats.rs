@@ -41,14 +41,6 @@ impl Summary {
             max,
         }
     }
-
-    /// Half-width of a ~95% normal confidence interval for the mean.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        1.96 * self.std_dev / (self.n as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -62,7 +54,6 @@ mod tests {
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.min, 3.0);
         assert_eq!(s.max, 3.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -71,7 +62,6 @@ mod tests {
         assert_eq!(s.mean, 2.5);
         assert!((s.std_dev - 1.2909944487358056).abs() < 1e-12);
         assert_eq!((s.min, s.max), (1.0, 4.0));
-        assert!(s.ci95_half_width() > 0.0);
     }
 
     #[test]

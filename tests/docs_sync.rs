@@ -281,7 +281,7 @@ fn shipped_lint_rules() -> Vec<String> {
 #[test]
 fn architecture_rule_catalog_matches_shipped_lint_rules() {
     let rules = shipped_lint_rules();
-    assert_eq!(rules.len(), 5, "sm-lint ships five rules, got {rules:?}");
+    assert_eq!(rules.len(), 6, "sm-lint ships six rules, got {rules:?}");
     let arch = read("ARCHITECTURE.md");
     for rule in &rules {
         assert!(
