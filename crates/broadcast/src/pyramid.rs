@@ -15,8 +15,10 @@
 //! This module implements the parametric unit-rate pyramid: segment lengths
 //! `ℓ_0 = delay`, `ℓ_i = ⌊α·ℓ_{i−1}⌋` (the last segment truncated to fit the
 //! media), receive-all clients. The verifier accepts α ≤ 2 and rejects
-//! steeper growth over long media (see the tests), which is *why* the
-//! doubling series is the canonical choice.
+//! any steeper growth once the media is long enough for the series to pass
+//! `1 + Σ prefix` (the tests check α up to 2 at `L = 100` and α from 2.05
+//! at `L = 500`), which is *why* the doubling series is the canonical
+//! choice.
 
 use crate::error::BroadcastError;
 use crate::plan::{Segment, SegmentPlan};
@@ -106,9 +108,13 @@ mod tests {
 
     #[test]
     fn aggressive_alpha_fails_on_long_media() {
-        // α = 2.6 over a long media must eventually miss a deadline.
-        let plan = pyramid_broadcasting(500, 1, 2.6).unwrap();
-        assert!(check_deadlines(&plan).is_err());
+        // Any α above 2 over a long media must eventually miss a deadline:
+        // at α = 2.05 the unit series 1, 2, 4, 8, 16, 32 reaches 65, one
+        // past `1 + Σ prefix`.
+        for &alpha in &[2.05, 2.1, 2.6] {
+            let plan = pyramid_broadcasting(500, 1, alpha).unwrap();
+            assert!(check_deadlines(&plan).is_err(), "alpha {alpha} verified");
+        }
     }
 
     #[test]

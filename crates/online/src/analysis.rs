@@ -5,15 +5,6 @@
 //! `A(L,n) / F(L,n) ≤ 1 + 2L/n` — so the on-line algorithm is
 //! asymptotically optimal as the horizon grows.
 
-use crate::delay_guaranteed::online_full_cost;
-use sm_offline::forest::optimal_full_cost;
-
-/// The measured competitive ratio `A(L,n) / F(L,n)`.
-pub fn competitive_ratio(media_len: u64, n: u64) -> f64 {
-    assert!(n >= 1);
-    online_full_cost(media_len, n) as f64 / optimal_full_cost(media_len, n) as f64
-}
-
 /// Theorem 22's bound `1 + 2L/n`.
 pub fn theorem22_bound(media_len: u64, n: u64) -> f64 {
     1.0 + 2.0 * media_len as f64 / n as f64
@@ -35,6 +26,13 @@ pub fn theorem21_upper(media_len: u64, n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delay_guaranteed::online_full_cost;
+    use sm_offline::forest::optimal_full_cost;
+
+    /// The measured competitive ratio `A(L,n) / F(L,n)`.
+    fn competitive_ratio(media_len: u64, n: u64) -> f64 {
+        online_full_cost(media_len, n) as f64 / optimal_full_cost(media_len, n) as f64
+    }
 
     #[test]
     fn theorem22_holds_in_its_region() {

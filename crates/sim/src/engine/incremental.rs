@@ -35,8 +35,7 @@
 //!     `max_buffer` fails the push with [`SimError::BufferOverflow`].
 //!
 //!   A root has `m = d = 0`, so it never fails. As `t_u ≥ t_r`,
-//!   `m ≤ 2d`, so a push reads `t_u` only when `2d > L` or the buffer
-//!   passes the bound.
+//!   `m ≤ 2d`, so a push reads `t_u` only when `2d > L`.
 //!
 //!   *Why no other check can fail.* Take the path
 //!   `x_0 = c, …, x_k = r` and set `x_{−1} = c`. Segment `j` is parts
@@ -202,8 +201,8 @@ impl TreeStorage {
         let t_c = self.times[c];
         let t_r = self.times[0];
         let t_u = self.times[self.tops[c] as usize];
-        let m = 2 * t_c - t_u - t_r;
         let d = t_c - t_r;
+        let m = (t_c - t_u) + d;
         let two = t_c > t_u || (t_u > t_r && m < media);
         ClientReport {
             client,
@@ -225,7 +224,7 @@ impl TreeStorage {
         for x in (1..self.times.len()).rev() {
             let up = self.parents[x] as usize;
             let t_z = lengths[x];
-            lengths[x] = 2 * t_z - self.times[x] - self.times[up];
+            lengths[x] = (t_z - self.times[x]) + (t_z - self.times[up]);
             lengths[up] = lengths[up].max(t_z);
         }
         if let Some(root) = lengths.first_mut() {
@@ -272,68 +271,55 @@ impl OpenTree {
 
     /// Fails exactly when the report of an arrival at `time` with labels
     /// from [`Self::labels`], global index `client`, would: a part past
-    /// `media` or a buffer past `bound` (see the module docs). The common
-    /// path reads only the root's time; the rest is [`Self::check_full`].
-    #[inline]
+    /// `media` or a buffer past `bound` (see the module docs). Every attach
+    /// runs it from [`IncrementalEngine::push`], which is generic and so
+    /// built in the caller's crate; without `always` the check stays a call
+    /// there.
+    #[inline(always)]
     fn check(
         &self,
         client: usize,
         time: i64,
-        labels: (u32, u32),
+        (parent, top): (u32, u32),
         media: i64,
         bound: Option<u64>,
     ) -> Result<(), SimError> {
-        let d = time - self.cols.times[0];
-        let rest = media - d;
-        let passed = bound.filter(|&b| i64::try_from(b).is_ok_and(|b| d.min(rest) > b));
-        // `m = 2t_c − t_u − t_r` is at most `2d`, as `t_u ≥ t_r`; `d > rest`
-        // is `2d > L` without forming `2d`.
-        if d > rest || passed.is_some() {
-            return self.check_full(client, time, labels, d, media, passed);
-        }
-        Ok(())
-    }
-
-    /// [`Self::check`] for an arrival `d` past its root that may fail: one
-    /// past half the media, or one whose buffer passes the bound `passed`.
-    #[cold]
-    fn check_full(
-        &self,
-        client: usize,
-        time: i64,
-        (parent, top): (u32, u32),
-        d: i64,
-        media: i64,
-        passed: Option<u64>,
-    ) -> Result<(), SimError> {
         let times = &self.cols.times;
-        // Directly under the root, the arrival is its own top.
-        let t_u = if top as usize == times.len() {
-            time
-        } else {
-            times[top as usize]
-        };
-        // `m = (t_c − t_u) + d`, compared without forming `2t_c`.
-        if time - t_u > media - d {
-            // The first segment end `2t_c − t_x − t_{p(x)}` above `media`
-            // on the walk up from the arrival; the top's end is `m`, so
-            // the walk stops there at the latest.
-            let mut part = time - times[parent as usize];
-            let mut node = parent as usize;
-            while part <= media && node != 0 {
-                let up = self.cols.parents[node] as usize;
-                part = (time - times[node]) + (time - times[up]);
-                node = up;
+        let d = time - times[0];
+        let rest = media - d;
+        // `m = (t_c − t_u) + d` is at most `2d`, as `t_u ≥ t_r`, so only an
+        // arrival past half the media (`d > rest`) can need a part past it.
+        if d > rest {
+            // Directly under the root, the arrival is its own top.
+            let t_u = if top as usize == times.len() {
+                time
+            } else {
+                times[top as usize]
+            };
+            if time - t_u > rest {
+                // The first segment end `2t_c − t_x − t_{p(x)}` above
+                // `media` on the walk up from the arrival; the top's end is
+                // `m`, so the walk stops there at the latest.
+                let mut part = time - times[parent as usize];
+                let mut node = parent as usize;
+                while part <= media && node != 0 {
+                    let up = self.cols.parents[node] as usize;
+                    part = (time - times[node]) + (time - times[up]);
+                    node = up;
+                }
+                return Err(SimError::Model(ModelError::PartOutOfRange { part }));
             }
-            return Err(SimError::Model(ModelError::PartOutOfRange { part }));
         }
-        match passed {
-            Some(bound) => Err(SimError::BufferOverflow {
-                client,
-                needed: d.min(media - d),
-                bound,
-            }),
-            None => Ok(()),
+        let needed = d.min(rest);
+        match bound {
+            Some(bound) if i64::try_from(bound).is_ok_and(|b| needed > b) => {
+                Err(SimError::BufferOverflow {
+                    client,
+                    needed,
+                    bound,
+                })
+            }
+            _ => Ok(()),
         }
     }
 
@@ -783,15 +769,28 @@ mod tests {
     }
 
     #[test]
-    fn far_attach_is_rejected_without_overflow() {
-        // `2t_c` would overflow here; the check never forms it.
+    fn far_times_check_and_report_without_overflow() {
+        // `2t_c` and `2t_z` would overflow at these times; the check, the
+        // report and the stream lengths form only differences.
         let far = 1i64 << 62;
         let mut eng = IncrementalEngine::new(10, SimConfig::default()).unwrap();
         eng.push(0, Attach::Root, |_| {}).unwrap();
         let err = eng.push(far, Attach::Under(0), |_| {}).unwrap_err();
         let part_out = ModelError::PartOutOfRange { part: far };
         assert_eq!(err, IngestError::Sim(SimError::Model(part_out)));
-        assert_eq!(eng.finish(|_| {}).unwrap().summary.clients, 1);
+        // A feasible tree that far out reports and closes.
+        eng.push(far, Attach::Root, |_| {}).unwrap();
+        eng.push(far + 1, Attach::Under(1), |_| {}).unwrap();
+        let mut reports = Vec::new();
+        let summary = eng.finish(|r| reports.push(r)).unwrap();
+        let client = ClientReport {
+            client: 2,
+            max_buffer: 1,
+            max_concurrent: 2,
+            min_slack: 0,
+        };
+        assert_eq!(reports.last(), Some(&client));
+        assert_eq!(summary.summary.total_units, 10 + 10 + 1);
     }
 
     #[test]
