@@ -1,10 +1,9 @@
 //! Deterministic parallelism shared across the workspace: fork-join sharding
 //! and a two-stage pipeline, both on `std` alone.
 //!
-//! Experiment sweeps are embarrassingly parallel across their points, and the
-//! §5 multi-object server analyzes its titles independently — both shard
-//! through [`parallel_map`]: `std::thread::scope` workers pull indices off a
-//! shared atomic counter and write each result into its own
+//! Experiment sweeps are embarrassingly parallel across their points, so
+//! they shard through [`parallel_map`]: `std::thread::scope` workers pull
+//! indices off a shared atomic counter and write each result into its own
 //! `std::sync::Mutex` slot — no `unsafe`, no cloning of inputs, and results
 //! are always returned in input order, so parallel callers are bit-identical
 //! to sequential ones.
@@ -18,7 +17,7 @@
 //! one in flight) ahead of the consumer while order, results, and the first
 //! error are exactly those of the plain sequential interleaving, at any
 //! depth. The `sm-server` dynamic simulator uses it to plan up to `K` epochs
-//! ahead of materialization (`DynamicConfig::plan_ahead`); each stage may
+//! ahead of materialization (`DynamicConfig::plan_ahead`). A stage may
 //! freely call [`parallel_map`] internally (stage threads are *not* marked as
 //! workers), while a `pipeline` call from inside a `parallel_map` worker runs
 //! inline so nesting never oversubscribes the machine.
@@ -29,8 +28,8 @@ use std::sync::{mpsc, Mutex, PoisonError};
 
 std::thread_local! {
     /// `true` while the current thread is a `parallel_map` worker: nested
-    /// calls (an experiment sweep point invoking the sharded server layer,
-    /// say) run sequentially instead of oversubscribing the machine with
+    /// calls (an experiment sweep point running the pipelined server, say)
+    /// run sequentially instead of oversubscribing the machine with
     /// `threads²` scoped threads.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -108,11 +107,10 @@ where
 /// consumer is gone.
 ///
 /// The stage threads are deliberately **not** marked as `parallel_map`
-/// workers: each stage may shard its own inner work across threads (the
-/// dynamic server's planning stage seeds its memo that way). Conversely, calling
-/// `pipeline` from *inside* a `parallel_map` worker runs both stages inline
-/// on the worker — same results, no thread explosion. `n <= 1` also runs
-/// inline: there is nothing to overlap.
+/// workers: each stage may shard its own inner work across threads.
+/// Conversely, calling `pipeline` from *inside* a `parallel_map` worker
+/// runs both stages inline on the worker — same results, no thread
+/// explosion. `n <= 1` also runs inline: there is nothing to overlap.
 ///
 /// # Panics
 /// Panics if `depth == 0`, and propagates panics from either stage.

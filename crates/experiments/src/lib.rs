@@ -20,8 +20,7 @@
 //!
 //! Each module returns plain row structs; binaries render them as aligned
 //! text and CSV under `results/`. Sweeps parallelize over their points with
-//! [`sm_core::parallel_map`] (scoped threads, results in input order) — the
-//! same primitive the sharded `sm_server` layer uses.
+//! [`sm_core::parallel_map`] (scoped threads, results in input order).
 
 pub mod broadcast_exp;
 pub mod fig1;

@@ -7,14 +7,14 @@
 //! its peak, its average and its profile over one period are well-defined
 //! constants for each media length; [`steady_state_bandwidth`] measures
 //! them exactly by stamping enough periods of the schedule straight from
-//! the template and metering the middle of the window. It is the only DG
+//! the template into a per-slot difference array and metering the middle
+//! of the window. It is the only DG
 //! steady-state analysis in the workspace: the §5 server in `sm-server`
 //! plans with its `peak` and sums its `periodic` profiles, reading both
 //! from one cache entry per media length.
 
-use crate::cast::{index_to_usize, slots_i64};
+use crate::cast::index_to_usize;
 use crate::delay_guaranteed::DelayGuaranteedOnline;
-use sm_sim::BandwidthProfile;
 
 /// Peak, average and one-period profile of the warmed-up DG schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,6 +36,8 @@ pub struct SteadyStateBandwidth {
 /// Stamps enough warm-up (one media length on each side) plus several
 /// periods with [`DelayGuaranteedOnline::schedule_after`], then meters only
 /// the interior window, so edge effects of the horizon do not leak in.
+/// The streams are netted into one dense per-slot array, so metering takes
+/// one pass over the stamped slots and no sort.
 pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
     let alg = DelayGuaranteedOnline::new(media_len);
     let period = alg.tree_size();
@@ -43,14 +45,30 @@ pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
     // one media length of margin on each side suffices.
     let periods_needed = media_len.div_ceil(period) + 2;
     let n = (2 * periods_needed + 2) * period;
-    let profile = BandwidthProfile::from_intervals(
-        alg.schedule_after(n)
-            .map(|(start, len)| (slots_i64(start), slots_i64(start + len))),
-    );
+    // Every stream starts before slot `n` and runs at most `media_len`
+    // slots, so `n + media_len` entries hold each start's `+1` and each
+    // end's `−1`. They wrap in `u32`: every running sum counts the streams
+    // live in a slot, so it comes out exact.
+    let mut live = vec![0u32; index_to_usize(n + media_len)];
+    // One past the last stream's last slot: where the stamped schedule
+    // falls silent (every Delay Guaranteed stream has a positive length).
+    let mut end = 0;
+    for (start, len) in alg.schedule_after(n) {
+        let first = index_to_usize(start);
+        let last = index_to_usize(start + len);
+        live[first] = live[first].wrapping_add(1);
+        live[last] = live[last].wrapping_sub(1);
+        end = end.max(last);
+    }
+    let mut count = 0u32;
+    for slot in &mut live[..end] {
+        count = count.wrapping_add(*slot);
+        *slot = count;
+    }
     // Interior window: skip L slots at the front, L + period at the back.
-    let lo = profile.origin() + slots_i64(media_len);
-    let hi = profile.end() - slots_i64(media_len + period);
-    let window = profile.window(lo, hi);
+    let lo = index_to_usize(media_len);
+    let hi = end - index_to_usize(media_len + period);
+    let window = &live[lo..hi];
     let one_period = index_to_usize(period);
     assert!(
         window.len() >= one_period,
@@ -70,7 +88,7 @@ pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
 mod tests {
     use super::*;
     use sm_core::consecutive_slots;
-    use sm_sim::stream_schedule;
+    use sm_sim::{stream_schedule, BandwidthProfile};
 
     /// The forest derivation [`steady_state_bandwidth`] replaced: build the
     /// committed forest, flatten its stream schedule, meter the same window
@@ -96,7 +114,9 @@ mod tests {
 
     #[test]
     fn template_stamp_matches_forest_derivation() {
-        for media_len in 1..=300u64 {
+        // Every length to 300, then a few past it: real titles reach
+        // hundreds of slots (two hours at a ten-second delay is 720).
+        for media_len in (1..=300u64).chain([377, 610, 720, 987]) {
             let stamped = steady_state_bandwidth(media_len);
             let reference = steady_state_via_forest(media_len);
             assert_eq!(stamped.peak, reference.peak, "L = {media_len}");

@@ -177,7 +177,7 @@ impl DelayGuaranteedOnline {
     /// node `x` runs `2·z − x − p(x)`, where `p` is its template parent and
     /// `z` its last descendant, clipped to the last slot the trailing
     /// (truncated) instance holds. The pairs are exactly the
-    /// [`sm_sim::stream_schedule`] of [`Self::forest_after`]`(n)` on
+    /// `sm_sim::stream_schedule` of [`Self::forest_after`]`(n)` on
     /// consecutive slots.
     pub fn schedule_after(&self, n: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         let size = self.tree_size;

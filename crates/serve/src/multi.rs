@@ -571,7 +571,7 @@ where
     F: FnMut(usize, ClientReport),
 {
     config.validate()?;
-    memo.seed(config.titles.iter().map(|t| t.media_len).collect());
+    memo.seed(config.titles.iter().map(|t| t.media_len));
     let mut core = ServeCore::new(config)?;
     let mut batch_ns = 0u64;
     let n_batches = (config.horizon / config.batch_slots).ceil() as usize;

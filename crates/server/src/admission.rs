@@ -59,21 +59,15 @@ pub fn aggregate_profile(
 ) -> AggregateReport {
     assert_eq!(plan.delays_minutes.len(), catalog.len());
     assert!(horizon_minutes > 0);
-    // Each title's analysis is an independent schedule stamp: a fresh
-    // memo shards the distinct ones across threads (order-preserving, so
-    // the aggregate is bit-identical to a sequential sum), then every title
-    // fetches its shared analysis and reads one period of its profile.
+    // A fresh memo analyzes each distinct media length once; titles that
+    // share a length share its analysis, and each reads one period of its
+    // profile.
     let memo = PlannerMemo::new();
-    let jobs: Vec<(f64, u64)> = catalog
+    let analyses: Vec<_> = catalog
         .titles()
         .iter()
         .zip(&plan.delays_minutes)
-        .map(|(t, &d)| (d, t.media_len(d)))
-        .collect();
-    memo.seed(jobs.iter().map(|&(_, l)| l).collect());
-    let analyses: Vec<_> = jobs
-        .iter()
-        .map(|&(d, media_len)| (d, memo.steady(media_len)))
+        .map(|(t, &d)| (d, memo.steady(t.media_len(d))))
         .collect();
     let mut per_minute = vec![0u64; horizon_minutes as usize];
     for (m, slot_count) in per_minute.iter_mut().enumerate() {

@@ -29,15 +29,13 @@
 //!   accounting: the §5 point that dynamic channel allocation lets the
 //!   server *change* the guaranteed delay without tearing anything down.
 //!
-//! Titles are independent objects, so the expensive per-title work — one
-//! steady-state Delay Guaranteed analysis per media length, whose peak
-//! [`planner`] budgets and whose periodic profile [`admission`] sums — is
-//! sharded across threads with [`sm_core::parallel_map`]. Results are
-//! collected in input order, so every report is bit-identical to a
-//! sequential run. The analyses themselves are cached in a
-//! [`memo::PlannerMemo`] — a shared cross-epoch (and cross-run) handle that
-//! pays for each distinct media length once, for both layers — and the
-//! greedy planner reads them into a peak table instead of
+//! The expensive per-title work — one steady-state Delay Guaranteed
+//! analysis per media length, whose peak [`planner`] budgets and whose
+//! periodic profile [`admission`] sums — is cached in a
+//! [`memo::PlannerMemo`]: a shared cross-epoch (and cross-run) handle that
+//! pays for each distinct media length once, for both layers, on the
+//! calling thread. The greedy planner reads its peaks in at most two
+//! batched memo reads and caches each title's next-move ratio instead of
 //! rebuilding its plan per step. [`dynamic`] pipelines *across* epochs with
 //! [`sm_core::pipeline`]: planning runs up to
 //! [`DynamicConfig::plan_ahead`](dynamic::DynamicConfig) epochs ahead of

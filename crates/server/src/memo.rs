@@ -15,11 +15,14 @@
 //! [`plan_weighted_with`](crate::planner::plan_weighted_with) and
 //! [`simulate_dynamic_with`](crate::dynamic::simulate_dynamic_with) (via
 //! [`DynamicConfig`](crate::dynamic::DynamicConfig)): each distinct media
-//! length is analyzed **once per memo lifetime**. The
-//! [`seed`](PlannerMemo::seed) bulk stage shards the analyses across
-//! threads with [`parallel_map`] — and only analyzes lengths the memo has
-//! not seen — while point lookups go through [`peak`](PlannerMemo::peak) /
-//! [`steady`](PlannerMemo::steady).
+//! length is analyzed **once per memo lifetime**, on the calling thread,
+//! under the memo's lock. The planner reads a whole row of peaks with one
+//! [`peaks`](PlannerMemo::peaks) call, so a plan takes the lock once per
+//! table rather than once per title; [`seed`](PlannerMemo::seed) analyzes
+//! lengths ahead of their reads, and point lookups go through
+//! [`peak`](PlannerMemo::peak) / [`steady`](PlannerMemo::steady). The map
+//! hashes a length with one multiply instead of SipHash: its keys are
+//! small integers the workspace computes itself.
 //!
 //! Because the cached function is pure, a memo-carrying run is
 //! **bit-identical** to a memo-free one (pinned by proptest in
@@ -43,11 +46,39 @@
 //! ```
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use sm_core::parallel_map;
 use sm_online::capacity::{steady_state_bandwidth, SteadyStateBandwidth};
+
+/// `media_len → steady_state_bandwidth(media_len)`.
+type Analyses = HashMap<u64, Arc<SteadyStateBandwidth>, BuildHasherDefault<LengthHasher>>;
+
+/// Hashes a `u64` media length with one widening multiply by an odd
+/// constant, folding the product's halves together so that low and high
+/// bits both depend on every bit of the key (lengths that are multiples of
+/// a large power of two still spread over the buckets).
+#[derive(Debug, Default)]
+struct LengthHasher(u64);
+
+impl Hasher for LengthHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(n ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    /// Only `u64` keys are hashed; other input folds in byte by byte.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+}
 
 /// Shared, thread-safe cache of per-media-length steady-state analyses.
 ///
@@ -63,12 +94,10 @@ pub struct PlannerMemo {
 
 #[derive(Debug, Default)]
 struct MemoInner {
-    /// `media_len → steady_state_bandwidth(media_len)`.
-    analyses: Mutex<HashMap<u64, Arc<SteadyStateBandwidth>>>,
+    analyses: Mutex<Analyses>,
     /// Lookups served from the cache.
     hits: AtomicU64,
-    /// Fresh analyses executed (bulk seeding counts each newly analyzed
-    /// length once).
+    /// Fresh analyses executed.
     misses: AtomicU64,
 }
 
@@ -78,32 +107,55 @@ impl PlannerMemo {
         Self::default()
     }
 
-    fn analyses(&self) -> MutexGuard<'_, HashMap<u64, Arc<SteadyStateBandwidth>>> {
+    fn analyses(&self) -> MutexGuard<'_, Analyses> {
         self.inner.analyses.lock().expect("planner memo poisoned")
     }
 
-    fn count_misses(&self, n: u64) {
-        self.inner.misses.fetch_add(n, Ordering::Relaxed);
+    fn count_hits(&self, n: usize) {
+        self.inner.hits.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// `media_len`'s entry in the locked `cache`, analyzed on the calling
+    /// thread (and counted as a miss) if the memo has not seen it. Holding
+    /// the lock through the analysis makes a concurrent reader of the same
+    /// length wait for it instead of repeating it.
+    fn entry<'a>(&self, cache: &'a mut Analyses, media_len: u64) -> &'a Arc<SteadyStateBandwidth> {
+        cache.entry(media_len).or_insert_with(|| {
+            self.inner.misses.fetch_add(1, Ordering::Relaxed);
+            Arc::new(steady_state_bandwidth(media_len))
+        })
     }
 
     /// Reads `media_len`'s analysis through `read`, analyzing it on first
-    /// demand. A hit runs `read` under the lock on the cached entry.
+    /// demand; only a read of a length already cached counts as a hit.
     fn lookup<T>(&self, media_len: u64, read: impl Fn(&Arc<SteadyStateBandwidth>) -> T) -> T {
-        if let Some(s) = self.analyses().get(&media_len) {
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
+        let mut cache = self.analyses();
+        if let Some(s) = cache.get(&media_len) {
+            self.count_hits(1);
             return read(s);
         }
-        // Analyze outside the lock: concurrent callers may race to compute
-        // the same (pure, deterministic) value, never a different one.
-        let s = Arc::new(steady_state_bandwidth(media_len));
-        self.count_misses(1);
-        read(self.analyses().entry(media_len).or_insert(s))
+        read(self.entry(&mut cache, media_len))
     }
 
     /// The steady-state Delay Guaranteed peak for `media_len`, computed on
     /// first demand and cached thereafter. A hit allocates nothing.
     pub fn peak(&self, media_len: u64) -> u32 {
         self.lookup(media_len, |s| s.peak)
+    }
+
+    /// The steady-state peaks of `lens`, in order and duplicates included,
+    /// read under one lock. It counts as a [`seed`](Self::seed) of `lens`
+    /// followed by a [`peak`](Self::peak) of each: `misses` rises by the
+    /// number of distinct lengths the memo had not seen, and `hits` by
+    /// `lens.len()`.
+    pub fn peaks(&self, lens: &[u64]) -> Vec<u32> {
+        let mut cache = self.analyses();
+        let peaks = lens
+            .iter()
+            .map(|&l| self.entry(&mut cache, l).peak)
+            .collect();
+        self.count_hits(lens.len());
+        peaks
     }
 
     /// The whole steady-state analysis for `media_len` (the admission
@@ -113,25 +165,13 @@ impl PlannerMemo {
         self.lookup(media_len, Arc::clone)
     }
 
-    /// Bulk-seeds the cache: dedups `lens`, drops every length the memo
-    /// has already seen, and analyzes the remainder across threads with
-    /// [`parallel_map`]. The planner calls this before its greedy
-    /// relaxation and the admission layer before it sums profiles, so the
-    /// expensive analyses shard while the callers themselves stay
-    /// sequential (and bit-identical).
-    pub fn seed(&self, mut lens: Vec<u64>) {
-        lens.sort_unstable();
-        lens.dedup();
-        {
-            let cache = self.analyses();
-            lens.retain(|l| !cache.contains_key(l));
+    /// Analyzes, on the calling thread, every length of `lens` the memo
+    /// has not seen, each once, so that later reads of them are hits.
+    pub fn seed(&self, lens: impl IntoIterator<Item = u64>) {
+        let mut cache = self.analyses();
+        for l in lens {
+            self.entry(&mut cache, l);
         }
-        if lens.is_empty() {
-            return;
-        }
-        let analyses = parallel_map(&lens, |&l| Arc::new(steady_state_bandwidth(l)));
-        self.count_misses(lens.len() as u64);
-        self.analyses().extend(lens.into_iter().zip(analyses));
     }
 
     /// Lookups served from the cache so far.
@@ -190,6 +230,65 @@ mod tests {
         memo.seed(vec![25]);
         assert_eq!(memo.misses(), 4, "four distinct lengths, four analyses");
         assert_eq!(memo.distinct_lengths(), 4);
+    }
+
+    #[test]
+    fn batched_peaks_keep_order_and_duplicates_and_count_like_seed_then_peak() {
+        let memo = PlannerMemo::new();
+        memo.peak(7);
+        let lens = [40, 7, 40, 12, 7, 25, 40];
+        let want: Vec<u32> = lens
+            .iter()
+            .map(|&l| steady_state_bandwidth(l).peak)
+            .collect();
+        assert_eq!(memo.peaks(&lens), want, "input order, duplicates kept");
+        assert_eq!(memo.misses(), 4, "7 was seen; 40, 12 and 25 were not");
+        assert_eq!(memo.hits(), 7, "every length read counts, fresh ones too");
+        assert_eq!(memo.peaks(&lens), want, "a warm read returns the same row");
+        assert_eq!(memo.misses(), 4);
+        assert_eq!(memo.hits(), 14);
+        assert_eq!(memo.peaks(&[]), Vec::<u32>::new());
+        assert_eq!(memo.hits(), 14);
+        assert_eq!(memo.distinct_lengths(), 4);
+    }
+
+    #[test]
+    fn lengths_that_are_multiples_of_large_powers_of_two_keep_their_entries() {
+        // Multiples of 2^20 share their low twenty bits, so a hasher that
+        // kept only the low bits of its product would send them all to one
+        // bucket. Analyzing lengths this large takes seconds in a debug
+        // build, so the entries are planted: each peak names its key.
+        let memo = PlannerMemo::new();
+        let keys: Vec<u64> = (1..=64u64).map(|k| k << 20).collect();
+        memo.analyses().extend(keys.iter().map(|&l| {
+            let peak = u32::try_from(l >> 20).unwrap();
+            let planted = SteadyStateBandwidth {
+                peak,
+                average: 0.0,
+                period: 1,
+                periodic: vec![peak],
+            };
+            (l, Arc::new(planted))
+        }));
+        let lens: Vec<u64> = keys.iter().rev().chain(&keys[..8]).copied().collect();
+        let want: Vec<u32> = lens
+            .iter()
+            .map(|&l| u32::try_from(l >> 20).unwrap())
+            .collect();
+        assert_eq!(memo.peaks(&lens), want);
+        assert_eq!(memo.misses(), 0);
+        assert_eq!(memo.hits(), 72);
+        assert_eq!(memo.steady(5 << 20).periodic, vec![5]);
+        let build = BuildHasherDefault::<LengthHasher>::default();
+        let low_bytes: std::collections::HashSet<u64> = keys
+            .iter()
+            .map(|&l| std::hash::BuildHasher::hash_one(&build, l) & 0xff)
+            .collect();
+        assert!(
+            low_bytes.len() > 32,
+            "{} distinct low bytes",
+            low_bytes.len()
+        );
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //!
 //! The expensive part — one steady-state Delay Guaranteed analysis per
 //! distinct `(title, candidate-delay)` media length — goes through a
-//! [`PlannerMemo`]: the bulk seeding stage shards the *unseen* lengths
-//! across threads with [`sm_core::parallel_map`] before the (cheap,
-//! sequential) greedy runs, so large catalogs plan in parallel with
-//! bit-identical results. The greedy then reads the seeded peaks once into
-//! a titles × candidates table and keeps a running total, so a relaxation
-//! step is one scan of the titles and the plan is built once, at the end.
+//! [`PlannerMemo`], which analyzes each length once per memo lifetime on
+//! the calling thread. A plan reads its peaks in at most two batched memo
+//! reads, one lock each: the first-candidate row, and only when that row
+//! is over budget, the titles × candidates table. The greedy keeps a
+//! running total and each title's next-move ratio, recomputing only the
+//! ratio of the title it moved, so a relaxation step is one comparison
+//! scan of the titles, and the plan is assembled from the tables it read.
 //! [`plan_weighted`] uses a fresh memo per call;
 //! [`plan_weighted_with`] threads a caller-owned memo through, so repeated
 //! plans — the dynamic server re-planning overlapping catalogs every epoch
@@ -60,31 +61,6 @@ pub struct DelayPlan {
     pub expected_delay: f64,
 }
 
-fn build_plan(
-    catalog: &Catalog,
-    candidates: &[f64],
-    choice: &[usize],
-    probs: &[f64],
-    memo: &PlannerMemo,
-) -> DelayPlan {
-    let mut delays = Vec::with_capacity(choice.len());
-    let mut peaks = Vec::with_capacity(choice.len());
-    let mut expected_delay = 0.0;
-    for (i, (&c, title)) in choice.iter().zip(catalog.titles()).enumerate() {
-        let d = candidates[c];
-        delays.push(d);
-        peaks.push(memo.peak(title.media_len(d)));
-        expected_delay += probs[i] * d;
-    }
-    let total_peak = peaks.iter().map(|&p| p as u64).sum();
-    DelayPlan {
-        delays_minutes: delays,
-        peaks,
-        total_peak,
-        expected_delay,
-    }
-}
-
 /// Greedy weighted planner: starts every title at the smallest candidate
 /// delay and repeatedly relaxes the title with the best
 /// bandwidth-saved-per-weighted-delay ratio until the budget fits. Returns
@@ -121,60 +97,67 @@ pub fn plan_weighted_with(
         candidates_minutes.windows(2).all(|w| w[0] < w[1]),
         "candidate delays must be strictly ascending"
     );
-    let probs = catalog.probabilities();
     let titles = catalog.titles();
     let smallest = candidates_minutes[0];
-    // The per-length steady-state analyses are independent, so the memo's
-    // seeding stage shards the distinct *unseen* ones across threads
-    // (order-preserving — the chosen plan is identical to a sequential
-    // run). Two stages keep the common generous-budget case cheap: only
-    // the smallest-delay lengths are analyzed up front; the full
-    // |titles| × |candidates| cross product is precomputed just before the
-    // greedy starts relaxing, when most of it will be queried anyway.
-    memo.seed(titles.iter().map(|t| t.media_len(smallest)).collect());
-    let mut choice = vec![0usize; titles.len()];
-    let mut total: u64 = titles
-        .iter()
-        .map(|t| u64::from(memo.peak(t.media_len(smallest))))
-        .sum();
+    // Only the first-candidate row is read up front, which keeps the
+    // common generous-budget case cheap; the full titles × candidates
+    // table is read just before the greedy starts relaxing, when most of
+    // it will be queried anyway.
+    let lens: Vec<u64> = titles.iter().map(|t| t.media_len(smallest)).collect();
+    let mut peaks = memo.peaks(&lens);
+    let mut total: u64 = peaks.iter().map(|&p| u64::from(p)).sum();
+    let mut delays = vec![smallest; titles.len()];
+    let probs = catalog.probabilities();
     if total > budget_streams {
         let lens: Vec<u64> = titles
             .iter()
             .flat_map(|t| candidates_minutes.iter().map(|&d| t.media_len(d)))
             .collect();
-        memo.seed(lens.clone());
-        // The greedy reads this titles × candidates peak table (title-major)
-        // and keeps a running total, so a relaxation step is one scan of
-        // the titles; the plan itself is built once, at the end.
-        let table: Vec<u32> = lens.iter().map(|&l| memo.peak(l)).collect();
+        // Title-major: title `i` at candidate `k` is `table[i * c + k]`.
+        let table = memo.peaks(&lens);
         let c = candidates_minutes.len();
-        while total > budget_streams {
-            // Candidate moves: advance one title to its next larger delay.
-            let mut best: Option<(usize, f64)> = None;
-            for (i, &k) in choice.iter().enumerate() {
-                if k + 1 >= c {
-                    continue;
-                }
-                let saved = table[i * c + k].saturating_sub(table[i * c + k + 1]) as f64;
+        // Bandwidth saved per unit of weighted delay added by advancing
+        // title `i` from candidate `k` to `k + 1`; `None` at the last one.
+        let next_move = |i: usize, k: usize| {
+            (k + 1 < c).then(|| {
+                let saved = f64::from(table[i * c + k].saturating_sub(table[i * c + k + 1]));
                 let pain = probs[i] * (candidates_minutes[k + 1] - candidates_minutes[k]);
-                let ratio = saved / pain;
+                saved / pain
+            })
+        };
+        // Each title's candidate and the ratio of its next move. A step
+        // moves one title, so only that title's ratio is recomputed; the
+        // scan below still visits every title in order under the same
+        // `ratio > best` rule, so ties and NaN ratios resolve as in a scan
+        // that recomputes every ratio.
+        let mut moves: Vec<(usize, Option<f64>)> =
+            (0..titles.len()).map(|i| (0, next_move(i, 0))).collect();
+        while total > budget_streams {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, &(_, ratio)) in moves.iter().enumerate() {
+                let Some(ratio) = ratio else { continue };
                 if best.map(|(_, r)| ratio > r).unwrap_or(true) {
                     best = Some((i, ratio));
                 }
             }
             let (i, _) = best?; // no move left: budget unreachable
-            let k = choice[i];
-            total = total - u64::from(table[i * c + k]) + u64::from(table[i * c + k + 1]);
-            choice[i] = k + 1;
+            let k = moves[i].0 + 1;
+            total = total - u64::from(peaks[i]) + u64::from(table[i * c + k]);
+            peaks[i] = table[i * c + k];
+            delays[i] = candidates_minutes[k];
+            moves[i] = (k, next_move(i, k));
         }
     }
-    Some(build_plan(
-        catalog,
-        candidates_minutes,
-        &choice,
-        &probs,
-        memo,
-    ))
+    let expected_delay = probs
+        .iter()
+        .zip(&delays)
+        .fold(0.0, |sum, (p, d)| sum + p * d);
+    Some(DelayPlan {
+        delays_minutes: delays,
+        peaks,
+        total_peak: total,
+        expected_delay,
+    })
 }
 
 #[cfg(test)]
@@ -183,6 +166,33 @@ mod tests {
     use crate::catalog::{Catalog, Title};
     use proptest::prelude::*;
     use sm_online::capacity::steady_state_bandwidth;
+
+    /// The plan of `choice` (candidate indices, in title order), each peak
+    /// read from `memo` on its own.
+    fn build_plan(
+        catalog: &Catalog,
+        candidates: &[f64],
+        choice: &[usize],
+        probs: &[f64],
+        memo: &PlannerMemo,
+    ) -> DelayPlan {
+        let mut delays = Vec::with_capacity(choice.len());
+        let mut peaks = Vec::with_capacity(choice.len());
+        let mut expected_delay = 0.0;
+        for (i, (&c, title)) in choice.iter().zip(catalog.titles()).enumerate() {
+            let d = candidates[c];
+            delays.push(d);
+            peaks.push(memo.peak(title.media_len(d)));
+            expected_delay += probs[i] * d;
+        }
+        let total_peak = peaks.iter().map(|&p| p as u64).sum();
+        DelayPlan {
+            delays_minutes: delays,
+            peaks,
+            total_peak,
+            expected_delay,
+        }
+    }
 
     /// Exhaustive optimal planner for small instances (`candidates^titles`
     /// assignments): minimizes expected delay subject to the budget, to
@@ -241,8 +251,7 @@ mod tests {
             catalog
                 .titles()
                 .iter()
-                .map(|t| t.media_len(candidates_minutes[0]))
-                .collect(),
+                .map(|t| t.media_len(candidates_minutes[0])),
         );
         let mut choice = vec![0usize; catalog.len()];
         let mut plan = build_plan(catalog, candidates_minutes, &choice, &probs, memo);
@@ -251,8 +260,7 @@ mod tests {
                 catalog
                     .titles()
                     .iter()
-                    .flat_map(|t| candidates_minutes.iter().map(|&d| t.media_len(d)))
-                    .collect(),
+                    .flat_map(|t| candidates_minutes.iter().map(|&d| t.media_len(d))),
             );
         }
         while plan.total_peak > budget_streams {
@@ -350,6 +358,112 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Catalogs of 1–64 titles whose weights span 1e-300 to 1e300, so a
+    /// light title's probability underflows to 0 beside a heavy one and
+    /// its ratios read `saved / 0`: +inf, tied with every other +inf, or
+    /// NaN when a move saves nothing. Durations are whole minutes from 1
+    /// to 180, so short titles reach media lengths of a few slots, where
+    /// the next candidate often keeps the peak (a 20-minute title peaks
+    /// at 2 streams at both 8 and 16 minutes).
+    fn arb_extreme_catalog() -> impl Strategy<Value = Catalog> {
+        proptest::collection::vec((1u8..=180, -300.0f64..=300.0), 1..=64).prop_map(|specs| {
+            Catalog::new(
+                specs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (minutes, exponent))| Title {
+                        name: format!("t{i}"),
+                        duration_minutes: f64::from(minutes),
+                        weight: 10f64.powf(exponent),
+                    })
+                    .collect(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The cached-ratio greedy chooses the rebuilding greedy's plan,
+        /// `expected_delay` bits included, and analyzes as many media
+        /// lengths, on catalogs of up to 64 titles with extreme weights:
+        /// one and five candidates, budgets from 1 to `u64::MAX`, each with
+        /// memos fresh for the case and with one memo per planner shared
+        /// across all cases.
+        #[test]
+        fn cached_ratio_greedy_matches_the_rebuilding_greedy_at_extreme_weights(
+            catalog in arb_extreme_catalog(),
+            cut in 0.0f64..=1.0,
+        ) {
+            static SHARED: std::sync::OnceLock<(PlannerMemo, PlannerMemo)> =
+                std::sync::OnceLock::new();
+            let (table_memo, rebuild_memo) = SHARED.get_or_init(Default::default);
+            let fresh = (PlannerMemo::new(), PlannerMemo::new());
+            let bits = |plan: &Option<DelayPlan>| plan.as_ref().map(|p| p.expected_delay.to_bits());
+            for cands in [&[1.0][..], &[1.0, 2.0, 4.0, 8.0, 16.0]] {
+                let full = plan_weighted(&catalog, u64::MAX, cands).unwrap().total_peak;
+                let budgets = [
+                    1,
+                    full / 4,
+                    full / 2,
+                    (full as f64 * cut) as u64,
+                    full - 1,
+                    full,
+                    u64::MAX,
+                ];
+                for budget in budgets {
+                    for (ours, theirs) in [(&fresh.0, &fresh.1), (table_memo, rebuild_memo)] {
+                        let got = plan_weighted_with(&catalog, budget, cands, ours);
+                        let want = rebuilding_greedy(&catalog, budget, cands, theirs);
+                        prop_assert_eq!(bits(&got), bits(&want), "budget {}", budget);
+                        prop_assert_eq!(got, want, "budget {}", budget);
+                        prop_assert_eq!(ours.misses(), theirs.misses(), "budget {}", budget);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_and_nan_ratios_resolve_as_the_rebuilding_scan_does() {
+        // Beside a 1e300 title, the 1e-300 ones have probability 0, so
+        // every move of theirs has pain 0: a move that saves streams reads
+        // +inf, and the 15-minute title's move from 16 to 32 minutes, one
+        // slot long either way, reads 0 / 0 = NaN. A NaN ahead of the
+        // others in the scan is never displaced, so that move is taken.
+        let title = |name: &str, duration_minutes, weight| Title {
+            name: name.into(),
+            duration_minutes,
+            weight,
+        };
+        let catalog = Catalog::new(vec![
+            title("short", 15.0, 1e-300),
+            title("heavy", 120.0, 1e300),
+            title("long", 150.0, 1e-300),
+        ]);
+        let cands = [8.0, 16.0, 32.0];
+        let probs = catalog.probabilities();
+        assert_eq!((probs[0], probs[2]), (0.0, 0.0));
+        let short = &catalog.titles()[0];
+        let memo = PlannerMemo::new();
+        assert_eq!(
+            memo.peak(short.media_len(16.0)),
+            memo.peak(short.media_len(32.0)),
+            "the short title's move saves nothing"
+        );
+        let full = plan_weighted(&catalog, u64::MAX, &cands)
+            .unwrap()
+            .total_peak;
+        let mut nan_move_taken = false;
+        for budget in 1..=full {
+            let got = plan_weighted_with(&catalog, budget, &cands, &memo);
+            let want = rebuilding_greedy(&catalog, budget, &cands, &PlannerMemo::new());
+            assert_eq!(got, want, "budget {budget}");
+            nan_move_taken |= got.is_some_and(|p| p.delays_minutes[0] == 32.0);
+        }
+        assert!(nan_move_taken);
     }
 
     fn small_catalog() -> Catalog {
