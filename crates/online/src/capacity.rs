@@ -8,12 +8,12 @@
 //! constants for each media length; [`steady_state_bandwidth`] measures
 //! them exactly by stamping enough periods of the schedule straight from
 //! the template into a per-slot difference array and metering the middle
-//! of the window. It is the only DG
-//! steady-state analysis in the workspace: the §5 server in `sm-server`
-//! plans with its `peak` and sums its `periodic` profiles, reading both
-//! from one cache entry per media length.
+//! of the window. It is the only DG steady-state analysis in the
+//! workspace: the §5 server in `sm-server` plans with its `peak` and sums
+//! its `periodic` profiles, reading both from one cache entry per media
+//! length.
 
-use crate::cast::index_to_usize;
+use crate::cast::{index_to_usize, stream_count};
 use crate::delay_guaranteed::DelayGuaranteedOnline;
 
 /// Peak, average and one-period profile of the warmed-up DG schedule.
@@ -36,8 +36,9 @@ pub struct SteadyStateBandwidth {
 /// Stamps enough warm-up (one media length on each side) plus several
 /// periods with [`DelayGuaranteedOnline::schedule_after`], then meters only
 /// the interior window, so edge effects of the horizon do not leak in.
-/// The streams are netted into one dense per-slot array, so metering takes
-/// one pass over the stamped slots and no sort.
+/// The streams are netted by [`DelayGuaranteedOnline::net_deltas`] into one
+/// dense per-slot array, so metering takes one pass over the stamped slots
+/// and no sort.
 pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
     let alg = DelayGuaranteedOnline::new(media_len);
     let period = alg.tree_size();
@@ -45,24 +46,18 @@ pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
     // one media length of margin on each side suffices.
     let periods_needed = media_len.div_ceil(period) + 2;
     let n = (2 * periods_needed + 2) * period;
-    // Every stream starts before slot `n` and runs at most `media_len`
-    // slots, so `n + media_len` entries hold each start's `+1` and each
-    // end's `−1`. They wrap in `u32`: every running sum counts the streams
-    // live in a slot, so it comes out exact.
-    let mut live = vec![0u32; index_to_usize(n + media_len)];
-    // One past the last stream's last slot: where the stamped schedule
-    // falls silent (every Delay Guaranteed stream has a positive length).
-    let mut end = 0;
-    for (start, len) in alg.schedule_after(n) {
-        let first = index_to_usize(start);
-        let last = index_to_usize(start + len);
-        live[first] = live[first].wrapping_add(1);
-        live[last] = live[last].wrapping_sub(1);
-        end = end.max(last);
-    }
-    let mut count = 0u32;
+    let mut live = alg.net_deltas(n);
+    // The last nonzero delta is the last stream's end: where the stamped
+    // schedule falls silent (every Delay Guaranteed stream has a positive
+    // length, so nothing starts there).
+    let end = live
+        .iter()
+        .rposition(|&delta| delta != 0)
+        .expect("n >= 1 stamps a stream");
+    // The running sum, in place: the streams live in each slot.
+    let mut count = 0;
     for slot in &mut live[..end] {
-        count = count.wrapping_add(*slot);
+        count += *slot;
         *slot = count;
     }
     // Interior window: skip L slots at the front, L + period at the back.
@@ -77,10 +72,14 @@ pub fn steady_state_bandwidth(media_len: u64) -> SteadyStateBandwidth {
     let peak = window.iter().copied().max().unwrap_or(0);
     let average = window.iter().map(|&c| c as f64).sum::<f64>() / window.len() as f64;
     SteadyStateBandwidth {
-        peak,
+        peak: stream_count(peak),
         average,
         period,
-        periodic: window[..one_period].to_vec(),
+        periodic: window[..one_period]
+            .iter()
+            .copied()
+            .map(stream_count)
+            .collect(),
     }
 }
 

@@ -193,6 +193,29 @@ impl DelayGuaranteedOnline {
             })
         })
     }
+
+    /// The net change in concurrent streams at each slot of
+    /// [`Self::schedule_after`]`(n)`, dense over its first `n + L` slots:
+    /// `+1` where a stream starts, `−1` where one ends. Every stream starts
+    /// before slot `n` and runs at most `L` slots, so the entries net every
+    /// stream with no sort, and their running sum is the number of streams
+    /// live in each slot.
+    ///
+    /// # Panics
+    /// Panics if `n + L` exceeds the `u64` slot axis or the platform word
+    /// size, instead of wrapping to a short array.
+    pub fn net_deltas(&self, n: u64) -> Vec<i64> {
+        let slots = n
+            .checked_add(self.media_len)
+            .expect("stamped slots exceed the u64 slot axis");
+        let mut deltas = vec![0i64; index_to_usize(slots)];
+        // `start < n` and `length ≤ L`, so neither sum below reaches `slots`.
+        for (start, length) in self.schedule_after(n) {
+            deltas[index_to_usize(start)] += 1;
+            deltas[index_to_usize(start + length)] -= 1;
+        }
+        deltas
+    }
 }
 
 /// Convenience: `A(L, n)` without retaining the server.
@@ -374,6 +397,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "stamped slots exceed the u64 slot axis")]
+    fn stamp_past_the_slot_axis_is_rejected() {
+        // `n + L` wraps in `u64`; the stamp must fail before it allocates.
+        let _ = DelayGuaranteedOnline::new(3).net_deltas(u64::MAX - 1);
     }
 
     #[test]

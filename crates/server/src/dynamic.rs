@@ -472,18 +472,13 @@ type Windows = HashMap<(u64, u64), Vec<(u64, i64)>>;
 
 /// The net change in concurrent streams at each slot of `template`'s
 /// schedule over its first `slots` slots — `+1` where a stream starts,
-/// `−1` where one ends — kept where nonzero, in slot order. The last
-/// stream starts at slot `slots − 1` and runs at most the media length,
-/// so one dense pass over `slots + media_len` entries nets every stream
-/// with no sort: `O(slots + media_len)`, the order of stamping the
-/// window's streams once.
+/// `−1` where one ends — kept where nonzero, in slot order. The dense
+/// [`DelayGuaranteedOnline::net_deltas`] nets every stream with no sort:
+/// `O(slots + media_len)`, the order of stamping the window's streams
+/// once.
 fn window_deltas(template: &DelayGuaranteedOnline, slots: u64) -> Vec<(u64, i64)> {
-    let mut dense = vec![0i64; (slots + template.media_len()) as usize];
-    template.schedule_after(slots).for_each(|(slot, length)| {
-        dense[slot as usize] += 1;
-        dense[(slot + length) as usize] -= 1;
-    });
-    dense
+    template
+        .net_deltas(slots)
         .into_iter()
         .enumerate()
         .filter(|&(_, delta)| delta != 0)

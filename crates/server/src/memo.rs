@@ -48,7 +48,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use sm_online::capacity::{steady_state_bandwidth, SteadyStateBandwidth};
 
@@ -107,8 +107,15 @@ impl PlannerMemo {
         Self::default()
     }
 
+    /// The locked cache. An analysis runs under this lock, so a panicking
+    /// one (say, of media length 0) poisons it; the map is still sound,
+    /// because [`entry`](Self::entry) inserts nothing when its analysis
+    /// panics, so later readers recover the guard and carry on.
     fn analyses(&self) -> MutexGuard<'_, Analyses> {
-        self.inner.analyses.lock().expect("planner memo poisoned")
+        self.inner
+            .analyses
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn count_hits(&self, n: usize) {
@@ -116,13 +123,15 @@ impl PlannerMemo {
     }
 
     /// `media_len`'s entry in the locked `cache`, analyzed on the calling
-    /// thread (and counted as a miss) if the memo has not seen it. Holding
-    /// the lock through the analysis makes a concurrent reader of the same
-    /// length wait for it instead of repeating it.
+    /// thread (and counted as a miss once it completes) if the memo has
+    /// not seen it. Holding the lock through the analysis makes a
+    /// concurrent reader of the same length wait for it instead of
+    /// repeating it.
     fn entry<'a>(&self, cache: &'a mut Analyses, media_len: u64) -> &'a Arc<SteadyStateBandwidth> {
         cache.entry(media_len).or_insert_with(|| {
+            let analysis = Arc::new(steady_state_bandwidth(media_len));
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
-            Arc::new(steady_state_bandwidth(media_len))
+            analysis
         })
     }
 
@@ -289,6 +298,27 @@ mod tests {
             "{} distinct low bytes",
             low_bytes.len()
         );
+    }
+
+    #[test]
+    fn a_panicking_analysis_leaves_the_shared_memo_usable() {
+        let memo = PlannerMemo::new();
+        let clone = memo.clone();
+        // Media length 0 has no Delay Guaranteed schedule: its analysis
+        // panics under the lock, here on another thread, as it would in a
+        // pipeline worker.
+        let worker = std::thread::spawn(move || clone.peaks(&[40, 0]));
+        assert!(worker.join().is_err(), "length 0 must panic");
+        assert_eq!(memo.misses(), 1, "only the completed analysis counts");
+        assert_eq!(memo.distinct_lengths(), 1, "the panicked one left no entry");
+        assert_eq!(memo.peak(40), steady_state_bandwidth(40).peak);
+        assert_eq!(memo.hits(), 1, "40 was kept from the panicked batch");
+        assert!(std::panic::catch_unwind(|| memo.peak(0)).is_err());
+        assert_eq!(memo.peaks(&[12, 40]).len(), 2);
+        assert_eq!(memo.steady(12).peak, steady_state_bandwidth(12).peak);
+        memo.seed([25]);
+        assert_eq!(memo.misses(), 3);
+        assert_eq!(memo.distinct_lengths(), 3);
     }
 
     #[test]
