@@ -16,8 +16,10 @@
 //! `consume(i, item)` — so the producer runs up to `K` finished items (plus
 //! one in flight) ahead of the consumer while order, results, and the first
 //! error are exactly those of the plain sequential interleaving, at any
-//! depth. The `sm-server` dynamic simulator uses it to plan up to `K` epochs
-//! ahead of materialization (`DynamicConfig::plan_ahead`). A stage may
+//! depth. The `sm-server` dynamic simulator uses it with one batch of 16
+//! epochs per item, planning up to `K` batches ahead of materialization
+//! (`DynamicConfig::plan_ahead`): an item should carry enough work to pay
+//! for the consumer's wake-up on each receive. A stage may
 //! freely call [`parallel_map`] internally (stage threads are *not* marked as
 //! workers), while a `pipeline` call from inside a `parallel_map` worker runs
 //! inline so nesting never oversubscribes the machine.

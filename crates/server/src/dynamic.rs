@@ -18,25 +18,36 @@
 //! function of the media length and the window's slot count, so the server
 //! stamps each distinct `(media_len, slots)` window once per run into its
 //! nonzero net per-slot deltas — a few dozen, against hundreds of streams.
-//! Every `(title, epoch)` with that window then adds those deltas, scaled
-//! by its delay and shifted to its epoch start, into one difference array.
-//! A step therefore costs about as much as its windows' net deltas, not the
-//! streams it emits. The proptests in `crates/server/tests/proptests.rs`
-//! pin every report against a test-side server that materializes each
-//! `(title, epoch)` forest and counts its streams minute by minute, so the
-//! window cache is checked against an independent path.
+//! The titles of an epoch that share a window and a delay add those
+//! deltas once, scaled by their count, shifted to the epoch start and
+//! spaced by the delay, into one difference array. A step therefore costs
+//! about as much as its distinct windows' net deltas, not the streams it
+//! emits. Right after an epoch is binned, its own minutes are folded into
+//! running stream counts in place, and the same loop takes its transition
+//! and steady peaks: no later epoch writes below its own start, so those
+//! minutes are final, and the folded array becomes the report's profile
+//! with no further pass over the horizon. The proptests in
+//! `crates/server/tests/proptests.rs` pin every report against a test-side
+//! server that materializes each `(title, epoch)` forest and counts its
+//! streams minute by minute, so the window cache is checked against an
+//! independent path.
 //!
 //! # The depth-K cross-epoch pipeline
 //!
 //! Epochs are processed by a two-stage pipeline built on
 //! [`sm_core::pipeline`]: a *planning* stage runs the weighted planner
 //! (which analyzes any media length its memo has not seen on that same
-//! thread) while the *materialization* stage bins finished plans' exact
-//! streams on the minute grid. The bounded channel between the stages holds
-//! up to [`DynamicConfig::plan_ahead`] finished plans, so planning runs at
-//! most `K` epochs ahead of materialization — `K = 1` is the classic
-//! one-epoch overlap, larger `K` lets short planning stages batch ahead of
-//! a slow materialization without ever growing the backlog unboundedly.
+//! thread) while the *materialization* stage bins and folds finished
+//! plans' exact streams on the minute grid. The planning stage hands over
+//! a batch of 16 consecutive epochs per channel message, so the
+//! materialization stage sleeps and wakes once per batch rather than once
+//! per few-microsecond plan. The bounded channel between the stages holds
+//! up to [`DynamicConfig::plan_ahead`] finished batches, so planning runs
+//! at most `K` batches (plus the one it is planning) ahead of
+//! materialization — `K = 1` is the classic one-step overlap, larger `K`
+//! lets short planning stages run ahead of a slow materialization without
+//! ever growing the backlog unboundedly. A run of at most 16 live epochs
+//! is one batch, which [`sm_core::pipeline`] runs inline.
 //!
 //! [`DynamicConfig::memo`] optionally threads a shared [`PlannerMemo`]
 //! through the planning stage: overlapping catalogs then pay for each
@@ -68,7 +79,7 @@
 //! assert!(report.steady_peak <= 40);
 //! assert_eq!(report.per_epoch.len(), 2);
 //!
-//! // Planning two epochs ahead with a shared memo changes no report field.
+//! // Planning two batches ahead with a shared memo changes no report field.
 //! let config = DynamicConfig::depth(2).with_memo(PlannerMemo::new());
 //! let ahead = simulate_dynamic_with(&epochs, 40, &[2.0, 5.0, 10.0], 240, &config).unwrap();
 //! assert_eq!(report.deterministic_diff(&ahead), None);
@@ -98,12 +109,12 @@ use sm_sim::SimError;
 /// ```
 /// use sm_server::{DynamicConfig, PlannerMemo};
 ///
-/// // The default is the PR-4 behavior: plan one epoch ahead, no sharing.
+/// // The default: plan one batch of epochs ahead, no sharing.
 /// let default = DynamicConfig::default();
 /// assert_eq!(default.plan_ahead, 1);
 /// assert!(default.memo.is_none());
 ///
-/// // Plan up to 4 epochs ahead, sharing analyses across the whole run.
+/// // Plan up to 4 batches ahead, sharing analyses across the whole run.
 /// let tuned = DynamicConfig::depth(4).with_memo(PlannerMemo::new());
 /// assert_eq!(tuned.plan_ahead, 4);
 /// assert!(tuned.memo.is_some());
@@ -111,8 +122,9 @@ use sm_sim::SimError;
 #[derive(Debug, Clone)]
 pub struct DynamicConfig {
     /// Channel depth of the cross-epoch pipeline: the planner may finish up
-    /// to this many epochs before materialization consumes them. Must be at
-    /// least 1 ([`simulate_dynamic_with`] returns [`DynamicError::Config`]
+    /// to this many batches of 16 consecutive epochs before
+    /// materialization consumes them. Must be at least 1
+    /// ([`simulate_dynamic_with`] returns [`DynamicError::Config`]
     /// otherwise).
     pub plan_ahead: usize,
     /// Shared steady-state analysis cache threaded through the planning
@@ -122,7 +134,7 @@ pub struct DynamicConfig {
 }
 
 impl Default for DynamicConfig {
-    /// Depth-1 plan-ahead, no shared memo — exactly the PR-4 pipeline.
+    /// Depth-1 plan-ahead (one batch of epochs), no shared memo.
     fn default() -> Self {
         Self {
             plan_ahead: 1,
@@ -132,7 +144,7 @@ impl Default for DynamicConfig {
 }
 
 impl DynamicConfig {
-    /// A memo-free config planning up to `plan_ahead` epochs ahead.
+    /// A memo-free config planning up to `plan_ahead` batches ahead.
     pub fn depth(plan_ahead: usize) -> Self {
         Self {
             plan_ahead,
@@ -189,8 +201,10 @@ pub struct EpochBreakdown {
     /// Wall-clock milliseconds the planning stage spent on this epoch.
     pub plan_ms: f64,
     /// Wall-clock milliseconds the materialization stage spent binning
-    /// the epoch's streams on the minute grid: it adds each title's cached
-    /// window deltas, stamping a window only on its first use in the run.
+    /// the epoch's streams on the minute grid and folding its minutes: it
+    /// adds each distinct window's cached deltas, stamping a window only on
+    /// its first use in the run, then turns the epoch's minutes into
+    /// running stream counts and takes its peaks.
     pub materialize_ms: f64,
 }
 
@@ -459,16 +473,43 @@ fn plan_stage(
     Ok((plan, t.elapsed().as_secs_f64() * 1e3))
 }
 
-/// Run-local Delay Guaranteed templates keyed by media length: a run
-/// builds a length's template once, on the first window that needs it.
-type Templates = HashMap<u64, DelayGuaranteedOnline>;
+/// Epochs the planning stage plans per channel message: the
+/// materialization stage then sleeps and wakes once per batch instead of
+/// once per epoch. On `epoch_server`, batches of 8 and 32 ran as fast.
+const BATCH: usize = 16;
 
-/// Run-local window cache: the sorted nonzero net slot deltas of each
-/// `(media_len, slots)` window, stamped once per run by [`window_deltas`]
-/// and added by every `(title, epoch)` that needs it. A window keeps at
-/// most `slots + media_len` entries for the whole run, even when no later
-/// epoch reuses it.
-type Windows = HashMap<(u64, u64), Vec<(u64, i64)>>;
+/// One channel message: the plans of up to [`BATCH`] consecutive live
+/// epochs, each with its planning time in milliseconds. The array moves
+/// through the channel's preallocated slots, so a batch allocates nothing.
+type Batch = [Option<(DelayPlan, f64)>; BATCH];
+
+/// The live epochs of batch `b`.
+fn batch_jobs(jobs: &[EpochJob], b: usize) -> &[EpochJob] {
+    jobs.chunks(BATCH).nth(b).unwrap_or_default()
+}
+
+/// Titles of one epoch that share a delay and a media length, hence a
+/// window: they add its deltas once, scaled by `count`.
+struct Group {
+    delay: u64,
+    media_len: u64,
+    count: i64,
+}
+
+/// The materialization stage's run-local state. A run builds each media
+/// length's Delay Guaranteed template once, on the first window that needs
+/// it, and stamps each `(media_len, slots)` window once into its sorted
+/// nonzero net slot deltas ([`window_deltas`]), which every later
+/// `(title, epoch)` with that window adds. A window keeps at most
+/// `slots + media_len` entries for the whole run, even when no later epoch
+/// reuses it. `groups` holds one epoch's title groups; every epoch of the
+/// run reuses it.
+#[derive(Default)]
+struct Binner {
+    templates: HashMap<u64, DelayGuaranteedOnline>,
+    windows: HashMap<(u64, u64), Vec<(u64, i64)>>,
+    groups: Vec<Group>,
+}
 
 /// The net change in concurrent streams at each slot of `template`'s
 /// schedule over its first `slots` slots — `+1` where a stream starts,
@@ -486,107 +527,100 @@ fn window_deltas(template: &DelayGuaranteedOnline, slots: u64) -> Vec<(u64, i64)
         .collect()
 }
 
-/// Bins one planned epoch into the difference array `diff` of a
-/// `horizon`-minute run: the pipeline's consumer stage. Each title, in
-/// catalog order, adds its window's cached deltas, stamping the window on
-/// its first use in the run; a title whose delay slot is longer than the
-/// epoch window starts no stream in it. Streams started before `job.t1`
-/// run to their natural end, possibly past it. A delta at slot `s` lands
-/// on minute `job.t0 + s · delay`, clamped to `horizon`, which clips each
-/// stream to the horizon: a stream that starts at or past the horizon, or
-/// an empty one, adds `+1` and `−1` on one index and nets to 0, and
-/// `diff[horizon]` is never read.
-fn bin_epoch(
-    catalog: &Catalog,
-    plan: &DelayPlan,
-    job: EpochJob,
-    templates: &mut Templates,
-    windows: &mut Windows,
-    diff: &mut [i64],
-    horizon: u64,
-) {
-    for (title, &delay) in catalog.titles().iter().zip(&plan.delays_minutes) {
-        let d = delay as u64;
-        let slots = (job.t1 - job.t0) / d;
-        if slots == 0 {
-            continue;
+impl Binner {
+    /// Bins one planned epoch into the difference array `counts` of a
+    /// `horizon`-minute run: the pipeline's consumer stage. The titles are
+    /// grouped by delay and media length, and each group adds its window's
+    /// cached deltas once, times its title count, stamping the window on
+    /// its first use in the run; a group whose delay slot is longer than
+    /// the epoch window starts no stream in it. Streams started before
+    /// `job.t1` run to their natural end, possibly past it. A delta at slot
+    /// `s` lands on minute `job.t0 + s · delay`, clamped to `horizon`,
+    /// which clips each stream to the horizon: a stream that starts at or
+    /// past the horizon, or an empty one, adds `+1` and `−1` on one index
+    /// and nets to 0, and `counts[horizon]` is never read. The entries
+    /// hold net deltas in two's complement, so [`fold_counts`] can turn
+    /// them into counts in place.
+    fn bin_epoch(
+        &mut self,
+        catalog: &Catalog,
+        plan: &DelayPlan,
+        job: EpochJob,
+        counts: &mut [u64],
+        horizon: u64,
+    ) {
+        let Self {
+            templates,
+            windows,
+            groups,
+        } = self;
+        groups.clear();
+        for (title, &delay) in catalog.titles().iter().zip(&plan.delays_minutes) {
+            let media_len = title.media_len(delay);
+            let delay = delay as u64;
+            match groups
+                .iter_mut()
+                .find(|g| (g.delay, g.media_len) == (delay, media_len))
+            {
+                Some(group) => group.count += 1,
+                None => groups.push(Group {
+                    delay,
+                    media_len,
+                    count: 1,
+                }),
+            }
         }
-        let media_len = title.media_len(delay);
-        let deltas = windows.entry((media_len, slots)).or_insert_with(|| {
-            let template = templates
-                .entry(media_len)
-                .or_insert_with(|| DelayGuaranteedOnline::new(media_len));
-            window_deltas(template, slots)
-        });
-        for &(slot, delta) in deltas.iter() {
-            diff[(job.t0 + slot * d).min(horizon) as usize] += delta;
+        for &Group {
+            delay,
+            media_len,
+            count,
+        } in groups.iter()
+        {
+            let slots = (job.t1 - job.t0) / delay;
+            if slots == 0 {
+                continue;
+            }
+            let deltas = windows.entry((media_len, slots)).or_insert_with(|| {
+                let template = templates
+                    .entry(media_len)
+                    .or_insert_with(|| DelayGuaranteedOnline::new(media_len));
+                window_deltas(template, slots)
+            });
+            for &(slot, delta) in deltas.iter() {
+                let entry = &mut counts[(job.t0 + slot * delay).min(horizon) as usize];
+                *entry = entry.wrapping_add_signed(delta * count);
+            }
         }
     }
 }
 
-/// Folds the binned horizon into the report: global and per-epoch
-/// steady/transition peaks. Transition windows last one longest-media
-/// length (over every live epoch's catalog) after each epoch switch; the
-/// first epoch has no predecessor, hence no transition of its own. A short
-/// epoch can end inside the window its own switch opened, but that
-/// window's reach into the successor lies inside the successor's own,
-/// equally long window. So an epoch's transition minutes are exactly the
-/// first `longest_media` after its own start, and each epoch splits its
-/// window once: O(horizon + epochs).
-fn assemble_report(
-    epochs: &[Epoch],
-    jobs: &[EpochJob],
-    per_minute: Vec<u64>,
-    epoch_plans: Vec<EpochPlan>,
-    latencies: Vec<(f64, f64)>,
-) -> DynamicReport {
-    let longest_media = jobs
-        .iter()
-        .flat_map(|job| epochs[job.epoch].catalog.titles())
-        .map(|title| title.duration_minutes.ceil() as u64)
-        .max()
-        .unwrap_or(0);
-    let max_over = |lo: u64, hi: u64| {
-        per_minute[lo as usize..hi as usize]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    };
-    let per_epoch: Vec<EpochBreakdown> = epoch_plans
-        .iter()
-        .zip(latencies)
-        .map(|(ep, (plan_ms, materialize_ms))| {
-            // Only the first epoch starts at minute 0.
-            let split = match ep.start_minute {
-                0 => 0,
-                start => start.saturating_add(longest_media).min(ep.end_minute),
-            };
-            let transition = max_over(ep.start_minute, split);
-            let steady = max_over(split, ep.end_minute);
-            EpochBreakdown {
-                start_minute: ep.start_minute,
-                end_minute: ep.end_minute,
-                peak: transition.max(steady),
-                steady_peak: steady,
-                transition_peak: transition,
-                plan_ms,
-                materialize_ms,
-            }
-        })
-        .collect();
-    // The live epoch windows tile [0, horizon) exactly (the first epoch
-    // starts at 0, each window ends where the next begins, and the last one
-    // ends at the horizon), so the global maxima are folds of the per-epoch
-    // breakdown — no second pass over the horizon.
-    let fold = |f: fn(&EpochBreakdown) -> u64| per_epoch.iter().map(f).max().unwrap_or(0);
-    DynamicReport {
-        peak: fold(|e| e.peak),
-        steady_peak: fold(|e| e.steady_peak),
-        transition_peak: fold(|e| e.transition_peak),
-        per_minute,
-        epoch_plans,
-        per_epoch,
+/// Turns binned minutes into running stream counts in place, carrying
+/// `running` in from the minute before them, and returns their maximum (0
+/// for no minutes). Entries and `running` are two's-complement sums, so
+/// the wrapping adds give the exact counts, which are never negative.
+fn fold_counts(minutes: &mut [u64], running: &mut u64) -> u64 {
+    let mut peak = 0;
+    for count in minutes {
+        *running = running.wrapping_add(*count);
+        *count = *running;
+        peak = peak.max(*running);
+    }
+    peak
+}
+
+/// The first minute of `job`'s steady part. Transition windows last one
+/// longest-media length (over every live epoch's catalog) after each
+/// epoch switch; the first epoch has no predecessor, hence no transition
+/// of its own. A short epoch can end inside the window its own switch
+/// opened, but that window's reach into the successor lies inside the
+/// successor's own, equally long window. So an epoch's transition minutes
+/// are exactly the first `longest_media` after its own start, and each
+/// epoch splits its window once.
+fn steady_start(job: EpochJob, longest_media: u64) -> u64 {
+    match job.t0 {
+        // Only the first epoch starts at minute 0.
+        0 => 0,
+        start => start.saturating_add(longest_media).min(job.t1),
     }
 }
 
@@ -623,10 +657,10 @@ pub fn simulate_dynamic(
 }
 
 /// [`simulate_dynamic`] governed by a [`DynamicConfig`]: the planning stage
-/// runs up to `config.plan_ahead` epochs ahead of materialization through
-/// the depth-K bounded pipeline, and `config.memo` optionally shares the
-/// steady-state analyses across epochs and runs. Every configuration is
-/// bit-identical up to the latency fields.
+/// runs up to `config.plan_ahead` batches of epochs ahead of
+/// materialization through the depth-K bounded pipeline, and `config.memo`
+/// optionally shares the steady-state analyses across epochs and runs.
+/// Every configuration is bit-identical up to the latency fields.
 ///
 /// # Errors
 /// Same as [`simulate_dynamic`]; additionally [`DynamicError::Config`] if
@@ -639,85 +673,110 @@ pub fn simulate_dynamic_with(
     horizon_minutes: u64,
     config: &DynamicConfig,
 ) -> Result<DynamicReport, DynamicError> {
-    let diff_len = check_inputs(
+    let counts_len = check_inputs(
         epochs,
         candidates_minutes,
         horizon_minutes,
         config.plan_ahead,
     )?;
-    // The materialization stage adds each title's cached window deltas
-    // into one difference array — O(net deltas + horizon) per run, plus
-    // one O(slots + media_len) stamp per distinct window — and the prefix
-    // sum below turns that same allocation into the report's per-minute
+    // The materialization stage adds each epoch's window deltas into one
+    // difference array and folds the epoch's minutes into running counts
+    // in place, so the same allocation becomes the report's per-minute
     // profile. It is the run's one large block, so it is allocated before
     // any other: a caller that has just dropped the previous run's report
     // freed a block of the same size, which the allocator can then reuse
     // whole. Once small blocks of this run land in that space, the array
     // no longer fits there and the heap grows by its size instead (a
     // 230 400-minute run's peak RSS read about 1.8 MiB higher).
-    let mut diff = vec![0i64; diff_len];
+    let mut counts = vec![0u64; counts_len];
     let jobs = epoch_jobs(epochs, horizon_minutes);
-    let mut templates = Templates::new();
-    let mut windows = Windows::new();
+    let longest_media = jobs
+        .iter()
+        .flat_map(|job| epochs[job.epoch].catalog.titles())
+        .map(|title| title.duration_minutes.ceil() as u64)
+        .max()
+        .unwrap_or(0);
+    // Sized for the largest live catalog, so the group buffer allocates
+    // once per run.
+    let mut binner = Binner {
+        groups: Vec::with_capacity(
+            jobs.iter()
+                .map(|job| epochs[job.epoch].catalog.len())
+                .max()
+                .unwrap_or(0),
+        ),
+        ..Binner::default()
+    };
+    let mut running = 0u64;
     let mut epoch_plans: Vec<EpochPlan> = Vec::with_capacity(jobs.len());
-    let mut latencies: Vec<(f64, f64)> = Vec::with_capacity(jobs.len());
+    let mut per_epoch: Vec<EpochBreakdown> = Vec::with_capacity(jobs.len());
 
     pipeline(
-        jobs.len(),
+        jobs.len().div_ceil(BATCH),
         config.plan_ahead,
-        |k| {
-            plan_stage(
-                epochs,
-                jobs[k],
-                budget,
-                candidates_minutes,
-                config.memo.as_ref(),
-            )
+        |b| {
+            let mut plans = Batch::default();
+            for (slot, &job) in plans.iter_mut().zip(batch_jobs(&jobs, b)) {
+                *slot = Some(plan_stage(
+                    epochs,
+                    job,
+                    budget,
+                    candidates_minutes,
+                    config.memo.as_ref(),
+                )?);
+            }
+            Ok(plans)
         },
-        |k, (plan, plan_ms)| {
-            let job = jobs[k];
-            let t = Instant::now();
-            bin_epoch(
-                &epochs[job.epoch].catalog,
-                &plan,
-                job,
-                &mut templates,
-                &mut windows,
-                &mut diff,
-                horizon_minutes,
-            );
-            epoch_plans.push(EpochPlan {
-                start_minute: job.t0,
-                end_minute: job.t1,
-                plan,
-            });
-            latencies.push((plan_ms, t.elapsed().as_secs_f64() * 1e3));
+        |b, plans: Batch| {
+            let planned = plans.into_iter().flatten();
+            for (&job, (plan, plan_ms)) in batch_jobs(&jobs, b).iter().zip(planned) {
+                let t = Instant::now();
+                binner.bin_epoch(
+                    &epochs[job.epoch].catalog,
+                    &plan,
+                    job,
+                    &mut counts,
+                    horizon_minutes,
+                );
+                // Every earlier epoch is binned and no later one writes
+                // below `job.t1`, so the epoch's minutes are final.
+                let split = steady_start(job, longest_media) as usize;
+                let transition_peak =
+                    fold_counts(&mut counts[job.t0 as usize..split], &mut running);
+                let steady_peak = fold_counts(&mut counts[split..job.t1 as usize], &mut running);
+                per_epoch.push(EpochBreakdown {
+                    start_minute: job.t0,
+                    end_minute: job.t1,
+                    peak: transition_peak.max(steady_peak),
+                    steady_peak,
+                    transition_peak,
+                    plan_ms,
+                    materialize_ms: t.elapsed().as_secs_f64() * 1e3,
+                });
+                epoch_plans.push(EpochPlan {
+                    start_minute: job.t0,
+                    end_minute: job.t1,
+                    plan,
+                });
+            }
             Ok(())
         },
     )?;
 
-    Ok(assemble_report(
-        epochs,
-        &jobs,
-        prefix_sums(diff, horizon_minutes),
+    // The live epoch windows tile [0, horizon) exactly (the first epoch
+    // starts at 0, each window ends where the next begins, and the last one
+    // ends at the horizon), so every minute is folded, and the global
+    // maxima are folds of the per-epoch breakdown.
+    counts.truncate(horizon_minutes as usize);
+    let fold = |f: fn(&EpochBreakdown) -> u64| per_epoch.iter().map(f).max().unwrap_or(0);
+    Ok(DynamicReport {
+        peak: fold(|e| e.peak),
+        steady_peak: fold(|e| e.steady_peak),
+        transition_peak: fold(|e| e.transition_peak),
+        per_minute: counts,
         epoch_plans,
-        latencies,
-    ))
-}
-
-/// The per-minute profile of a `horizon`-minute run from its difference
-/// array: running sums of the first `horizon` entries (`diff[horizon]`
-/// only collects deltas at or past the horizon). The same-layout `map`
-/// collects in place, so the profile reuses the array's allocation.
-fn prefix_sums(mut diff: Vec<i64>, horizon: u64) -> Vec<u64> {
-    diff.truncate(horizon as usize);
-    let mut cur = 0i64;
-    diff.into_iter()
-        .map(|d| {
-            cur += d;
-            cur as u64
-        })
-        .collect()
+        per_epoch,
+    })
 }
 
 #[cfg(test)]
@@ -1021,29 +1080,33 @@ mod tests {
         }
     }
 
+    /// A catalog of `copies` copies of one title, all at `delay_minutes`.
+    fn repeated(title: &Title, copies: usize, delay_minutes: f64) -> (Catalog, DelayPlan) {
+        let plan = DelayPlan {
+            delays_minutes: vec![delay_minutes; copies],
+            peaks: vec![0; copies],
+            total_peak: 0,
+            expected_delay: delay_minutes,
+        };
+        (Catalog::new(vec![title.clone(); copies]), plan)
+    }
+
     #[test]
     fn cached_window_deltas_bin_like_the_stamped_streams() {
-        // One cache for every case, as in a run: a window stamped for one
+        // One binner for every case, as in a run: a window stamped for one
         // delay, horizon or slot count is reused wherever its key matches,
         // so a key that drops a component hands some title another
         // window's deltas.
-        let mut templates = Templates::new();
-        let mut windows = Windows::new();
+        let mut binner = Binner::default();
         for media_len in 1..=150u64 {
             let reference = DelayGuaranteedOnline::new(media_len);
             let f = reference.tree_size();
             for slots in [1, 2, f - 1, f, f + 1, 3 * f + 2, 600] {
                 for d in [1u64, 3, 16] {
-                    let catalog = Catalog::new(vec![Title {
+                    let title = Title {
                         name: "t".into(),
                         duration_minutes: (media_len * d) as f64,
                         weight: 1.0,
-                    }]);
-                    let plan = DelayPlan {
-                        delays_minutes: vec![d as f64],
-                        peaks: vec![0],
-                        total_peak: 0,
-                        expected_delay: d as f64,
                     };
                     let job = EpochJob {
                         epoch: 0,
@@ -1064,29 +1127,74 @@ mod tests {
                             let end = start + length * d;
                             (start.min(horizon) as i64, end.min(horizon) as i64)
                         });
-                        let want: Vec<u64> = BandwidthProfile::from_intervals(intervals)
+                        let once: Vec<u64> = BandwidthProfile::from_intervals(intervals)
                             .window(0, horizon as i64)
                             .into_iter()
                             .map(u64::from)
                             .collect();
-                        let mut diff = vec![0i64; horizon as usize + 1];
-                        bin_epoch(
-                            &catalog,
-                            &plan,
-                            job,
-                            &mut templates,
-                            &mut windows,
-                            &mut diff,
-                            horizon,
-                        );
-                        assert_eq!(
-                            prefix_sums(diff, horizon),
-                            want,
-                            "L {media_len}, {slots} slots, delay {d}, horizon {horizon}"
-                        );
+                        // One title, then two that share the window: their
+                        // group adds its deltas once, times 2.
+                        for copies in [1, 2] {
+                            let want: Vec<u64> = once.iter().map(|c| c * copies).collect();
+                            let (catalog, plan) = repeated(&title, copies as usize, d as f64);
+                            let mut counts = vec![0u64; horizon as usize + 1];
+                            binner.bin_epoch(&catalog, &plan, job, &mut counts, horizon);
+                            // Fold as a run does: the epoch's own minutes,
+                            // then the tail the later epochs fold.
+                            counts.truncate(horizon as usize);
+                            let end = job.t1.min(horizon) as usize;
+                            let (epoch, tail) = counts.split_at_mut(end);
+                            let mut running = 0;
+                            let peaks = [
+                                fold_counts(epoch, &mut running),
+                                fold_counts(tail, &mut running),
+                            ];
+                            let max = |m: &[u64]| m.iter().copied().max().unwrap_or(0);
+                            let case = format!(
+                                "L {media_len}, {slots} slots, delay {d}, horizon {horizon}, \
+                                 {copies} titles"
+                            );
+                            assert_eq!(counts, want, "{case}");
+                            assert_eq!(peaks, [max(&want[..end]), max(&want[end..])], "{case}");
+                        }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn titles_sharing_a_window_at_different_delays_bin_apart() {
+        // Over a 35-minute epoch, media length 10 at delays 16 and 17 is
+        // the same `(media_len, slots)` window of 2 slots, but its streams
+        // land on different minutes: the two titles form two groups.
+        let job = EpochJob {
+            epoch: 0,
+            t0: 0,
+            t1: 35,
+        };
+        let horizon = 400;
+        let title = |minutes: f64| Title {
+            name: format!("{minutes}"),
+            duration_minutes: minutes,
+            weight: 1.0,
+        };
+        let mut binner = Binner::default();
+        let mut alone = vec![0u64; horizon as usize + 1];
+        for (minutes, delay) in [(160.0, 16.0), (170.0, 17.0)] {
+            let (catalog, plan) = repeated(&title(minutes), 1, delay);
+            binner.bin_epoch(&catalog, &plan, job, &mut alone, horizon);
+        }
+        let catalog = Catalog::new(vec![title(160.0), title(170.0)]);
+        let plan = DelayPlan {
+            delays_minutes: vec![16.0, 17.0],
+            peaks: vec![0, 0],
+            total_peak: 0,
+            expected_delay: 16.5,
+        };
+        let mut together = vec![0u64; horizon as usize + 1];
+        binner.bin_epoch(&catalog, &plan, job, &mut together, horizon);
+        assert_eq!(binner.windows.len(), 1, "one window serves both titles");
+        assert_eq!(together, alone);
     }
 }

@@ -37,12 +37,14 @@
 //! calling thread. The greedy planner reads its peaks in at most two
 //! batched memo reads and caches each title's next-move ratio instead of
 //! rebuilding its plan per step. [`dynamic`] pipelines *across* epochs with
-//! [`sm_core::pipeline`]: planning runs up to
-//! [`DynamicConfig::plan_ahead`](dynamic::DynamicConfig) epochs ahead of
-//! materialization, which stamps each `(media length, slots)` window once
-//! per run straight from a run-local Delay Guaranteed template (no forest,
-//! no threads) and bins its net stream deltas. Its reference lives in the
-//! tests: a server that materializes every `(title, epoch)` forest.
+//! [`sm_core::pipeline`]: planning hands over batches of 16 epochs and runs
+//! up to [`DynamicConfig::plan_ahead`](dynamic::DynamicConfig) batches
+//! ahead of materialization, which stamps each `(media length, slots)`
+//! window once per run straight from a run-local Delay Guaranteed template
+//! (no forest, no threads), bins its net stream deltas once per group of
+//! titles sharing it, and folds each epoch's minutes into counts while
+//! they are in cache. Its reference lives in the tests: a server that
+//! materializes every `(title, epoch)` forest.
 //!
 //! # Example
 //!

@@ -28,7 +28,7 @@
 //! — pay for each distinct media length once per memo lifetime. In the
 //! dynamic server this whole planner is additionally the *producer* stage
 //! of the cross-epoch pipeline (see [`crate::dynamic`]): epochs plan here
-//! up to `plan_ahead` epochs ahead of materialization.
+//! in batches of 16, up to `plan_ahead` batches ahead of materialization.
 //!
 //! ```
 //! use sm_server::{plan_weighted, Catalog};

@@ -12,7 +12,7 @@ use sm_server::{
     DynamicConfig, DynamicError, DynamicReport, Epoch, EpochBreakdown, EpochPlan, PlannerMemo,
     Title, Zipf,
 };
-use sm_sim::stream_schedule;
+use sm_sim::{stream_schedule, SimError};
 
 fn arb_catalog() -> impl Strategy<Value = Catalog> {
     proptest::collection::vec((30.0f64..=180.0, 0.1f64..=10.0), 1..=4).prop_map(|specs| {
@@ -510,4 +510,134 @@ fn dynamic_binary_scenario_matches_the_reference() {
     let got = simulate_dynamic_with(&epochs, 48, &cands, 1440, &config).unwrap();
     let reference = forest_materializing_reference(&epochs, 48, &cands, 1440).unwrap();
     assert_dynamic_reports_identical(&got, &reference);
+}
+
+/// The duration menu of [`many_batch_epochs`]. Its longest title, 120
+/// minutes, sets the length of every transition window.
+const MENU: [f64; 3] = [60.0, 90.0, 120.0];
+
+/// Forty epochs of 120–300 minutes: three batches of the pipeline's
+/// channel, so at every depth both stages run on their own threads (a run
+/// of one batch runs inline). The catalogs cycle through five Zipf sizes
+/// over a three-duration menu, so titles of one epoch share windows. One
+/// epoch in four is exactly one transition window long and one in four
+/// ends a minute after its window, so a transition split one minute off
+/// empties or fills a whole steady part.
+fn many_batch_epochs() -> Vec<Epoch> {
+    const SIZES: [usize; 5] = [3, 6, 4, 8, 5];
+    let mut start = 0;
+    (0..40)
+        .map(|i| {
+            let epoch = Epoch {
+                start_minute: start,
+                catalog: Catalog::zipf(SIZES[i % SIZES.len()], 1.0, &MENU),
+            };
+            start += match i % 4 {
+                0 => 120,
+                1 => 121,
+                _ => 122 + (i as u64 * 67) % 179,
+            };
+            epoch
+        })
+        .collect()
+}
+
+/// Two thirds of the biggest catalog's all-shortest-delay demand: the
+/// planner relaxes delays, and every epoch of [`many_batch_epochs`] fits.
+fn many_batch_budget(cands: &[f64]) -> u64 {
+    let biggest = Catalog::zipf(8, 1.0, &MENU);
+    plan_weighted(&biggest, u64::MAX, &cands[..1])
+        .unwrap()
+        .total_peak
+        * 2
+        / 3
+}
+
+/// Each outcome at plan-ahead 1, 2 and 4, with and without a memo, must
+/// match `want`.
+fn assert_every_depth_gives(
+    epochs: &[Epoch],
+    budget: u64,
+    cands: &[f64],
+    horizon: u64,
+    want: &Result<DynamicReport, DynamicError>,
+) {
+    for plan_ahead in [1usize, 2, 4] {
+        for memo in [None, Some(PlannerMemo::new())] {
+            let label = format!(
+                "K = {plan_ahead}, memo = {}",
+                if memo.is_some() { "fresh" } else { "none" }
+            );
+            let config = DynamicConfig { plan_ahead, memo };
+            let got = simulate_dynamic_with(epochs, budget, cands, horizon, &config);
+            assert_outcomes_identical(&label, &got, want);
+        }
+    }
+}
+
+#[test]
+fn runs_of_several_batches_match_the_reference_at_every_depth() {
+    let epochs = many_batch_epochs();
+    let cands = [1.0, 2.0, 4.0, 8.0, 16.0];
+    let budget = many_batch_budget(&cands);
+    // The horizon cuts the last epoch short of the streams' tails.
+    let horizon = epochs.last().unwrap().start_minute + 150;
+    let reference = forest_materializing_reference(&epochs, budget, &cands, horizon);
+    let report = reference.as_ref().unwrap();
+    assert_eq!(report.epoch_plans.len(), 40);
+    // Some epoch gives two titles of one duration the same delay, so they
+    // share a window.
+    assert!(report.epoch_plans.iter().any(|ep| {
+        let catalog = &epochs
+            .iter()
+            .find(|e| e.start_minute == ep.start_minute)
+            .unwrap()
+            .catalog;
+        let keys: Vec<(u64, u64)> = catalog
+            .titles()
+            .iter()
+            .zip(&ep.plan.delays_minutes)
+            .map(|(t, &d)| (t.duration_minutes as u64, d as u64))
+            .collect();
+        (1..keys.len()).any(|i| keys[..i].contains(&keys[i]))
+    }));
+    assert_every_depth_gives(&epochs, budget, &cands, horizon, &reference);
+}
+
+#[test]
+fn errors_keep_their_order_across_batch_boundaries() {
+    let cands = [1.0, 2.0, 4.0, 8.0, 16.0];
+    let budget = many_batch_budget(&cands);
+    let horizon = 9_000;
+    // Epoch 20, in the second batch, cannot fit the budget even with every
+    // title at the largest delay.
+    let mut epochs = many_batch_epochs();
+    epochs[20].catalog = Catalog::zipf(60, 1.0, &MENU);
+    let infeasible = forest_materializing_reference(&epochs, budget, &cands, horizon);
+    assert_eq!(
+        infeasible.as_ref().unwrap_err(),
+        &DynamicError::Infeasible {
+            epoch: 20,
+            start_minute: epochs[20].start_minute
+        }
+    );
+    assert_every_depth_gives(&epochs, budget, &cands, horizon, &infeasible);
+    // A title in the third batch whose media length overflows the slot
+    // axis comes after that epoch, so the earlier error still wins...
+    epochs[35].catalog = Catalog::new(vec![Title {
+        name: "endless".into(),
+        duration_minutes: f64::INFINITY,
+        weight: 1.0,
+    }]);
+    assert_every_depth_gives(&epochs, budget, &cands, horizon, &infeasible);
+    // ...and is the run's error once epoch 20 fits again.
+    epochs[20].catalog = Catalog::zipf(3, 1.0, &MENU);
+    let overflow = Err(DynamicError::Schedule {
+        epoch: 35,
+        title: "endless".into(),
+        source: SimError::MediaLenOverflow {
+            media_len: u64::MAX,
+        },
+    });
+    assert_every_depth_gives(&epochs, budget, &cands, horizon, &overflow);
 }

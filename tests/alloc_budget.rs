@@ -33,8 +33,9 @@
 //!   [`PLAN_BYTES_PER_EXTRA_TREE`] per extra tree.
 //! * **dynamic server** — a §5 run keeps one horizon vector: the
 //!   calling thread of `simulate_dynamic_with` (the materialization stage)
-//!   requests one `i64` difference array of `horizon + 1` minutes, which
-//!   the prefix sum turns into the report's profile in place, and at most
+//!   requests one 8-byte difference array of `horizon + 1` minutes, whose
+//!   minutes it folds into running counts epoch by epoch so the array
+//!   becomes the report's profile in place, and at most
 //!   [`DYNAMIC_BYTES_BEYOND_ONE_HORIZON`] besides.
 //!
 //! The counters are per-thread, so the harness is immune to the test
@@ -111,8 +112,8 @@ const PLAN_BYTES_PER_EXTRA_TREE: u64 = 16;
 
 /// Heap bytes the calling thread of a 400-epoch dynamic run may request
 /// beyond one horizon vector: the epoch plans and breakdown, the run-local
-/// templates and window cache, and one window's transient dense stamp
-/// come to a few hundred KiB. A second horizon vector (1.9 MB here) does
+/// templates, window cache and group buffer, and one window's transient
+/// dense stamp come to a few hundred KiB. A second horizon vector (1.9 MB here) does
 /// not fit.
 const DYNAMIC_BYTES_BEYOND_ONE_HORIZON: u64 = 1 << 20;
 
